@@ -5,13 +5,19 @@ of minimal p-valuation as pivot.  Everything a module computation needs --
 kernels, solving, span membership, quotient structure, unique normal forms
 -- reduces to `diagonalize` or to the Howell-style row span `SpanNF`.
 
-The `batch_*` functions are numpy re-implementations of the same pivoting
-scheme over stacks of small matrices; they exist for the large pairwise
-window-hom sweeps and are cross-checked against the scalar routines in the
-test suite.
+`batch_kernel` is a numpy re-implementation of the same pivoting scheme
+over a stack of small matrices, for the pairwise window-hom sweep in
+`homsweep`.  It works in the narrowest integer dtype that cannot overflow:
+every intermediate lies within (p^m - 1)^2 + p^m of zero, so int16 serves
+p^m <= 181, int32 serves p^m <= 46,341 and int64 the rest.  The scalar
+routines are its oracle: the tests compare its pivot exponents with
+`diagonalize` and its kernel spans with `kernel_basis` on every system
+shape the sweep produces.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -232,6 +238,24 @@ class SpanNF:
     def basis(self):
         return [tuple(row) for _, (e, row) in sorted(self.rows.items())]
 
+    def reduced_basis(self):
+        """`basis` with each row reduced at the later pivot columns.
+
+        Entries at a pivot column with pivot p^e land in [0, p^e), so the
+        result depends only on the span, not on the insertion order (the
+        rows of `basis` do depend on it).
+        """
+        rows = dict(sorted(self.rows.items()))
+        out = {}
+        for lead in reversed(rows):
+            row = rows[lead][1]
+            for l2 in out:
+                q = row[l2] // self.p ** rows[l2][0]
+                if q:
+                    row = [(a - q * b) % self.mod for a, b in zip(row, out[l2])]
+            out = {lead: row, **out}
+        return [tuple(row) for row in out.values()]
+
     def pivots(self):
         return {lead: e for lead, (e, row) in self.rows.items()}
 
@@ -287,87 +311,169 @@ def p_torsion_of_quotient(rel_rows, ncols: int, p: int, m: int):
 # -- batched numpy variants ------------------------------------------------
 
 
-def _tables(p: int, m: int):
-    mod = p ** m
-    val = np.zeros(mod, dtype=np.int64)
-    for a in range(1, mod):
-        val[a] = _val(a, p, m)
-    val[0] = m
-    inv = np.zeros(mod, dtype=np.int64)
-    for a in range(1, mod):
-        if a % p:
-            inv[a] = pow(a, -1, mod)
-    return val, inv
+def _work_dtype(mod: int):
+    """Narrowest of int16/int32/int64 holding (mod-1)^2 + mod: see `batch_kernel`."""
+    bound = (mod - 1) ** 2 + mod
+    for dt in (np.int16, np.int32, np.int64):
+        if bound <= np.iinfo(dt).max:
+            return dt
+    raise ValueError(f"modulus {mod} is too large for batch_kernel")
 
 
-_TABLE_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def tables(p: int, m: int):
-    key = (p, m)
-    if key not in _TABLE_CACHE:
-        _TABLE_CACHE[key] = _tables(p, m)
-    return _TABLE_CACHE[key]
+    """Lookup tables (val, inv, ppow) for Z/p^m.
+
+    val[a] = v_p(a) as int8 (m for a = 0); inv[a] = a^-1 for units and 0
+    otherwise; ppow[e] = p^e for e = 0..m.  inv and ppow are in the work
+    dtype of p^m.
+    """
+    mod = p ** m
+    dt = _work_dtype(mod)
+    val = np.array([_val(a, p, m) for a in range(mod)], dtype=np.int8)
+    inv = np.array([pow(a, -1, mod) if a % p else 0 for a in range(mod)], dtype=dt)
+    ppow = np.array([p ** e for e in range(m + 1)], dtype=dt)
+    for t in (val, inv, ppow):
+        t.flags.writeable = False  # shared by every caller
+    return val, inv, ppow
+
+
+_BLOCK = 512  # systems per block of a transposing copy; a block fits in cache
+
+
+def _to_columns(src: np.ndarray, dt) -> np.ndarray:
+    """(N, k) -> (k, N) in dtype dt, copied blockwise."""
+    n, k = src.shape
+    out = np.empty((k, n), dtype=dt)
+    for s in range(0, n, _BLOCK):
+        out[:, s : s + _BLOCK] = src[s : s + _BLOCK].T
+    return out
+
+
+def _to_rows(src: np.ndarray) -> np.ndarray:
+    """(k, N) -> (N, k) int64, copied blockwise."""
+    k, n = src.shape
+    out = np.empty((n, k), dtype=np.int64)
+    for s in range(0, n, _BLOCK):
+        out[s : s + _BLOCK] = src[:, s : s + _BLOCK].T
+    return out
+
+
+def _swap_pivots(A, V, k, systems, pi, pj):
+    """Bring pivot (pi, pj) to (k, k) in the given systems only.
+
+    A row swap touches A's trailing columns, a column swap A's trailing rows
+    and all of V; the rest of A is never read again.
+    """
+    moved = pi != k
+    if moved.any():
+        s, src = systems[moved], pi[moved]
+        old = A[k, k:, s]
+        A[k, k:, s] = A[src, k:, s]
+        A[src, k:, s] = old
+    moved = pj != k
+    if moved.any():
+        s, src = systems[moved], pj[moved]
+        for X, lo in ((A, k), (V, 0)):
+            old = X[lo:, k, s]
+            X[lo:, k, s] = X[lo:, src, s]
+            X[lo:, src, s] = old
 
 
 def batch_kernel(mats: np.ndarray, p: int, m: int):
     """Kernel generators for a stack of matrices over Z/p^m.
 
-    mats: (N, r, c) int64, entries already reduced mod p^m.  Returns
-    (gens, evals): gens is (N, c, c) with gens[n, :, j] a kernel generator
-    (possibly zero), evals (N, c) the pivot exponents (m for free columns).
-    Same pivoting scheme as `diagonalize`.
+    mats: (N, r, c) integer array; entries outside [0, p^m) are reduced
+    first.  Returns (gens, evals), both int64: gens is (N, c, c) with
+    gens[n, :, j] a kernel generator (possibly zero), evals (N, c) the
+    pivot exponents (m for free columns).  Same pivoting scheme as
+    `diagonalize`, which is the oracle for this function in the tests.
+
+    The systems are stored along the last axis, so each step is a few
+    contiguous in-place passes over the trailing blocks of all N systems.
+    Only the trailing block of A is kept up to date: the column operations
+    `diagonalize` applies to A only clear the pivot row, which no later step
+    reads.  Entries stay in [0, p^m) between passes.  A pass forms f*b or
+    a - f*b with a, b in [0, p^m) and f in [0, p^m], then reduces x to
+    x - p^m * floor(x / p^m) in place, so no intermediate exceeds
+    p^m (p^m - 1) < (p^m - 1)^2 + p^m in absolute value.  The work dtype is
+    the narrowest that holds (p^m - 1)^2 + p^m: int16 for p^m <= 181, int32
+    up to 46,341, int64 beyond.
     """
-    val_tab, inv_tab = tables(p, m)
+    val_tab, inv_tab, ppow = tables(p, m)
     mod = p ** m
-    A = mats % mod
-    N, r, c = A.shape
-    V = np.broadcast_to(np.eye(c, dtype=np.int64), (N, c, c)).copy()
-    evals = np.full((N, c), m, dtype=np.int64)
-    steps = min(r, c)
-    batch = np.arange(N)
-    for k in range(steps):
-        sub = A[:, k:, k:]
-        vals = val_tab[sub]
-        flat = vals.reshape(N, -1)
-        idx = np.argmin(flat, axis=1)
-        width = c - k
-        pi = idx // width + k
-        pj = idx % width + k
-        # row swap k <-> pi
-        rows_k = A[batch, k, :].copy()
-        A[batch, k, :] = A[batch, pi, :]
-        A[batch, pi, :] = rows_k
-        # column swap k <-> pj (also on V)
-        cols_k = A[batch, :, k].copy()
-        A[batch, :, k] = A[batch, :, pj]
-        A[batch, :, pj] = cols_k
-        vcols_k = V[batch, :, k].copy()
-        V[batch, :, k] = V[batch, :, pj]
-        V[batch, :, pj] = vcols_k
-        pivot = A[:, k, k]
-        e = val_tab[pivot]
-        evals[:, k] = e
-        pe = p ** np.minimum(e, m)
-        unit = pivot // pe
-        unit = np.where(unit == 0, 1, unit)
-        w = inv_tab[unit % mod]
-        A[:, k, :] = (A[:, k, :] * w[:, None]) % mod
-        live = e < m
-        # eliminate below
-        if k + 1 < r:
-            f = (A[:, k + 1 :, k] // pe[:, None]) * live[:, None]
-            A[:, k + 1 :, :] = (A[:, k + 1 :, :] - f[:, :, None] * A[:, k, :][:, None, :]) % mod
-        # eliminate to the right (column ops touch V)
-        if k + 1 < c:
-            g = (A[:, k, k + 1 :] // pe[:, None]) * live[:, None]
-            A[:, :, k + 1 :] = (A[:, :, k + 1 :] - A[:, :, k][:, :, None] * g[:, None, :]) % mod
-            V[:, :, k + 1 :] = (V[:, :, k + 1 :] - V[:, :, k][:, :, None] * g[:, None, :]) % mod
-    scale = p ** (m - np.minimum(evals, m))
-    scale = np.where(evals == 0, 0, scale)  # unit pivots force the coordinate to 0
-    gens = (V * scale[:, None, :]) % mod
-    return gens, evals
+    mats = np.asarray(mats)
+    N, r, c = mats.shape
+    if mats.size and (mats.min() < 0 or mats.max() >= mod):
+        mats = mats % mod
+    A = _to_columns(mats.reshape(N, r * c), inv_tab.dtype).reshape(r, c, N)
+    V = np.zeros((c, c, N), dtype=inv_tab.dtype)
+    for j in range(c):
+        V[j, j] = 1
+    evals = np.full((c, N), m, dtype=np.int64)
+    tmp = np.empty((max(r, c), c, N), dtype=inv_tab.dtype)
 
+    if mod & (mod - 1) == 0:
 
-def batch_matmul_mod(a: np.ndarray, b: np.ndarray, mod: int) -> np.ndarray:
-    return np.einsum("nij,njk->nik", a, b) % mod
+        def reduce(x):
+            np.bitwise_and(x, mod - 1, out=x)
+
+    else:
+
+        def reduce(x):
+            # in place x -= mod * (x // mod); unlike np.remainder, floor
+            # division by a scalar is vectorised.  Clobbers tmp.
+            q = tmp.reshape(-1)[: x.size].reshape(x.shape)
+            np.floor_divide(x, mod, out=q)
+            np.multiply(q, mod, out=q)
+            np.subtract(x, q, out=x)
+
+    # pivot search key: valuation * S + row-major position in the block
+    S = r * c
+    key_dt = np.int16 if (m + 1) * S <= np.iinfo(np.int16).max else np.int32
+    key_tab = val_tab.astype(key_dt) * S
+    pos = np.arange(S, dtype=key_dt)[:, None]
+    for k in range(min(r, c)):
+        h, w = r - k, c - k
+        # The pivot is the first entry of minimal valuation in row-major
+        # order.  A unit at (k, k) is that entry, so only the systems
+        # without one are searched.
+        e = val_tab.take(A[k, k])
+        hard = np.flatnonzero(e)
+        if hard.size:
+            key = key_tab.take(A[k:, k:, hard]).reshape(h * w, -1)
+            key += pos[: h * w]
+            best = np.minimum.reduce(key, axis=0)
+            e[hard] = best // S
+            at = best % S
+            _swap_pivots(A, V, k, hard, at // w + k, at % w + k)
+        evals[k] = e
+        if w == 1:
+            continue
+        # normalise the pivot row by the unit part of its pivot p^e
+        pe = ppow.take(e)
+        row = A[k, k + 1 :]
+        np.multiply(row, inv_tab.take(A[k, k] // pe), out=row)
+        reduce(row)
+        # row and column multipliers: the trailing block is divisible by p^e
+        col = A[k + 1 :, k]
+        g = row.copy()
+        deep = np.flatnonzero(e)
+        if deep.size:
+            col[:, deep] //= pe[deep]
+            g[:, deep] //= pe[deep]
+        if h > 1:
+            t = tmp[: h - 1, : w - 1]
+            np.multiply(col[:, None], row[None], out=t)
+            blk = A[k + 1 :, k + 1 :]
+            np.subtract(blk, t, out=blk)
+            reduce(blk)
+        t = tmp[:c, : w - 1]
+        np.multiply(V[:, k, None], g[None], out=t)
+        blk = V[:, k + 1 :]
+        np.subtract(blk, t, out=blk)
+        reduce(blk)
+    # gens[:, :, j] = p^(m - e_j) V[:, j], which is 0 for a unit pivot (e_j = 0)
+    np.multiply(V, ppow.take(m - evals)[None], out=V)
+    reduce(V)
+    return _to_rows(V.reshape(c * c, N)).reshape(N, c, c), evals.T.copy()

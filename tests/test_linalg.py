@@ -6,6 +6,7 @@ import pytest
 
 from crystaframe.linalg import (
     SpanNF,
+    _work_dtype,
     batch_kernel,
     diagonalize,
     kernel_basis,
@@ -160,21 +161,97 @@ def test_p_torsion_of_quotient():
     assert tors == [(2,)]
 
 
-@pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (5, 2)])
+def test_spannf_reduced_basis_is_canonical():
+    # the same span from shuffled, redundant generators gives one reduced basis
+    rng = random.Random(17)
+    for p, m in [(2, 3), (3, 3)]:
+        mod = p ** m
+        for _ in range(200):
+            n = rng.randrange(1, 6)
+            gens = [
+                [rng.randrange(mod) * p ** rng.randrange(2) % mod for _ in range(n)]
+                for _ in range(rng.randrange(1, 4))
+            ]
+            gens.append([(a + 2 * b) % mod for a, b in zip(gens[0], gens[-1])])
+            seen = set()
+            for _ in range(4):
+                rng.shuffle(gens)
+                nf = SpanNF(n, p, m)
+                for g in gens:
+                    nf.insert(g)
+                assert all(nf.contains(row) for row in nf.reduced_basis())
+                seen.add(tuple(nf.reduced_basis()))
+            assert len(seen) == 1
+
+
+def span_key(gens, ncols, p, m):
+    nf = SpanNF(ncols, p, m)
+    for g in gens:
+        nf.insert(g)
+    return nf.reduced_basis()
+
+
+# every system shape of the window-hom sweep, plus two non-square shapes
+SWEEP_SHAPES = [(n, n) for n in (1, 2, 3, 4, 5, 6, 8)] + [(3, 5), (5, 3)]
+
+
+def oracle_mats(rng, r, c, p, m, count):
+    """Seeded r x c matrices over Z/p^m that exercise every pivot path.
+
+    Uniform entries; entries times p or p^2 (no unit pivot at all); entries
+    times p at random positions (non-unit diagonal, pivot found elsewhere);
+    a zero row; and one all-zero matrix.
+    """
+    mod = p ** m
+    mats = []
+    for t in range(count):
+        M = [[rng.randrange(mod) for _ in range(c)] for _ in range(r)]
+        kind = t % 4
+        if kind == 1:
+            s = p ** rng.randrange(1, min(m, 3))
+            M = [[x * s % mod for x in row] for row in M]
+        elif kind == 2:
+            M = [[x * p % mod if rng.randrange(2) else x for x in row] for row in M]
+        elif kind == 3:
+            M[rng.randrange(r)] = [0] * c
+        mats.append(M)
+    mats.append([[0] * c for _ in range(r)])
+    return mats
+
+
+# Z/8, Z/9, Z/27 (the sweep's moduli), Z/25, and one modulus on each side
+# of every work-dtype switch: 169 | 243 (int16 | int32), 2^15 | 2^16
+# (int32 | int64)
+@pytest.mark.parametrize(
+    "p,m", [(2, 3), (3, 2), (5, 2), (3, 3), (13, 2), (3, 5), (2, 15), (2, 16)]
+)
 def test_batch_kernel_matches_scalar(p, m):
     rng = random.Random(13)
     mod = p ** m
-    N = 40
-    r, c = 4, 4
-    mats = np.array(
-        [[[rng.randrange(mod) for _ in range(c)] for _ in range(r)] for _ in range(N)],
-        dtype=np.int64,
-    )
-    gens, _ = batch_kernel(mats, p, m)
-    for n in range(N):
-        M = [[int(mats[n, i, j]) for j in range(c)] for i in range(r)]
-        expected = span_of(kernel_basis(M, p, m), mod) | {(0,) * c}
-        got_gens = [tuple(int(gens[n, i, j]) for i in range(c)) for j in range(c)]
-        got_gens = [g for g in got_gens if any(g)]
-        got = span_of(got_gens, mod) | {(0,) * c}
-        assert got == expected
+    for r, c in SWEEP_SHAPES:
+        mats = oracle_mats(rng, r, c, p, m, 16)
+        gens, evals = batch_kernel(np.array(mats, dtype=np.int64), p, m)
+        assert gens.shape == (len(mats), c, c) and evals.shape == (len(mats), c)
+        assert gens.dtype == evals.dtype == np.int64
+        for n, M in enumerate(mats):
+            ev = diagonalize(M, p, m)[3]
+            assert evals[n].tolist() == ev + [m] * (c - len(ev))
+            got = gens[n].T.tolist()
+            for g in got:
+                assert all(sum(a * b for a, b in zip(row, g)) % mod == 0 for row in M)
+            assert span_key(got, c, p, m) == span_key(kernel_basis(M, p, m), c, p, m)
+
+
+def test_batch_kernel_reduces_its_input():
+    rng = np.random.default_rng(3)
+    mats = rng.integers(0, 27, size=(50, 4, 4))
+    shift = 27 * rng.integers(-3, 3, size=mats.shape)
+    for got, want in zip(batch_kernel(mats + shift, 3, 3), batch_kernel(mats, 3, 3)):
+        assert np.array_equal(got, want)
+
+
+def test_batch_kernel_work_dtype():
+    # the narrowest dtype holding (mod - 1)^2 + mod
+    assert _work_dtype(8) == np.int16
+    assert _work_dtype(181) == np.int16 and _work_dtype(182) == np.int32
+    assert _work_dtype(46341) == np.int32 and _work_dtype(46342) == np.int64
