@@ -168,8 +168,8 @@ def is_window_hom(v: Window, w: Window, G) -> bool:
     T-columns use the Phi identity at full length; L-columns need
     divided-Frobenius values on the bottom entries.  Where sigma1 is exact
     (Witt-style frames, one level down) the comparison is direct; over
-    Z/p^m-coordinate carriers the witnesses are solved for, so a hom is
-    never rejected for carrying a non-minimal witness.
+    Z/p^m and carriers with Z/p^m coordinates the witnesses are solved for,
+    so a hom is never rejected for carrying a non-minimal witness.
     """
     fr = v.frame
     A = fr.A
@@ -194,7 +194,7 @@ def is_window_hom(v: Window, w: Window, G) -> bool:
             if lhs != rhs:
                 return False
         return True
-    if _has_coords(A):
+    if _has_coords(A) or isinstance(A, Residues):
         return _l_columns_witnessed(v, w, G)
     # exact sigma1 (Witt / quotient): compare in the codomain
     cod = fr.sigma1_codomain

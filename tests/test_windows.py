@@ -129,6 +129,19 @@ def test_p_times_phi_hom_is_window_hom():
             assert is_phi_hom(v, w, g)
 
 
+def test_window_hom_accepts_non_minimal_witness_over_zpm():
+    # Over Z/9, G = (3, 0)^T satisfies the L-column identity only with the
+    # witness h = 6 for its zero bottom entry, not with the minimal h = 0.
+    fr = zframe(3, 2)
+    v = window_from_psi(fr, 1, 0, [[5]])
+    w = window_from_psi(fr, 1, 1, [[0, 1], [4, 1]])
+    G = mat([[3], [0]])
+    assert is_window_hom(v, w, G)
+    assert not hom_space(v, w, "window").contains_zero_only()
+    # the witness h = 5 that would fit G = (1, 0)^T has p*h != 0
+    assert not is_window_hom(v, w, mat([[1], [0]]))
+
+
 def test_f_nilpotence():
     fr = zframe()
     assert f_nilpotence(multiplicative(fr)) == (True, 1)
