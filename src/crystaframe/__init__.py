@@ -23,6 +23,7 @@ from .monomial import (
 from .witt import WittRing, witt_arith, witt_cache, witt_structure
 from .frames import (
     AdmissibleSequence,
+    BudgetError,
     Frame,
     FrameError,
     FrameHom,
@@ -51,6 +52,7 @@ from .pdenv import (
 from .windows import (
     ClassTable,
     Window,
+    WindowBudgetError,
     WindowError,
     are_isomorphic,
     base_change,

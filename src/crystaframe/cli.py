@@ -80,6 +80,9 @@ def cmd_run(args) -> int:
     apply_env_budget_overrides(sc)
     try:
         objects = validate_scenario(sc)
+    except ScenarioParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except ScenarioSemanticError as exc:
         print(f"semantic error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC

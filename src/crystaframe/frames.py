@@ -27,6 +27,10 @@ class FrameError(ValueError):
     pass
 
 
+class BudgetError(FrameError):
+    """An enumeration would exceed its budget (scenario exit code 4)."""
+
+
 def additive_closure(carrier, gens, budget: int = 1 << 20):
     """The additive span of `gens` inside a finite carrier, as a set."""
     span = {carrier.zero}
@@ -39,7 +43,7 @@ def additive_closure(carrier, gens, budget: int = 1 << 20):
             shifted |= {carrier.add(s, cur) for s in span}
             cur = carrier.add(cur, g)
             if len(shifted) > budget:
-                raise FrameError("additive closure exceeded budget")
+                raise BudgetError("additive closure exceeded budget")
         span = shifted
     return span
 
@@ -266,7 +270,7 @@ class WittFrame(Frame):
                 img.add(self.A.int_mul(self.p, x))
                 count += 1
                 if count > budget:
-                    raise FrameError("carrier too large for p-image enumeration")
+                    raise BudgetError("carrier too large for p-image enumeration")
             self._p_image = img
         return self._p_image
 

@@ -140,12 +140,17 @@ def solve(mat, rhs, p: int, m: int):
 
 
 class SpanNF:
-    """Canonical (Howell-style) form of a row span over Z/p^m.
+    """Howell-style echelon form of a row span over Z/p^m.
 
     Supports exact span membership and unique normal forms of cosets: after
     `reduce`, the entry at a pivot column with pivot p^e lies in [0, p^e).
     The stored rows are closed under multiplication by p^{m-e}, which is
     what makes membership-by-reduction complete over Z/p^m.
+
+    `reduce` and `reduced_basis()` are canonical: they depend only on the
+    span.  `basis()` is not: a stored row is never reduced at pivot columns
+    placed after it, so the same span inserted in another order can give
+    other rows.
     """
 
     def __init__(self, ncols: int, p: int, m: int):
@@ -311,13 +316,40 @@ def p_torsion_of_quotient(rel_rows, ncols: int, p: int, m: int):
 # -- batched numpy variants ------------------------------------------------
 
 
-def _work_dtype(mod: int):
-    """Narrowest of int16/int32/int64 holding (mod-1)^2 + mod: see `batch_kernel`."""
-    bound = (mod - 1) ** 2 + mod
+def int_dtype(bound: int):
+    """Narrowest of int16/int32/int64 holding every integer of size <= bound."""
     for dt in (np.int16, np.int32, np.int64):
         if bound <= np.iinfo(dt).max:
             return dt
-    raise ValueError(f"modulus {mod} is too large for batch_kernel")
+    raise ValueError(f"{bound} does not fit in int64")
+
+
+def _work_dtype(mod: int):
+    """Narrowest of int16/int32/int64 holding (mod-1)^2 + mod: see `batch_kernel`."""
+    return int_dtype((mod - 1) ** 2 + mod)
+
+
+def mod_reducer(mod: int, scratch: np.ndarray):
+    """In-place x -> x mod `mod` for arrays in scratch's dtype and no larger.
+
+    Powers of 2 reduce by `& (mod - 1)`.  Other moduli reduce by
+    x -= mod * (x // mod), which clobbers `scratch`: unlike np.remainder,
+    floor division by a scalar is vectorised.
+    """
+    if mod & (mod - 1) == 0:
+
+        def reduce(x):
+            np.bitwise_and(x, mod - 1, out=x)
+
+    else:
+
+        def reduce(x):
+            q = scratch.reshape(-1)[: x.size].reshape(x.shape)
+            np.floor_divide(x, mod, out=q)
+            np.multiply(q, mod, out=q)
+            np.subtract(x, q, out=x)
+
+    return reduce
 
 
 @functools.lru_cache(maxsize=None)
@@ -412,21 +444,7 @@ def batch_kernel(mats: np.ndarray, p: int, m: int):
         V[j, j] = 1
     evals = np.full((c, N), m, dtype=np.int64)
     tmp = np.empty((max(r, c), c, N), dtype=inv_tab.dtype)
-
-    if mod & (mod - 1) == 0:
-
-        def reduce(x):
-            np.bitwise_and(x, mod - 1, out=x)
-
-    else:
-
-        def reduce(x):
-            # in place x -= mod * (x // mod); unlike np.remainder, floor
-            # division by a scalar is vectorised.  Clobbers tmp.
-            q = tmp.reshape(-1)[: x.size].reshape(x.shape)
-            np.floor_divide(x, mod, out=q)
-            np.multiply(q, mod, out=q)
-            np.subtract(x, q, out=x)
+    reduce = mod_reducer(mod, tmp)  # clobbers tmp
 
     # pivot search key: valuation * S + row-major position in the block
     S = r * c

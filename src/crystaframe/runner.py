@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .frames import FrameError
+from .frames import BudgetError, FrameError
 from .nabla import (
     NablaContext,
     horizontality_check,
@@ -49,9 +49,9 @@ def run_scenario(sc: Scenario, objects: dict, internal_precision: int | None = N
             status, data = handler(cmd, sc, frames, homs, windows, report, internal_precision)
         except BudgetExceeded:
             raise
+        except BudgetError as exc:
+            raise BudgetExceeded(str(exc))
         except (WindowError, FrameError) as exc:
-            if "budget" in str(exc) or "too large" in str(exc):
-                raise BudgetExceeded(str(exc))
             status, data = "fail", {"summary": str(exc)}
         report.add(cmd, status, data)
     return report

@@ -330,10 +330,15 @@ def _validate_command(cmd, frames, homs, windows):
     if op == "validate":
         _lookup(frames, cmd[1], "frame")
     elif op == "classify":
-        _lookup(frames, cmd[1], "frame")
         if len(cmd) < 4 or cmd[2] != "rank":
             raise ScenarioSemanticError("classify needs: classify <frame> rank <r>")
-        int(cmd[3])
+        _lookup(frames, cmd[1], "frame")
+        try:
+            rank = int(cmd[3])
+        except ValueError:
+            raise ScenarioParseError(f"classify rank must be an integer, got {cmd[3]!r}")
+        if not 0 <= rank <= 2:
+            raise ScenarioSemanticError(f"classify rank must be 0, 1 or 2, got {rank}")
     elif op == "base-change":
         _lookup(windows, cmd[1], "window")
         if cmd[2] != "hom":

@@ -14,8 +14,8 @@ truncation ambiguity of sigma1 never enters silently.
 Isomorphism testing is by solving for an invertible hom (unit scan on the
 hom space mod p), never by invariants.  Classification enumerates candidate
 Psi up to the twisted right-action Psi -> G Psi W(G)^{-1} of the
-filtration-preserving invertibles; over Z/p^m carriers this runs as an
-orbit BFS on integer tuples.
+filtration-preserving invertibles; over Z/p^m carriers the orbits are
+found as connected components of vectorised index maps.
 """
 
 from __future__ import annotations
@@ -23,8 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 
-from .frames import Frame, FrameHom
-from .linalg import SpanNF, kernel_basis
+import numpy as np
+
+from .frames import BudgetError, Frame, FrameHom
+from .linalg import SpanNF, int_dtype, kernel_basis, mod_reducer
 from .matrices import (
     from_cols,
     identity,
@@ -41,6 +43,10 @@ from .residues import Residues
 
 class WindowError(ValueError):
     pass
+
+
+class WindowBudgetError(WindowError, BudgetError):
+    """A window enumeration would exceed its budget."""
 
 
 @dataclass(frozen=True)
@@ -349,7 +355,7 @@ def hom_space(v: Window, w: Window, mode: str = "window", budget: int = 1 << 16)
     if _has_coords(fr.A):
         nvars = w.rank * v.rank * fr.A.coord_count()
         if nvars * nvars > budget:
-            raise WindowError(f"hom system too large for the budget ({nvars} unknowns)")
+            raise WindowBudgetError(f"hom system too large for the budget ({nvars} unknowns)")
         gens = _hom_space_linear(v, w, mode)
     else:
         gens = _hom_space_bruteforce(v, w, mode, budget)
@@ -371,7 +377,7 @@ def _hom_space_bruteforce(v: Window, w: Window, mode: str, budget: int):
     pool = list(A.elements())
     total = len(pool) ** (r_w * r_v)
     if total > budget:
-        raise WindowError(f"carrier too large for exhaustive hom search ({total} candidates)")
+        raise WindowBudgetError(f"carrier too large for exhaustive hom search ({total} candidates)")
     check = is_window_hom if mode == "window" else is_phi_hom
     sols = []
     for combo in iproduct(pool, repeat=r_w * r_v):
@@ -759,7 +765,7 @@ def lift_hom_along(
     G0 = _adjust_filtration(src, v_src, w_src, G0, kernel_elements)
     n_entries = r_w * r_v
     if len(kernel_elements) ** n_entries > budget:
-        raise WindowError("kernel too large for the exhaustive correction search")
+        raise WindowBudgetError("kernel too large for the exhaustive correction search")
     solutions = []
     steps = 0
     for combo in iproduct(kernel_elements, repeat=n_entries):
@@ -771,7 +777,7 @@ def lift_hom_along(
         if is_window_hom(v_src, w_src, cand):
             solutions.append(cand)
     if not solutions:
-        raise WindowError("no lift found: iteration budget exhausted")
+        raise WindowError("no lift found: no correction makes a window hom")
     unique = len(solutions) == 1
     lifted = solutions[0]
     if mat_map(alpha.fn, lifted) != mat(G_target):
@@ -784,7 +790,7 @@ def _kernel_elements(alpha: FrameHom, budget: int):
     out = []
     for i, x in enumerate(alpha.source.A.elements()):
         if i > budget:
-            raise WindowError("kernel enumeration exceeded budget")
+            raise WindowBudgetError("kernel enumeration exceeded budget")
         if alpha.fn(x) == tgt_zero:
             out.append(x)
     return out
@@ -832,6 +838,8 @@ class ClassTable:
 
 def classify_windows(frame: Frame, rank: int, budget: int = 1 << 21) -> ClassTable:
     """Isomorphism classes of rank-r windows, by exhaustive orbit enumeration."""
+    if rank < 0:
+        raise WindowError(f"rank must be non-negative, got {rank}")
     if rank > 2:
         raise WindowError("classification is desk-scale: rank <= 2")
     name = getattr(frame, "name", frame.kind)
@@ -849,7 +857,7 @@ def classify_windows(frame: Frame, rank: int, budget: int = 1 << 21) -> ClassTab
     # finite carriers: enumerate invertible Psi, test isomorphism by hom scan
     A = frame.A
     if not hasattr(A, "size") or A.size() ** (rank * rank) > budget:
-        raise WindowError("budget exceeded: carrier too large for classification")
+        raise WindowBudgetError("budget exceeded: carrier too large for classification")
     pool = list(A.elements())
     for d in range(rank, -1, -1):
         t = rank - d
@@ -1085,27 +1093,17 @@ def _primitive_root(p: int):
     raise AssertionError("no primitive root found")
 
 
-def _orbits_zpm(frame: Frame, d: int, t: int, rank: int, budget: int):
-    """Orbit BFS of the twisted action on invertible Psi over Z/p^m.
+def _orbit_steps(frame: Frame, d: int, rank: int):
+    """Steps (G, W^{-1}) of the twisted action Psi -> G Psi W^{-1} over Z/p^m.
 
-    Steps are Psi -> G Psi W(G)^{-1} for a generating set of the
-    filtration-preserving invertibles, where W(G) applies sigma/sigma1 to
-    the columns per the normal decomposition, plus witness twists that
+    G runs over a generating set of the filtration-preserving invertibles
+    and their inverses, with W = W(G) applying sigma/sigma1 to the columns
+    per the normal decomposition; then come witness twists (G = 1) that
     absorb the sigma1 ambiguity of the minimal-witness choice.
     """
     A = frame.A
     p, m = A.p, A.m
     mod = A.modulus
-    n2 = rank * rank
-
-    if mod ** n2 > budget:
-        raise WindowError("budget exceeded for orbit enumeration")
-
-    def as_mat(tup):
-        return mat([tup[i * rank : (i + 1) * rank] for i in range(rank)])
-
-    def as_tup(M):
-        return tuple(M[i][j] for i in range(rank) for j in range(rank))
 
     def w_of(G):
         cols = []
@@ -1160,60 +1158,87 @@ def _orbits_zpm(frame: Frame, d: int, t: int, rank: int, budget: int):
                 T = [list(row) for row in eye]
                 T[i][l] = s
                 steps.append((eye, mat(T)))
+    return steps
 
-    # candidates: all invertible integer matrices
-    import numpy as np
 
-    grids = np.indices((mod,) * n2).reshape(n2, -1).T
+def _orbits_zpm(frame: Frame, d: int, t: int, rank: int, budget: int):
+    """Orbits of the twisted action on invertible Psi over Z/p^m.
+
+    The steps are those of `_orbit_steps`.  Each Psi is the integer whose
+    base-p^m digits are its entries in row-major order, first entry most
+    significant, so index order is the lexicographic order of matrices.  A
+    step is linear in the entries of Psi, so it becomes one vectorised map
+    from the indices of all invertible Psi to the indices of their images;
+    an image that is not invertible raises.  G and W^{-1} are invertible, so
+    every step is a bijection of the finite set of invertible Psi, some
+    power of it is its inverse, and the orbits (the sets reachable by steps)
+    are the connected components of the graph with an edge from each Psi to
+    each of its images.  They are found by min-label propagation with
+    pointer jumping (Shiloach-Vishkin): each Psi pulls the smallest label of
+    its images and then the label of its label, until nothing changes, so
+    each orbit ends up labelled by its smallest index.  Returns
+    (representative, orbit size) pairs, the representative being the
+    orbit's least matrix, in increasing order.
+    """
+    p, mod = frame.A.p, frame.A.modulus
+    n2 = rank * rank
+    if mod ** n2 > budget:
+        raise WindowBudgetError("budget exceeded for orbit enumeration")
+    steps = _orbit_steps(frame, d, rank)
+
+    # candidates: the invertible Psi, as the entry columns of their indices
+    size = mod ** n2
+    dt = int_dtype(n2 * (mod - 1) ** 2)
+    digits = np.indices((mod,) * n2, dtype=dt).reshape(n2, size)
     if rank == 1:
-        dets = grids[:, 0]
+        dets = digits[0]
     else:
-        dets = (grids[:, 0] * grids[:, 3] - grids[:, 1] * grids[:, 2]) % mod
-    inv_mask = dets % p != 0
-    candidates = [tuple(int(x) for x in row) for row in grids[inv_mask]]
-    candidate_set = set(candidates)
+        dets = digits[0] * digits[3] - digits[1] * digits[2]
+    index = np.flatnonzero(dets % p)
+    entries = digits[:, index]
+    n = index.size
+    idx = int_dtype(size)
+    position = np.full(size, -1, dtype=idx)
+    position[index] = np.arange(n)
 
-    # flatten the step pairs for the integer-tuple hot loop
-    flat_steps = [(as_tup(G), as_tup(Winv)) for G, Winv in steps]
+    # one index map per step: the entries of G Psi Winv are linear in Psi's
+    acc = np.empty(n, dtype=dt)
+    term = np.empty(n, dtype=dt)
+    reduce = mod_reducer(mod, term)  # clobbers term
+    cells = [(i, j) for i in range(rank) for j in range(rank)]
+    maps = []
+    for G, Winv in steps:
+        image = np.zeros(n, dtype=idx)
+        for i, j in cells:
+            acc.fill(0)
+            for e, (k, l) in enumerate(cells):
+                c = G[i][k] * Winv[l][j] % mod
+                if c:
+                    np.multiply(entries[e], c, out=term)
+                    np.add(acc, term, out=acc)
+            reduce(acc)
+            image *= mod
+            image += acc
+        image = position.take(image)
+        if (image < 0).any():
+            raise AssertionError("orbit left the invertible set")
+        maps.append(image)
 
-    visited = set()
-    orbits = []
-    if rank == 1:
-        def push(cur, g, wi):
-            return ((g[0] * cur[0] % mod) * wi[0]) % mod,
-    else:
-        def push(cur, g, wi):
-            a, b, c, d2 = cur
-            g0, g1, g2, g3 = g
-            # G * cur
-            xa = g0 * a + g1 * c
-            xb = g0 * b + g1 * d2
-            xc = g2 * a + g3 * c
-            xd = g2 * b + g3 * d2
-            w0, w1, w2, w3 = wi
-            return (
-                (xa * w0 + xb * w2) % mod,
-                (xa * w1 + xb * w3) % mod,
-                (xc * w0 + xd * w2) % mod,
-                (xc * w1 + xd * w3) % mod,
-            )
-
-    for start in sorted(candidate_set):
-        if start in visited:
-            continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            cur = frontier.pop()
-            for g, wi in flat_steps:
-                nxt = push(cur, g, wi)
-                if nxt not in orbit:
-                    if nxt not in candidate_set:
-                        raise AssertionError("orbit left the invertible set")
-                    orbit.add(nxt)
-                    frontier.append(nxt)
-        visited |= orbit
-        rep = min(orbit)
-        orbits.append((as_mat(rep), len(orbit)))
-    orbits.sort(key=lambda x: x[0])
-    return orbits
+    # orbits = components: pull labels along every map, then jump
+    label = np.arange(n, dtype=idx)
+    while True:
+        before = label.copy()
+        for f in maps:
+            np.minimum(label, label.take(f), out=label)
+        while True:
+            jumped = label.take(label)
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+        if np.array_equal(label, before):
+            break
+    reps, sizes = np.unique(label, return_counts=True)
+    return [
+        (mat(entries[:, r].reshape(rank, rank).tolist()), int(k))
+        for r, k in zip(reps, sizes)
+    ]

@@ -139,6 +139,15 @@ command validate Q
     assert main(["run", str(budg)]) == 4  # budget exceeded at validation
     missing = tmp_path / "missing.scn"
     assert main(["run", str(missing)]) == 2
+    # classify ranks: not an integer is a parse error, out of 0..2 semantic
+    for k, (args, code) in enumerate((("L rank x", 2), ("L rank -1", 3), ("L rank 3", 3), ("", 3))):
+        scn = tmp_path / f"classify_{k}.scn"
+        scn.write_text(MINIMAL + f"command classify {args}\n")
+        assert main(["run", str(scn)]) == code, args
+    # an enumeration over max_enum is a budget error (typed, not by message)
+    enum = tmp_path / "enum.scn"
+    enum.write_text(MINIMAL.replace("max_enum 1048576", "max_enum 16") + "command classify L rank 2\n")
+    assert main(["run", str(enum)]) == 4
 
 
 def test_cli_verify_subcommand():

@@ -1,12 +1,16 @@
+from itertools import product as iproduct
+
 import pytest
 
-from crystaframe.frames import FrameHom, lift_frame, witt_frame
+from crystaframe import windows
+from crystaframe.frames import BudgetError, FrameHom, lift_frame, witt_frame
 from crystaframe.matrices import identity, is_invertible, mat, mat_mul
 from crystaframe.monomial import MonomialAlgebra
 from crystaframe.residues import Residues
 from crystaframe.windows import (
     ClassTable,
     Window,
+    WindowBudgetError,
     WindowError,
     are_isomorphic,
     base_change,
@@ -322,3 +326,105 @@ def test_rank1_class_counts_match_across_eps():
             assert len(hits) == 1
             matched.add(hits[0])
         assert matched == set(range(len(reps_t)))
+
+
+def _orbits_bfs_reference(frame, d, rank):
+    """Pure-Python orbit BFS over integer tuples: the oracle for `_orbits_zpm`.
+
+    Same steps, same output: (least matrix of the orbit, orbit size) in
+    increasing order of the representative.
+    """
+    A = frame.A
+    p, mod = A.p, A.modulus
+    flat_steps = [
+        (tuple(x for row in G for x in row), tuple(x for row in W for x in row))
+        for G, W in windows._orbit_steps(frame, d, rank)
+    ]
+    candidates = [
+        c
+        for c in iproduct(range(mod), repeat=rank * rank)
+        if (c[0] if rank == 1 else c[0] * c[3] - c[1] * c[2]) % p
+    ]
+    candidate_set = set(candidates)
+    if rank == 1:
+        def push(cur, g, wi):
+            return ((g[0] * cur[0] % mod) * wi[0]) % mod,
+    else:
+        def push(cur, g, wi):
+            a, b, c, d2 = cur
+            g0, g1, g2, g3 = g
+            # G * cur
+            xa = g0 * a + g1 * c
+            xb = g0 * b + g1 * d2
+            xc = g2 * a + g3 * c
+            xd = g2 * b + g3 * d2
+            w0, w1, w2, w3 = wi
+            return (
+                (xa * w0 + xb * w2) % mod,
+                (xa * w1 + xb * w3) % mod,
+                (xc * w0 + xd * w2) % mod,
+                (xc * w1 + xd * w3) % mod,
+            )
+
+    visited = set()
+    orbits = []
+    for start in candidates:
+        if start in visited:
+            continue
+        orbit = {start}
+        frontier = [start]
+        while frontier:
+            cur = frontier.pop()
+            for g, wi in flat_steps:
+                nxt = push(cur, g, wi)
+                if nxt not in orbit:
+                    if nxt not in candidate_set:
+                        raise AssertionError("orbit left the invertible set")
+                    orbit.add(nxt)
+                    frontier.append(nxt)
+        visited |= orbit
+        rep = min(orbit)
+        orbits.append((mat([rep[i * rank : (i + 1) * rank] for i in range(rank)]), len(orbit)))
+    orbits.sort(key=lambda x: x[0])
+    return orbits
+
+
+def _order_gl(r, p, m):
+    """|GL_r(Z/p^m)| = p^((m-1) r^2) |GL_r(F_p)|."""
+    order = p ** ((m - 1) * r * r)
+    for i in range(r):
+        order *= p ** r - p ** i
+    return order
+
+
+@pytest.mark.parametrize("p, m", [(2, 2), (2, 3), (3, 2), (2, 4)])
+def test_orbit_enumeration_matches_bfs_reference(p, m):
+    fr = zframe(p, m)
+    for rank in (1, 2):
+        total = 0
+        for d in range(rank + 1):
+            got = windows._orbits_zpm(fr, d, rank - d, rank, 1 << 22)
+            assert got == _orbits_bfs_reference(fr, d, rank)
+            total += sum(size for _, size in got)
+        assert total == (rank + 1) * _order_gl(rank, p, m)
+
+
+def test_orbit_enumeration_checks_every_image(monkeypatch):
+    # a step that leaves the invertible set must be caught, not absorbed
+    fr = zframe(2, 2)
+    singular = (mat([[2, 0], [0, 1]]), identity(fr.A, 2))
+    steps = windows._orbit_steps(fr, 1, 2)
+    monkeypatch.setattr(windows, "_orbit_steps", lambda *args: steps + [singular])
+    with pytest.raises(AssertionError, match="left the invertible set"):
+        windows._orbits_zpm(fr, 1, 1, 2, 1 << 22)
+
+
+def test_classification_budget_and_rank_errors():
+    fr = zframe(2, 2)
+    with pytest.raises(WindowBudgetError) as exc:
+        classify_windows(fr, 2, budget=16)
+    assert isinstance(exc.value, BudgetError) and isinstance(exc.value, WindowError)
+    with pytest.raises(WindowError):
+        classify_windows(fr, -1)
+    with pytest.raises(WindowError):
+        classify_windows(fr, 3)
