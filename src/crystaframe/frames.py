@@ -88,9 +88,6 @@ class Frame:
         rhs = self.reduce_to_codomain(self.sigma(i))
         return lhs == rhs
 
-    def is_finite(self) -> bool:
-        return hasattr(self.A, "size")
-
 
 # -- lift frames -------------------------------------------------------------
 
@@ -236,9 +233,6 @@ class WittFrame(Frame):
     def sigma(self, x):
         return self.A.frobenius_charp(x)
 
-    def sigma_truncated(self, x):
-        return self.A.frobenius(x)
-
     @property
     def sigma1_codomain(self):
         return self._codomain
@@ -336,9 +330,6 @@ class AdmissibleSequence:
 
     def monomial_in_ideal(self, exps, i: int) -> bool:
         return any(all(e >= g for e, g in zip(exps, gens)) for gens in self.ideals[i])
-
-    def element_in_ideal(self, x, i: int) -> bool:
-        return all(self.monomial_in_ideal(exps, i) for exps, _ in x)
 
     def validate(self):
         S = self.S

@@ -12,8 +12,8 @@ Both hom groups are kernels of small linear systems over Z/p^m; the sweep
 stacks those systems per (rank, d) bucket and runs the batched
 diagonalization from `linalg`, so millions of ordered pairs stay inside the
 acceptance budget.  tests/test_homsweep.py cross-checks these systems
-against the scalar `hom_space` on sampled pairs over Z/4 and Z/9, in both
-modes.
+against exhaustive hom search (`windows._hom_space_bruteforce`) on sampled
+pairs over Z/4 and Z/9, in both modes.
 """
 
 from __future__ import annotations

@@ -138,11 +138,3 @@ class IntPolyRing:
                 else:
                     out.pop(m2, None)
         return out
-
-    def coefficients_mod(self, f, modulus: int):
-        out = {}
-        for mono, c in f.items():
-            cc = c % modulus
-            if cc:
-                out[mono] = cc
-        return out

@@ -1,9 +1,11 @@
 """Matrices over an arbitrary carrier ring object.
 
-A carrier only needs add/mul/neg/zero/one/is_unit/inv.  Matrices are tuples
-of tuples (immutable, hashable when the entries are).  Inversion is Gaussian
-elimination with unit pivots, which is complete over the local carriers used
-here: a matrix is invertible iff every elimination step finds a unit pivot.
+A carrier only needs add/sub/mul/neg/zero/one/is_unit/inv.  Matrices are
+tuples of tuples (immutable, hashable when the entries are).  Inversion is
+Gaussian elimination with unit pivots, which is complete over the local
+carriers used here: a matrix is invertible iff every elimination step finds
+a unit pivot.  The last two helpers work on plain integer matrices mod p^m,
+the coordinate blocks of the linear hom solver.
 """
 
 from __future__ import annotations
@@ -17,20 +19,12 @@ def identity(C, r: int):
     return mat([[C.one if i == j else C.zero for j in range(r)] for i in range(r)])
 
 
-def zeros(C, r: int, c: int):
-    return mat([[C.zero] * c for _ in range(r)])
-
-
 def mat_add(C, A, B):
     return mat([[C.add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)])
 
 
 def mat_sub(C, A, B):
-    return mat([[C.add(a, C.neg(b)) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)])
-
-
-def mat_neg(C, A):
-    return mat([[C.neg(a) for a in row] for row in A])
+    return mat([[C.sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)])
 
 
 def mat_mul(C, A, B):
@@ -46,15 +40,6 @@ def mat_mul(C, A, B):
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
-
-
-def mat_scalar(C, c, A):
-    return mat([[C.mul(c, a) for a in row] for row in A])
-
-
-def mat_int_scalar(C, k: int, A):
-    c = C.embed_int(k)
-    return mat_scalar(C, c, A)
 
 
 def mat_map(fn, A):
@@ -109,3 +94,17 @@ def mat_inverse(C, A):
 
 def is_invertible(C, A) -> bool:
     return mat_inverse(C, A) is not None
+
+
+# -- integer matrices mod p^m (lists of lists, as the linear solvers take) --
+
+
+def int_mat_mul(X, Y, mod: int):
+    return [
+        [sum(X[i][t] * Y[t][j] for t in range(len(Y))) % mod for j in range(len(Y[0]))]
+        for i in range(len(X))
+    ]
+
+
+def int_mat_neg(X, mod: int):
+    return [[(-x) % mod for x in row] for row in X]

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .frames import Frame, FrameHom
 from .linalg import kernel_basis, solve as lin_solve
-from .matrices import identity, mat, mat_col, mat_map, mat_mul
+from .matrices import identity, mat, mat_add, mat_col, mat_map, mat_mul, mat_sub
 from .pdenv import PDAlgebra, PDDifferential, PDError, PDFrame, PDPresentation
 from .windows import Window, WindowError, base_change, is_window_hom
 from .matrices import is_invertible
@@ -88,17 +88,17 @@ def _horizontality_residuals(ctx: NablaContext, w: Window, conn: Connection):
     residuals = []
     # (H-Phi): d_j(F) + N_j Fbar = p * sum_i Fbar sig(N_i) theta[j][i]
     for j in range(k):
-        lhs = _mat_add(env1, ctx.partial_matrix(F, j), mat_mul(env1, conn.matrices[j], Fbar))
+        lhs = mat_add(env1, ctx.partial_matrix(F, j), mat_mul(env1, conn.matrices[j], Fbar))
         rhs = _theta_combo(env1, FsigN, theta, j, scale_p=ctx.env.p)
-        residuals.append(("phi", j, _mat_sub(env1, lhs, rhs)))
+        residuals.append(("phi", j, mat_sub(env1, lhs, rhs)))
     # (H-Phi1) on L-columns: d_j(Psi_L) + N_j PsiBar_L = sum_i [Fbar sig(N_i)] theta[j][i], L columns
     if w.d:
         psi = w.psi
         psibar = ctx.trunc_mat(psi)
         for j in range(k):
-            lhs = _mat_add(env1, ctx.partial_matrix(psi, j), mat_mul(env1, conn.matrices[j], psibar))
+            lhs = mat_add(env1, ctx.partial_matrix(psi, j), mat_mul(env1, conn.matrices[j], psibar))
             rhs = _theta_combo(env1, FsigN, theta, j, scale_p=1)
-            res = _mat_sub(env1, lhs, rhs)
+            res = mat_sub(env1, lhs, rhs)
             res_L = mat([row[: w.d] for row in res])
             residuals.append(("phi1-L", j, res_L))
     # (H-Phi1) on a e_t generators, a over the ideal spanning set
@@ -120,7 +120,7 @@ def _horizontality_residuals(ctx: NablaContext, w: Window, conn: Connection):
                         env1,
                         s1a_bar,
                         mat_col(
-                            _mat_add(
+                            mat_add(
                                 env1,
                                 ctx.partial_matrix(F, j),
                                 mat_mul(env1, conn.matrices[j], Fbar),
@@ -154,18 +154,10 @@ def _theta_combo(env1, FsigN, theta, j, scale_p):
         if th == env1.zero:
             continue
         scaled = mat([[env1.mul(th, x) for x in row] for row in M])
-        acc = _mat_add(env1, acc, scaled)
+        acc = mat_add(env1, acc, scaled)
     if scale_p != 1:
         acc = mat([[env1.int_mul(scale_p, x) for x in row] for row in acc])
     return acc
-
-
-def _mat_add(C, X, Y):
-    return mat([[C.add(a, b) for a, b in zip(rx, ry)] for rx, ry in zip(X, Y)])
-
-
-def _mat_sub(C, X, Y):
-    return mat([[C.sub(a, b) if hasattr(C, "sub") else C.add(a, C.neg(b)) for a, b in zip(rx, ry)] for rx, ry in zip(X, Y)])
 
 
 def _vec_add(C, u, v):
@@ -281,7 +273,7 @@ def produced_connections(ctx: NablaContext, w: Window, solution, bound: int = 8)
     out = [particular]
     for g in gens[:bound]:
         shifted = tuple(
-            _mat_add(env1, M, G) for M, G in zip(particular.matrices, g.matrices)
+            mat_add(env1, M, G) for M, G in zip(particular.matrices, g.matrices)
         )
         out.append(Connection(w, shifted))
     return out
@@ -326,8 +318,8 @@ def integrability_and_qnilpotence(ctx: NablaContext, w: Window, conn: Connection
             dNi_j = mat([[to2(diff1.d(x)[j]) for x in row] for row in Ni])
             Ni2 = mat_map(to2, Ni)
             Nj2 = mat_map(to2, Nj)
-            comm = _mat_sub(env2, mat_mul(env2, Ni2, Nj2), mat_mul(env2, Nj2, Ni2))
-            K = _mat_add(env2, _mat_sub(env2, dNj_i, dNi_j), comm)
+            comm = mat_sub(env2, mat_mul(env2, Ni2, Nj2), mat_mul(env2, Nj2, Ni2))
+            K = mat_add(env2, mat_sub(env2, dNj_i, dNi_j), comm)
             if any(x != env2.zero for row in K for x in row):
                 curv_zero = False
     indices = []
@@ -388,9 +380,6 @@ class SquareZeroCarrier:
     @property
     def one(self):
         return (self.env.one, (self.env1.zero,) * self.k)
-
-    def make(self, a, omega):
-        return (a, tuple(omega))
 
     def add(self, x, y):
         return (

@@ -8,11 +8,10 @@ rationals; every division is a certified valuation/unit computation.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+
+from .linalg import SpanNF
 
 INF = math.inf
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(p: int) -> bool:
@@ -27,41 +26,13 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def padic_val(n: int, p: int) -> int:
-    """v_p(n) for a nonzero integer n."""
-    if n == 0:
-        raise ValueError("v_p(0) is infinite")
-    v = 0
-    n = abs(n)
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
-def factorial_val_unit(n: int, p: int, modulus: int) -> tuple[int, int]:
-    """Return (v_p(n!), unit part of n! mod `modulus`).
-
-    The unit part is the product of the prime-to-p parts of 1..n, so that
-    n! = p^v * u with u a unit; computed without ever forming n! itself.
-    """
-    v = 0
-    u = 1
-    for k in range(2, n + 1):
-        vk = 0
-        while k % p == 0:
-            k //= p
-            vk += 1
-        v += vk
-        u = (u * k) % modulus
-    return v, u
-
-
 class Residues:
     """The coefficient ring Z/p^m with canonical representatives in [0, p^m).
 
     p is certified prime at construction.  m = 1 doubles as the prime field
-    F_p.  Elements are plain ints.
+    F_p.  Elements are plain ints.  Like `PDAlgebra` and the square-zero
+    carrier, it exposes Z/p^m coordinates to the linear solvers: a single
+    coordinate, of mu type (the ideal of a lift frame is pA).
     """
 
     char_is_p = False  # Frobenius x -> x^p is canonical only when m == 1
@@ -135,6 +106,36 @@ class Residues:
 
     def encode(self, a):
         return a
+
+    # -- coordinate protocol: one coordinate, ideal pA, no relations --
+
+    def coords(self, a):
+        return (a,)
+
+    def from_coords(self, cs):
+        return cs[0] % self.modulus
+
+    def coord_count(self) -> int:
+        return 1
+
+    def coord_precision(self) -> int:
+        return self.m
+
+    def module_spanning(self):
+        return [1]
+
+    def mult_matrix(self, a):
+        return [[a]]
+
+    def mu_indices(self):
+        return [0]
+
+    def t_indices(self):
+        return []
+
+    @property
+    def relations(self) -> SpanNF:
+        return SpanNF(1, self.p, self.m)
 
     # -- valuation bookkeeping --
 
@@ -344,9 +345,6 @@ class GaloisField:
         """Image of an integer (i.e. an F_p scalar) in the field."""
         return tuple([c % self.p] + [0] * (self.k - 1))
 
-    def one_scaled(self, c: int):
-        return self.embed(c)
-
     def elements(self):
         from itertools import product as iproduct
         for tup in iproduct(range(self.p), repeat=self.k):
@@ -406,7 +404,3 @@ class PrecisionLedger:
 
 class PrecisionExhausted(RuntimeError):
     pass
-
-
-def frac(a, b) -> Fraction:
-    return Fraction(a, b)

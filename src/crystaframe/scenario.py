@@ -20,7 +20,7 @@ ignored.  Directives:
     command validate <frame>
     command classify <frame> rank <r>
     command base-change <window> hom <h>
-    command hom <w1> <w2> mode <window|phi_module>
+    command hom <w1> <w2> [mode <window|phi_module>]
     command lift <window> hom <h>
     command solve-connection <frame> <window>
     command torsion-probe <frame>
@@ -181,7 +181,23 @@ def apply_env_budget_overrides(sc: Scenario) -> None:
 
 
 def validate_scenario(sc: Scenario):
-    """Resolve names and build the live objects; semantic errors raise."""
+    """Resolve names and build the live objects; semantic errors raise.
+
+    A frame, hom or window that its constructor rejects is a semantic error;
+    an enumeration budget overrun while building one is a budget error.
+    """
+    from .frames import BudgetError, FrameError
+    from .windows import WindowError
+
+    try:
+        return _build_objects(sc)
+    except BudgetError as exc:
+        raise BudgetExceeded(str(exc)) from exc
+    except (WindowError, FrameError) as exc:
+        raise ScenarioSemanticError(str(exc)) from exc
+
+
+def _build_objects(sc: Scenario):
     from .frames import (
         AdmissibleSequence,
         FrameHom,
@@ -321,17 +337,46 @@ def _lookup(table, name, kind):
     return table[name]
 
 
+# the accepted form of each command, one per token count: `<...>` is an
+# argument, any other token must appear as written; verify also takes any
+# number of key=value parameters after its tag
+_COMMAND_FORMS = {
+    "validate": ["validate <frame>"],
+    "classify": ["classify <frame> rank <r>"],
+    "base-change": ["base-change <window> hom <h>"],
+    "hom": ["hom <w1> <w2>", "hom <w1> <w2> mode <window|phi_module>"],
+    "lift": ["lift <window> hom <h>"],
+    "solve-connection": ["solve-connection <frame> <window>"],
+    "torsion-probe": ["torsion-probe <frame>"],
+    "verify": ["verify <tag>"],
+}
+
+
+def _check_form(cmd):
+    forms = _COMMAND_FORMS.get(cmd[0])
+    if forms is None:
+        raise ScenarioSemanticError(f"unknown command {cmd[0]!r}")
+    head = cmd[:2] if cmd[0] == "verify" else cmd
+    for form in forms:
+        words = form.split()
+        if len(words) == len(head) and all(
+            w == c or w.startswith("<") for w, c in zip(words, head)
+        ):
+            return
+    expected = " or ".join(map(repr, forms))
+    raise ScenarioSemanticError(f"{' '.join(cmd)!r} does not match {expected}")
+
+
 def _validate_command(cmd, frames, homs, windows):
-    from .verify import TAGS
+    from .verify import TAGS, battery_parameters
 
     if not cmd:
         raise ScenarioSemanticError("empty command")
+    _check_form(cmd)
     op = cmd[0]
     if op == "validate":
         _lookup(frames, cmd[1], "frame")
     elif op == "classify":
-        if len(cmd) < 4 or cmd[2] != "rank":
-            raise ScenarioSemanticError("classify needs: classify <frame> rank <r>")
         _lookup(frames, cmd[1], "frame")
         try:
             rank = int(cmd[3])
@@ -339,21 +384,14 @@ def _validate_command(cmd, frames, homs, windows):
             raise ScenarioParseError(f"classify rank must be an integer, got {cmd[3]!r}")
         if not 0 <= rank <= 2:
             raise ScenarioSemanticError(f"classify rank must be 0, 1 or 2, got {rank}")
-    elif op == "base-change":
+    elif op in ("base-change", "lift"):
         _lookup(windows, cmd[1], "window")
-        if cmd[2] != "hom":
-            raise ScenarioSemanticError("base-change needs: base-change <window> hom <h>")
         _lookup(homs, cmd[3], "hom")
     elif op == "hom":
         _lookup(windows, cmd[1], "window")
         _lookup(windows, cmd[2], "window")
-        if len(cmd) >= 5 and cmd[3] == "mode" and cmd[4] not in ("window", "phi_module"):
+        if len(cmd) == 5 and cmd[4] not in ("window", "phi_module"):
             raise ScenarioSemanticError(f"unknown hom mode {cmd[4]!r}")
-    elif op == "lift":
-        _lookup(windows, cmd[1], "window")
-        if cmd[2] != "hom":
-            raise ScenarioSemanticError("lift needs: lift <window> hom <h>")
-        _lookup(homs, cmd[3], "hom")
     elif op == "solve-connection":
         fr = _lookup(frames, cmd[1], "frame")
         if fr.kind != "pd":
@@ -364,10 +402,13 @@ def _validate_command(cmd, frames, homs, windows):
         if fr.kind != "pd":
             raise ScenarioSemanticError("torsion-probe needs a pd frame")
     elif op == "verify":
-        if len(cmd) < 2 or cmd[1] not in TAGS:
-            raise ScenarioSemanticError(f"unknown verify tag {cmd[1] if len(cmd) > 1 else '?'}")
+        if cmd[1] not in TAGS:
+            raise ScenarioSemanticError(f"unknown verify tag {cmd[1]!r}")
+        known = battery_parameters(cmd[1])
         for tok in cmd[2:]:
             if "=" not in tok:
                 raise ScenarioSemanticError(f"verify parameters look like key=value, got {tok!r}")
-    else:
-        raise ScenarioSemanticError(f"unknown command {op!r}")
+            if tok.split("=", 1)[0] not in known:
+                raise ScenarioSemanticError(
+                    f"verify {cmd[1]} takes {', '.join(known)}; got {tok!r}"
+                )

@@ -8,6 +8,7 @@ drift apart.
 
 from __future__ import annotations
 
+import inspect
 import random
 from dataclasses import dataclass, field
 
@@ -63,6 +64,11 @@ TAGS = (
     "gamma-vp",
     "f-nilpotent-sequence",
 )
+
+
+def battery_parameters(tag: str) -> tuple:
+    """The keyword parameters the battery behind `tag` accepts."""
+    return tuple(inspect.signature(_DISPATCH[tag]).parameters)
 
 
 def verify(tag: str, **params) -> VerifyResult:

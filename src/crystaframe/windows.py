@@ -9,7 +9,9 @@ Window homs mod p^m use existential witness semantics: a matrix G is a hom
 when its ideal-valued entries admit divided-Frobenius witnesses making the
 commutation identities exact.  Linear solvers introduce the witnesses as
 extra unknowns, so every reported hom is certified at full precision; the
-truncation ambiguity of sigma1 never enters silently.
+truncation ambiguity of sigma1 never enters silently.  Hom groups over
+coordinate carriers, Z/p^m included, are solved linearly; carriers without
+coordinates (Witt, quotient) are exhausted.
 
 Isomorphism testing is by solving for an invertible hom (unit scan on the
 hom space mod p), never by invariants.  Classification enumerates candidate
@@ -30,8 +32,11 @@ from .linalg import SpanNF, int_dtype, kernel_basis, mod_reducer
 from .matrices import (
     from_cols,
     identity,
+    int_mat_mul,
+    int_mat_neg,
     is_invertible,
     mat,
+    mat_add,
     mat_col,
     mat_inverse,
     mat_map,
@@ -101,10 +106,6 @@ def phi_from_psi(w: Window):
     return phi, phi1_on_L
 
 
-def sigma_vec(frame: Frame, v):
-    return tuple(frame.sigma(x) for x in v)
-
-
 def validate_window(w: Window, n_samples: int = 8, seed: int = 0) -> bool:
     """Direct check of the window laws at ledger precision.
 
@@ -172,10 +173,11 @@ def is_window_hom(v: Window, w: Window, G) -> bool:
     """Existential-witness check of the window-hom identities.
 
     T-columns use the Phi identity at full length; L-columns need
-    divided-Frobenius values on the bottom entries.  Where sigma1 is exact
-    (Witt-style frames, one level down) the comparison is direct; over
-    Z/p^m and carriers with Z/p^m coordinates the witnesses are solved for,
-    so a hom is never rejected for carrying a non-minimal witness.
+    divided-Frobenius values on the bottom entries.  On coordinate
+    carriers, Z/p^m included, the witnesses are solved for, so a hom is
+    never rejected for carrying a non-minimal witness; carriers without
+    coordinates (Witt, quotient) have an exact sigma1 one level down and
+    are compared directly in its codomain.
     """
     fr = v.frame
     A = fr.A
@@ -200,7 +202,7 @@ def is_window_hom(v: Window, w: Window, G) -> bool:
             if lhs != rhs:
                 return False
         return True
-    if _has_coords(A) or isinstance(A, Residues):
+    if _has_coords(A):
         return _l_columns_witnessed(v, w, G)
     # exact sigma1 (Witt / quotient): compare in the codomain
     cod = fr.sigma1_codomain
@@ -229,17 +231,15 @@ def _l_columns_witnessed(v: Window, w: Window, G) -> bool:
 
     fr = v.frame
     A = fr.A
-    p, m = fr.p, _coord_precision(A)
+    p, m = fr.p, A.coord_precision()
     mod = p ** m
-    nc = A.coord_count() if _has_coords(A) else 1
+    nc = A.coord_count()
+    mu = A.mu_indices()
     bl = [(i, j) for i in range(w.d, w.rank) for j in range(v.d)]
-    s_mu = _sigma_mu_matrix(fr)
-    s1T = _sigma1_T_matrix(fr)
-    rel_rows = _carrier_relations(A)
+    s_mu = _sigma_matrix(fr, mu)
+    s1T = _coord_matrix(nc, lambda j: A.sigma1_cert(j), A.t_indices())
+    rel_rows = [list(r) for r in A.relations.basis()]
     nH = len(bl) * nc
-
-    def coords_of(x):
-        return list(A.coords(x)) if _has_coords(A) else [x % mod]
 
     rows = []
     rhs_all = []
@@ -249,33 +249,27 @@ def _l_columns_witnessed(v: Window, w: Window, G) -> bool:
     for j in range(v.d):
         for irow in range(w.rank):
             # constant part: (G Psi_j)_irow - sum_k Psi_w[irow][k]*(sigma/sigma1_T part)
-            const = coords_of(mat_vec(A, G, mat_col(v.psi, j))[irow])
+            const = list(A.coords(mat_vec(A, G, mat_col(v.psi, j))[irow]))
             for k in range(w.rank):
                 entry = G[k][j]
                 if k < w.d:
                     val = A.mul(w.psi[irow][k], fr.sigma(entry))
                 else:
                     # T-part of sigma1(entry) is linear and known
-                    ec = coords_of(entry)
+                    ec = A.coords(entry)
                     tpart = [0] * nc
                     for cidx in range(nc):
                         if ec[cidx]:
                             col = [s1T[rr][cidx] for rr in range(nc)]
                             for rr in range(nc):
                                 tpart[rr] = (tpart[rr] + ec[cidx] * col[rr]) % mod
-                    val = A.mul(
-                        w.psi[irow][k],
-                        A.from_coords(tpart) if _has_coords(A) else tpart[0],
-                    )
-                const = [
-                    (a - b) % mod for a, b in zip(const, coords_of(val))
-                ]
+                    val = A.mul(w.psi[irow][k], A.from_coords(tpart))
+                const = [(a - b) % mod for a, b in zip(const, A.coords(val))]
             # unknown part: - sum_{k >= d_w} Psi_w[irow][k] * (h_{k,j} . sigma_mu)
             coeff = [[0] * (nH + n_slack) for _ in range(nc)]
             for k in range(w.d, w.rank):
                 kk = bl.index((k, j))
-                Mpsi = _mult_coord_matrix(A, w.psi[irow][k])
-                Mmu = _int_mat_mul(Mpsi, s_mu, mod)
+                Mmu = int_mat_mul(A.mult_matrix(w.psi[irow][k]), s_mu, mod)
                 for rr in range(nc):
                     for cc in range(nc):
                         if Mmu[rr][cc]:
@@ -288,10 +282,9 @@ def _l_columns_witnessed(v: Window, w: Window, G) -> bool:
                 rhs_all.append(const[rr])
             blk += 1
     # witness parametrization: p * h = mu-part of the entry, coordinatewise
-    ideal_T, ideal_mu = _ideal_coord_split(fr)
     for kk, (i, j) in enumerate(bl):
-        ec = coords_of(G[i][j])
-        for c in ideal_mu:
+        ec = A.coords(G[i][j])
+        for c in mu:
             row = [0] * (nH + n_slack)
             row[kk * nc + c] = p
             rows.append(row)
@@ -344,8 +337,9 @@ def hom_space(v: Window, w: Window, mode: str = "window", budget: int = 1 << 16)
 
     mode "window": filtration + Phi_1 + Phi constraints (with witness
     unknowns for the ideal-valued entries); mode "phi_module": only the
-    Phi-commutation.  Carriers with Z/p^m coordinates get the linear path;
-    small finite carriers are exhausted.
+    Phi-commutation.  Coordinate carriers, Z/p^m included, are solved
+    linearly (the budget bounds the square of the unknown count); carriers
+    without coordinates are exhausted.  Every generator is re-checked.
     """
     if v.frame is not w.frame and v.frame != w.frame:
         raise WindowError("hom_space needs windows over the same frame")
@@ -393,36 +387,32 @@ def _hom_space_bruteforce(v: Window, w: Window, mode: str, budget: int):
             new = set(span)
             cur = s
             while cur not in span:
-                new |= {_mat_add(A, x, cur) for x in span}
-                cur = _mat_add(A, cur, s)
+                new |= {mat_add(A, x, cur) for x in span}
+                cur = mat_add(A, cur, s)
             span = new
     return gens
-
-
-def _mat_add(A, X, Y):
-    return mat([[A.add(a, b) for a, b in zip(rx, ry)] for rx, ry in zip(X, Y)])
 
 
 def _hom_space_linear(v: Window, w: Window, mode: str):
     """Flatten the hom constraints to Z/p^m linear algebra with witnesses."""
     fr = v.frame
     A = fr.A
-    p, m = fr.p, _coord_precision(A)
-    nc = A.coord_count() if _has_coords(A) else 1
+    p, m = fr.p, A.coord_precision()
+    nc = A.coord_count()
     r_v, r_w = v.rank, w.rank
     nG = r_w * r_v * nc
 
-    rel_rows = _carrier_relations(A)
-    sig = _sigma_coord_matrix(fr)
+    rel_rows = [list(r) for r in A.relations.basis()]
+    sig = _sigma_matrix(fr, range(nc))
     mult = {}
 
     def mult_mat(a):
         key = a
         if key not in mult:
-            mult[key] = _mult_coord_matrix(A, a)
+            mult[key] = A.mult_matrix(a)
         return mult[key]
 
-    ideal_T, ideal_mu = _ideal_coord_split(fr)
+    mu = A.mu_indices()
     bl = [(i, j) for i in range(w.d, r_w) for j in range(v.d)] if mode == "window" else []
     nH = len(bl) * nc
 
@@ -465,39 +455,39 @@ def _hom_space_linear(v: Window, w: Window, mode: str):
                 Mk = mult_mat(phi_v[k][jcol])
                 blocks.append((gvar(irow, k, 0), Mk))
             for k in range(r_w):
-                Msig = _int_mat_mul(_mult_coord_matrix(A, phi_w[irow][k]), sig, p ** m)
-                blocks.append((gvar(k, jcol, 0), _int_mat_neg(Msig, p ** m)))
+                Msig = int_mat_mul(A.mult_matrix(phi_w[irow][k]), sig, p ** m)
+                blocks.append((gvar(k, jcol, 0), int_mat_neg(Msig, p ** m)))
             emit_equation(blocks)
 
     if mode == "window":
         # -- parametrization of bottom-left entries: mu-coords = p * h
         param_rows = []
         for kk, (i, j) in enumerate(bl):
-            for c in ideal_mu:
+            for c in mu:
                 row = new_row()
                 row[gvar(i, j, c)] = 1
                 row[hvar(kk, c)] = (-p) % (p ** m)
                 param_rows.append(row)
         # -- Phi_1 rows on L-columns: G Psi_j = Psi_w sigma1filt(G_j)
-        s1T = _sigma1_T_matrix(fr)  # nc x nc (columns: sigma1 of T-coord basis)
-        s_mu = _sigma_mu_matrix(fr)  # nc x nc (columns: sigma of mu basis)
+        s1T = _coord_matrix(nc, lambda j: A.sigma1_cert(j), A.t_indices())
+        s_mu = _sigma_matrix(fr, mu)
         for jcol in range(v.d):
             for irow in range(r_w):
                 blocks = []
                 for k in range(r_v):
                     blocks.append((gvar(irow, k, 0), mult_mat(v.psi[k][jcol])))
                 for k in range(r_w):
-                    Mpsi = _mult_coord_matrix(A, w.psi[irow][k])
+                    Mpsi = A.mult_matrix(w.psi[irow][k])
                     if k < w.d:
-                        Msig = _int_mat_mul(Mpsi, sig, p ** m)
-                        blocks.append((gvar(k, jcol, 0), _int_mat_neg(Msig, p ** m)))
+                        Msig = int_mat_mul(Mpsi, sig, p ** m)
+                        blocks.append((gvar(k, jcol, 0), int_mat_neg(Msig, p ** m)))
                     else:
                         # sigma1 of the entry: T-part linear, mu-part via witness
-                        MT = _int_mat_mul(Mpsi, s1T, p ** m)
-                        blocks.append((gvar(k, jcol, 0), _int_mat_neg(MT, p ** m)))
+                        MT = int_mat_mul(Mpsi, s1T, p ** m)
+                        blocks.append((gvar(k, jcol, 0), int_mat_neg(MT, p ** m)))
                         kk = bl.index((k, jcol))
-                        Mmu = _int_mat_mul(Mpsi, s_mu, p ** m)
-                        blocks.append((hvar(kk, 0), _int_mat_neg(Mmu, p ** m)))
+                        Mmu = int_mat_mul(Mpsi, s_mu, p ** m)
+                        blocks.append((hvar(kk, 0), int_mat_neg(Mmu, p ** m)))
                 emit_equation(blocks)
     else:
         param_rows = []
@@ -531,9 +521,7 @@ def _hom_space_linear(v: Window, w: Window, mode: str):
         norm = []
         for i in range(r_w):
             for j in range(r_v):
-                norm.extend(
-                    A.coords(G[i][j]) if _has_coords(A) else (G[i][j] % (p ** m),)
-                )
+                norm.extend(A.coords(G[i][j]))
         if not any(norm) or nf.contains(norm):
             continue
         nf.insert(norm)
@@ -548,87 +536,26 @@ def _decode_G(A, flat, r_w, r_v, nc):
         for j in range(r_v):
             base = (i * r_v + j) * nc
             coords = flat[base : base + nc]
-            row.append(A.from_coords(coords) if _has_coords(A) else coords[0] % A.modulus)
+            row.append(A.from_coords(coords))
         rows.append(row)
     return mat(rows)
 
 
-def _coord_precision(A) -> int:
-    if hasattr(A, "coord_precision"):
-        return A.coord_precision()
-    return A.m
+def _coord_matrix(n, column, indices):
+    """n x n integer matrix: column j is `column(j)` for j in `indices`, else 0."""
+    cols = {j: column(j) for j in indices}
+    return [[cols[j][i] if j in cols else 0 for j in range(n)] for i in range(n)]
 
 
-def _carrier_relations(A):
-    if hasattr(A, "relations"):
-        return [list(r) for r in A.relations.basis()]
-    return []
-
-
-def _mult_coord_matrix(A, a):
-    if hasattr(A, "mult_matrix"):
-        return A.mult_matrix(a)
-    return [[a % A.modulus]]
-
-
-def _sigma_coord_matrix(fr: Frame):
+def _sigma_matrix(fr: Frame, indices):
+    """sigma on the coordinate basis elements in `indices`, in coordinates."""
     A = fr.A
-    if hasattr(A, "coord_count"):
-        n = A.coord_count()
-        cols = [A.coords(fr.sigma(A._unit_vec(j))) for j in range(n)]
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
-    return [[fr.sigma(1) % A.modulus]]
+    n = A.coord_count()
 
+    def column(j):
+        return A.coords(fr.sigma(A.from_coords([int(i == j) for i in range(n)])))
 
-def _ideal_coord_split(fr: Frame):
-    A = fr.A
-    if hasattr(A, "t_indices"):
-        return A.t_indices(), A.mu_indices()
-    return [], [0]  # Z/p^m: the single coordinate is mu-type (ideal = pA)
-
-
-def _sigma1_T_matrix(fr: Frame):
-    A = fr.A
-    if hasattr(A, "coord_count"):
-        n = A.coord_count()
-        t_set = set(A.t_indices())
-        cols = []
-        for j in range(n):
-            if j in t_set:
-                cols.append(tuple(A.sigma1_cert(j)))
-            else:
-                cols.append((0,) * n)
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
-    return [[0]]
-
-
-def _sigma_mu_matrix(fr: Frame):
-    A = fr.A
-    if hasattr(A, "coord_count"):
-        n = A.coord_count()
-        mu_set = set(A.mu_indices())
-        cols = []
-        for j in range(n):
-            if j in mu_set:
-                cols.append(A.coords(fr.sigma(A._unit_vec(j))))
-            else:
-                cols.append((0,) * n)
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
-    # Z/p^m: sigma1(p h) = sigma(h)
-    return [[fr.sigma(1) % A.modulus]]
-
-
-def _int_mat_mul(X, Y, mod):
-    n, k = len(X), len(Y)
-    m2 = len(Y[0])
-    return [
-        [sum(X[i][t] * Y[t][j] for t in range(k)) % mod for j in range(m2)]
-        for i in range(n)
-    ]
-
-
-def _int_mat_neg(X, mod):
-    return [[(-x) % mod for x in row] for row in X]
+    return _coord_matrix(n, column, indices)
 
 
 # -- F and V -------------------------------------------------------------------
@@ -771,7 +698,7 @@ def lift_hom_along(
     for combo in iproduct(kernel_elements, repeat=n_entries):
         steps += 1
         H = mat([combo[i * r_v : (i + 1) * r_v] for i in range(r_w)])
-        cand = _mat_add(A, G0, H)
+        cand = mat_add(A, G0, H)
         if not filtration_ok(v_src, w_src, cand):
             continue
         if is_window_hom(v_src, w_src, cand):
@@ -1047,18 +974,16 @@ def window_from_raw(frame: Frame, m1_generators, phi) -> Window:
 def _divide_by_p(frame: Frame, x):
     """A canonical witness h with p*h = x, or None."""
     A = frame.A
-    if isinstance(A, Residues):
-        return None if x % frame.p else x // frame.p
-    if hasattr(A, "coords") and hasattr(A, "coord_count"):
+    if _has_coords(A):
         coords = A.coords(x)
         if any(c % frame.p for c in coords):
             # fall back to a linear solve through the relation span
             from .linalg import solve as lin_solve
 
             n = A.coord_count()
-            rels = _carrier_relations(A)
+            rels = A.relations.basis()
             rows = [[frame.p if i == j else 0 for j in range(n)] + [r[i] for r in rels] for i in range(n)]
-            sol = lin_solve(rows, list(coords), frame.p, _coord_precision(A))
+            sol = lin_solve(rows, list(coords), frame.p, A.coord_precision())
             return None if sol is None else A.from_coords(sol[:n])
         return A.from_coords([c // frame.p for c in coords])
     # finite carriers: scan

@@ -1,11 +1,13 @@
-"""The batched window-hom sweep against the scalar `hom_space`.
+"""The batched window-hom sweep against exhaustive hom search.
 
 `homsweep` encodes both hom groups as kernels of its own linear systems.
 On a seeded sample of ordered pairs of classification representatives
 (rank <= 2, every (rank, d) bucket pair, endomorphisms included) those
 systems, solved by `batch_kernel`, must span the same group as the
-brute-force `hom_space` generators: the Phi-module homs in mode
-"phi_module", and the G-part of (G, witness) solutions in mode "window".
+generators found by exhausting every matrix (`_hom_space_bruteforce`): the
+Phi-module homs in mode "phi_module", and the G-part of (G, witness)
+solutions in mode "window".  `hom_space` itself solves Z/p^m linearly, so
+it is not an independent oracle here.
 """
 
 import random
@@ -17,7 +19,7 @@ from crystaframe.frames import lift_frame
 from crystaframe.homsweep import _build_phi_systems, _build_window_systems, _phi_scaled
 from crystaframe.linalg import SpanNF, batch_kernel
 from crystaframe.residues import Residues
-from crystaframe.windows import classify_windows, hom_space, window_from_psi
+from crystaframe.windows import _hom_space_bruteforce, classify_windows, window_from_psi
 
 
 def span_key(gens, ncols, p, m):
@@ -66,11 +68,11 @@ def test_sweep_systems_match_scalar_hom_space(p, m, mode):
         for n, (cv, cw) in enumerate(chosen):
             v = window_from_psi(frame, cv.d, cv.t, cv.psi)
             w = window_from_psi(frame, cw.d, cw.t, cw.psi)
-            scalar = [
+            exhaustive = [
                 tuple(int(x) for row in G for x in row)
-                for G in hom_space(v, w, mode).generators
+                for G in _hom_space_bruteforce(v, w, mode, 1 << 16)
             ]
-            want = span_key(scalar, nG, p, m)
+            want = span_key(exhaustive, nG, p, m)
             got = span_key(gens[n, :nG].T.tolist(), nG, p, m)
             checked += 1
             nontrivial += bool(want)

@@ -148,6 +148,26 @@ command validate Q
     enum = tmp_path / "enum.scn"
     enum.write_text(MINIMAL.replace("max_enum 1048576", "max_enum 16") + "command classify L rank 2\n")
     assert main(["run", str(enum)]) == 4
+    # wrong token counts, a rejected window and an unknown verify keyword
+    # are semantic errors, never a traceback or a silent pass
+    windows = "window a frame L d 0 t 1 psi 1\nwindow b frame L d 1 t 0 psi 1\n"
+    for k, line in enumerate((
+        "command validate",
+        "command hom",
+        "command hom a",
+        "command base-change",
+        "command classify L rank 1 extra",
+        "command validate L extra",
+        "command hom a b mode window extra",
+        "window c frame L d 1 t 0 psi 2",
+        "command verify sigma1-formula bogus=1",
+    )):
+        scn = tmp_path / f"shape_{k}.scn"
+        scn.write_text(MINIMAL + windows + line + "\n")
+        assert main(["run", str(scn)]) == 3, line
+    ok = tmp_path / "shape_ok.scn"
+    ok.write_text(MINIMAL + windows + "command hom a b\ncommand hom a b mode phi_module\n")
+    assert main(["run", str(ok)]) == 0
 
 
 def test_cli_verify_subcommand():

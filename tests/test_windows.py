@@ -1,11 +1,15 @@
+import random
 from itertools import product as iproduct
 
 import pytest
 
 from crystaframe import windows
 from crystaframe.frames import BudgetError, FrameHom, lift_frame, witt_frame
+from crystaframe.linalg import SpanNF
 from crystaframe.matrices import identity, is_invertible, mat, mat_mul
 from crystaframe.monomial import MonomialAlgebra
+from crystaframe.nabla import NablaContext, square_zero_frame
+from crystaframe.pdenv import PDPresentation, build_pd_envelope, pd_frame
 from crystaframe.residues import Residues
 from crystaframe.windows import (
     ClassTable,
@@ -428,3 +432,137 @@ def test_classification_budget_and_rank_errors():
         classify_windows(fr, -1)
     with pytest.raises(WindowError):
         classify_windows(fr, 3)
+
+
+# -- the linear hom solver against exhaustion, and the coordinate protocol ----
+
+
+def hom_span_key(A, p, m, gens, shape):
+    """Canonical form of the subgroup of r_w x r_v matrices that `gens` span,
+    in carrier coordinates, with the carrier relations added per entry."""
+    nc = A.coord_count()
+    ncols = shape[0] * shape[1] * nc
+    nf = SpanNF(ncols, p, m)
+    for entry in range(shape[0] * shape[1]):
+        for rel in A.relations.basis():
+            row = [0] * ncols
+            row[entry * nc : (entry + 1) * nc] = rel
+            nf.insert(row)
+    for G in gens:
+        nf.insert([c for row in G for x in row for c in A.coords(x)])
+    return nf.reduced_basis()
+
+
+def assert_linear_matches_bruteforce(v, w, mode, p, m):
+    A = v.frame.A
+    shape = (w.rank, v.rank)
+    linear = windows.hom_space(v, w, mode).generators
+    exhaustive = windows._hom_space_bruteforce(v, w, mode, 1 << 16)
+    assert hom_span_key(A, p, m, linear, shape) == hom_span_key(A, p, m, exhaustive, shape), (
+        mode, v.d, v.psi, w.d, w.psi,
+    )
+
+
+def class_windows(fr, rank):
+    return [Window(fr, c.d, c.t, c.psi) for c in classify_windows(fr, rank).classes]
+
+
+def test_hom_space_over_zpm_is_solved_linearly(monkeypatch):
+    def exhaust(*args):
+        raise AssertionError("Z/p^m homs must not be exhausted")
+
+    monkeypatch.setattr(windows, "_hom_space_bruteforce", exhaust)
+    fr = zframe(3, 2)
+    hs = hom_space(supersingular(fr), supersingular(fr), "window")
+    assert not hs.contains_zero_only()
+
+
+def test_linear_hom_space_matches_bruteforce():
+    # every ordered pair of rank-1 classes, both modes
+    for p, m in ((2, 2), (2, 3), (3, 2)):
+        fr = zframe(p, m)
+        rank1 = class_windows(fr, 1)
+        for v, w in iproduct(rank1, repeat=2):
+            for mode in ("window", "phi_module"):
+                assert_linear_matches_bruteforce(v, w, mode, p, m)
+    # seeded rank-2 pairs from every (rank, d) bucket pair that has rank 2;
+    # exhausting 2 x 2 matrices over Z/9 is slow, so there one pair per
+    # bucket pair in one seeded mode
+    rng = random.Random(41)
+    for (p, m), per_bucket, modes in (((2, 2), 2, 2), ((3, 2), 1, 1)):
+        fr = zframe(p, m)
+        buckets = {}
+        for rank in (1, 2):
+            for w in class_windows(fr, rank):
+                buckets.setdefault((rank, w.d), []).append(w)
+        for kv, kw in iproduct(sorted(buckets), repeat=2):
+            if kv[0] == kw[0] == 1:
+                continue
+            for _ in range(per_bucket):
+                v, w = rng.choice(buckets[kv]), rng.choice(buckets[kw])
+                for mode in rng.sample(["window", "phi_module"], modes):
+                    assert_linear_matches_bruteforce(v, w, mode, p, m)
+
+
+def pd_x_frame(p, m, cap):
+    return pd_frame(build_pd_envelope(PDPresentation(p, m, ("x",), ((1,),), cap)))
+
+
+def unit_windows(fr):
+    A = fr.A
+    return [window_from_psi(fr, d, 1 - d, [[u]]) for d in (0, 1) for u in A.elements() if A.is_unit(u)]
+
+
+@pytest.mark.parametrize("p, m, cap", [(2, 1, 2), (2, 1, 3), (2, 2, 2), (3, 1, 2)])
+def test_linear_hom_space_matches_bruteforce_on_pd_frames(p, m, cap):
+    rank1 = unit_windows(pd_x_frame(p, m, cap))
+    for v, w in iproduct(rank1, repeat=2):
+        for mode in ("window", "phi_module"):
+            assert_linear_matches_bruteforce(v, w, mode, p, m)
+
+
+def test_linear_hom_space_pd_sigma1_on_divided_powers():
+    # Over F_2<x> with cap 3, sigma1(x) = x^[2] is a T-type coordinate: homs
+    # between rank 1 and this rank-2 window need the sigma1 rows of T-type
+    # coordinates, which the rank-1 pairs above never reach.
+    fr = pd_x_frame(2, 1, 3)
+    A = fr.A
+    one_x2, x_x2, x = A.from_coords([1, 0, 1]), A.from_coords([0, 1, 1]), A.from_coords([0, 1, 0])
+    w2 = window_from_psi(fr, 1, 1, [[one_x2, x_x2], [x, A.one]])
+    rank1 = unit_windows(fr)
+    for v, w in [(v, w2) for v in rank1] + [(w2, w) for w in rank1]:
+        for mode in ("window", "phi_module"):
+            assert_linear_matches_bruteforce(v, w, mode, 2, 1)
+
+
+def protocol_carriers():
+    yield Residues(2, 3), range(8)
+    yield Residues(3, 2), range(9)
+    for pres in (
+        PDPresentation(2, 3, ("x",), ((1,),), 6),
+        PDPresentation(2, 2, ("x", "y"), ((2, 0), (1, 1), (0, 2)), 4),
+    ):
+        fr = pd_frame(build_pd_envelope(pres))
+        yield fr.A, fr.sample_elements(6, seed=3)
+        sz = square_zero_frame(fr, NablaContext(fr).diff)
+        yield sz.A, sz.sample_elements(6, seed=3)
+
+
+def test_coordinate_protocol_conformance():
+    """The contract `windows` relies on instead of probing attributes."""
+    for A, samples in protocol_carriers():
+        n = A.coord_count()
+        p, m = A.p, A.coord_precision()
+        mod = p ** m
+        assert sorted(A.mu_indices() + A.t_indices()) == list(range(n)), A
+        rels = SpanNF(n, p, m)
+        for r in A.relations.basis():
+            rels.insert(r)
+        for a in samples:
+            assert len(A.coords(a)) == n
+            assert A.from_coords(A.coords(a)) == a, (A, a)
+            M = A.mult_matrix(a)
+            for b in samples:
+                got = [sum(M[i][j] * c for j, c in enumerate(A.coords(b))) for i in range(n)]
+                want = A.coords(A.mul(a, b))
+                assert rels.contains([(x - y) % mod for x, y in zip(got, want)]), (A, a, b)
