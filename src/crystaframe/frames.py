@@ -89,6 +89,43 @@ class Frame:
         return lhs == rhs
 
 
+def frame_axiom_failures(frame: Frame, budget: int, n_samples: int, seed: int):
+    """The frame-axiom battery: (failures, ideal generators, samples).
+
+    p*sigma1 = sigma on every ideal generator; on each sample a, sigma1 is
+    sigma-linear against a generator (up to the digit the ledger concedes)
+    and sigma is Frobenius mod p.  A failure is an (axiom, repr) pair.
+    """
+    gens = frame.ideal_spanning(budget)
+    failures = [("p-sigma1", repr(g)) for g in gens if not frame.frame_axiom_p_sigma1(g)]
+    samples = frame.sample_elements(n_samples, seed=seed)
+    cod = frame.sigma1_codomain
+    for k, a in enumerate(samples):
+        g = gens[k % len(gens)]
+        defect = frame.sigma_linear_defect(a, g)
+        if defect != cod.zero and not _defect_at_ledger(frame, defect):
+            failures.append(("sigma1-linearity", repr((a, g))))
+        p_power = frame.A.one
+        for _ in range(frame.p):
+            p_power = frame.A.mul(p_power, a)
+        if not frame.eq_mod_p(frame.sigma(a), p_power):
+            failures.append(("frobenius-mod-p", repr(a)))
+    return failures, gens, samples
+
+
+def _defect_at_ledger(frame: Frame, defect) -> bool:
+    """Lift and PD frames certify sigma1 to one digit less than the carrier:
+    a defect of integer coordinates divisible by p^(precision - 1) is within
+    the ledger."""
+    if frame.kind not in ("lift", "pd"):
+        return False
+    vals = defect if isinstance(defect, tuple) else (defect,)
+    if not all(isinstance(c, int) for c in vals):
+        return False
+    scale = frame.p ** (frame.A.coord_precision() - 1)
+    return all(c % scale == 0 for c in vals)
+
+
 # -- lift frames -------------------------------------------------------------
 
 

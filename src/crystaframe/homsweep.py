@@ -8,21 +8,26 @@ annihilated by p.  Concretely, per pair (v, w):
   * for every Phi-hom g, p*g is a window hom with witness h = g on the
     bottom-left block                            (cokernel side).
 
-Both hom groups are kernels of small linear systems over Z/p^m; the sweep
-stacks those systems per (rank, d) bucket and runs the batched
-diagonalization from `linalg`, so millions of ordered pairs stay inside the
-acceptance budget.  tests/test_homsweep.py cross-checks these systems
-against exhaustive hom search (`windows._hom_space_bruteforce`) on sampled
-pairs over Z/4 and Z/9, in both modes.
+Both hom groups are kernels of small linear systems over Z/p^m.  Their one
+encoding is `windows._hom_equations`, which `windows._hom_space_linear`
+solves one pair at a time; `_build_systems` is its batched backend, which
+stacks the systems per (rank, d) bucket for the batched diagonalization in
+`linalg`, so millions of ordered pairs stay inside the acceptance budget.
+The residual checks below evaluate the hom identities directly, not through
+that encoding.  tests/test_homsweep.py checks the batched systems against
+exhaustive hom search (`windows._hom_space_bruteforce`) over Z/4 and Z/9,
+and tests/test_windows.py against the scalar backend over Z/8 and Z/27.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .linalg import batch_kernel
+from .windows import _hom_equations, _op_matrix
 
 
 @dataclass
@@ -44,62 +49,48 @@ def _phi_scaled(psis: np.ndarray, d: int, p: int, mod: int) -> np.ndarray:
     return out
 
 
-def _build_phi_systems(Pv, Fv, Fw, mod):
-    """Sylvester systems G Fv - Fw G per pair; unknowns g[i*rv+j] = G[i,j]."""
-    N, rw, _ = Fw.shape
-    rv = Fv.shape[1]
-    n = rw * rv
-    M = np.zeros((N, n, n), dtype=np.int64)
-    for i in range(rw):
-        for j in range(rv):
-            row = i * rv + j
-            for k in range(rv):
-                M[:, row, i * rv + k] += Fv[:, k, j]
-            for k in range(rw):
-                M[:, row, k * rv + j] -= Fw[:, i, k]
-    return np.remainder(M, mod, out=M)
+def _build_systems(frame, Pv, Pw, Fv, Fw, d_v, d_w, mode):
+    """Batched backend of `windows._hom_equations` on a one-coordinate carrier.
 
-
-def _build_window_systems(Pv, Pw, Fv, Fw, d_v, d_w, p, mod):
-    """Window-hom systems with witness unknowns for the bottom-left block.
-
-    Variables: g (rw*rv) then h (one per bottom-left position).  Rows:
-    Phi_1 identities on L-columns, Phi identities on T-columns, and the
-    parametrization g = p*h on the bottom-left.
+    Every operator is a scalar there, read off the frame's coordinate
+    matrices, so a term adds sign * op times one column of Fv/Fw/Pv/Pw into
+    M[:, row, var].  The equation of entry (i, j) goes to row i*rv + j, so its
+    coefficient on G[i, j] sits on the diagonal, where batch_kernel looks for
+    a unit pivot first; the last rows g = p*h parametrise the bottom-left
+    entries.  Returns (M, bl); the unknowns are G[i, j] at i*rv + j, then the
+    witnesses of the bottom-left entries bl.
     """
-    N, rw, _ = Fw.shape
-    rv = Fv.shape[1]
-    bl = [(i, j) for i in range(d_w, rw) for j in range(d_v)]
+    p = frame.p
+    mod = p ** frame.A.coord_precision()
+    N, rw, _ = Pw.shape
+    rv = Pv.shape[1]
     nG = rw * rv
-    nvars = nG + len(bl)
-    rows = rw * rv + len(bl)
-    M = np.zeros((N, rows, nvars), dtype=np.int64)
-    r = 0
-    # L-columns: sum_k g[i,k] Pv[k,j] - sum_{k<dw} Pw[i,k] g[k,j]
-    #            - sum_{k>=dw} Pw[i,k] h[(k,j)] = 0
-    for j in range(d_v):
-        for i in range(rw):
-            for k in range(rv):
-                M[:, r, i * rv + k] += Pv[:, k, j]
-            for k in range(d_w):
-                M[:, r, k * rv + j] -= Pw[:, i, k]
-            for k in range(d_w, rw):
-                M[:, r, nG + bl.index((k, j))] -= Pw[:, i, k]
-            r += 1
-    # T-columns: sum_k g[i,k] Pv[k,j] - sum_k Fw[i,k] g[k,j] = 0
-    for j in range(d_v, rv):
-        for i in range(rw):
-            for k in range(rv):
-                M[:, r, i * rv + k] += Pv[:, k, j]
-            for k in range(rw):
-                M[:, r, k * rv + j] -= Fw[:, i, k]
-            r += 1
-    # parametrization: g[(i,j)] = p h[(i,j)]
-    for idx, (i, j) in enumerate(bl):
-        M[:, r, i * rv + j] = 1
-        M[:, r, nG + idx] = -p
-        r += 1
+    equations, bl = _hom_equations(rv, d_v, rw, d_w, mode)
+    src = {"phi_v": Fv, "phi_w": Fw, "psi_v": Pv, "psi_w": Pw}
+    scalar = dict(_op_scalars(frame))
+    n_eq = len(equations)
+    M = np.zeros((N, n_eq + len(bl), nG + len(bl)), dtype=np.int64)
+    for eq in equations:
+        row = eq[0][5] // rv * rv + eq[0][3]  # first term: src[0][j] * G[i][0]
+        for sign, s, i, j, op, var in eq:
+            c = sign * scalar[op] % mod
+            col = src[s][:, i, j]
+            if c == 1:
+                M[:, row, var] += col
+            elif c == mod - 1:
+                M[:, row, var] -= col
+            elif c:
+                M[:, row, var] += c * col
+    for k, (i, j) in enumerate(bl):
+        M[:, n_eq + k, i * rv + j] = 1
+        M[:, n_eq + k, nG + k] = -p
     return np.remainder(M, mod, out=M), bl
+
+
+@lru_cache(maxsize=8)
+def _op_scalars(frame):
+    """The operators of `_hom_equations` on a one-coordinate carrier, as scalars."""
+    return tuple((op, _op_matrix(frame, op)[0][0]) for op in ("id", "sigma", "sigma1_T", "sigma_mu"))
 
 
 def _window_residuals(G, H, Pv, Pw, Fv, Fw, d_v, d_w, mod):
@@ -141,7 +132,6 @@ def sweep_win_phi_mod(frame, tables, chunk: int = 120_000) -> SweepReport:
     in numpy chunks.
     """
     p = frame.p
-    m = frame.A.m
     mod = frame.A.modulus
     entries = []
     n_zero = 0
@@ -177,20 +167,18 @@ def sweep_win_phi_mod(frame, tables, chunk: int = 120_000) -> SweepReport:
                 Pw = Pw_all[ri]
                 Fv = _phi_scaled(Pv, d_v, p, mod)
                 Fw = _phi_scaled(Pw, d_w, p, mod)
-                _check_chunk(
-                    report, entries, lhs_list, rhs_list, li, ri,
-                    Pv, Pw, Fv, Fw, d_v, d_w, p, m, mod,
-                )
+                _check_chunk(report, frame, lhs_list, rhs_list, li, ri, Pv, Pw, Fv, Fw, d_v, d_w)
     report.pairs_checked = len(entries) ** 2
     return report
 
 
-def _check_chunk(report, entries, lhs_list, rhs_list, li, ri, Pv, Pw, Fv, Fw, d_v, d_w, p, m, mod):
+def _check_chunk(report, frame, lhs_list, rhs_list, li, ri, Pv, Pw, Fv, Fw, d_v, d_w):
+    p, m, mod = frame.p, frame.A.m, frame.A.modulus
     N, rw = Pw.shape[0], Pw.shape[1]
     rv = Pv.shape[1]
     nG = rw * rv
     # Phi-hom kernels
-    Mphi = _build_phi_systems(Pv, Fv, Fw, mod)
+    Mphi, _ = _build_systems(frame, Pv, Pw, Fv, Fw, d_v, d_w, "phi_module")
     gens_phi, _ = batch_kernel(Mphi, p, m)
     live_cols = gens_phi.any(axis=1)
     # cokernel side: p*g must be a window hom with witness g|bottom-left
@@ -211,7 +199,7 @@ def _check_chunk(report, entries, lhs_list, rhs_list, li, ri, Pv, Pw, Fv, Fw, d_
     if d_v == 0:
         # no filtration or sigma1 constraints: window homs == Phi homs
         return
-    Mwin, bl = _build_window_systems(Pv, Pw, Fv, Fw, d_v, d_w, p, mod)
+    Mwin, _ = _build_systems(frame, Pv, Pw, Fv, Fw, d_v, d_w, "window")
     gens_win, _ = batch_kernel(Mwin, p, m)
     live_cols = gens_win[:, :nG].any(axis=1)
     for cidx in range(gens_win.shape[2]):

@@ -4,8 +4,8 @@ A carrier only needs add/sub/mul/neg/zero/one/is_unit/inv.  Matrices are
 tuples of tuples (immutable, hashable when the entries are).  Inversion is
 Gaussian elimination with unit pivots, which is complete over the local
 carriers used here: a matrix is invertible iff every elimination step finds
-a unit pivot.  The last two helpers work on plain integer matrices mod p^m,
-the coordinate blocks of the linear hom solver.
+a unit pivot.  Vectors are tuples of entries.  The last helper works on plain
+integer matrices mod p^m, the coordinate blocks of the linear hom solver.
 """
 
 from __future__ import annotations
@@ -61,6 +61,18 @@ def mat_vec(C, A, v):
     )
 
 
+def vec_add(C, u, v):
+    return tuple(C.add(a, b) for a, b in zip(u, v))
+
+
+def vec_sub(C, u, v):
+    return tuple(C.sub(a, b) for a, b in zip(u, v))
+
+
+def vec_scale(C, c, u):
+    return tuple(C.mul(c, a) for a in u)
+
+
 def _dot(C, row, v):
     acc = C.zero
     for a, b in zip(row, v):
@@ -104,7 +116,3 @@ def int_mat_mul(X, Y, mod: int):
         [sum(X[i][t] * Y[t][j] for t in range(len(Y))) % mod for j in range(len(Y[0]))]
         for i in range(len(X))
     ]
-
-
-def int_mat_neg(X, mod: int):
-    return [[(-x) % mod for x in row] for row in X]

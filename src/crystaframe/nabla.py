@@ -23,7 +23,7 @@ from .linalg import kernel_basis, solve as lin_solve
 from .matrices import identity, mat, mat_add, mat_col, mat_map, mat_mul, mat_sub
 from .pdenv import PDAlgebra, PDDifferential, PDError, PDFrame, PDPresentation
 from .windows import Window, WindowError, base_change, is_window_hom
-from .matrices import is_invertible
+from .matrices import is_invertible, vec_add, vec_scale, vec_sub
 
 
 @dataclass(frozen=True)
@@ -113,10 +113,10 @@ def _horizontality_residuals(ctx: NablaContext, w: Window, conn: Connection):
         for j in range(k):
             for tcol in range(w.d, w.rank):
                 # LHS: d_j(sigma1(a)) Fbar_col + sigma1(a) [d_j F + N_j Fbar]_col
-                base = _vec_add(
+                base = vec_add(
                     env1,
-                    _vec_scale(env1, ds1a[j], mat_col(Fbar, tcol)),
-                    _vec_scale(
+                    vec_scale(env1, ds1a[j], mat_col(Fbar, tcol)),
+                    vec_scale(
                         env1,
                         s1a_bar,
                         mat_col(
@@ -131,17 +131,17 @@ def _horizontality_residuals(ctx: NablaContext, w: Window, conn: Connection):
                 )
                 # RHS: sigma(a) [sum_i Fbar sig(N_i) theta_ji]_col
                 #      + sum_i Fbar_col(tcol via e_t) sigma(da_i) theta_ji
-                rhs = _vec_scale(
+                rhs = vec_scale(
                     env1, sa_bar, mat_col(_theta_combo(env1, FsigN, theta, j, scale_p=1), tcol)
                 )
                 extra = [env1.zero] * w.rank
                 for i in range(k):
                     coeff = env1.mul(sig_da[i], theta[j][i])
                     col = mat_col(Fbar, tcol)
-                    extra = _vec_add(env1, extra, _vec_scale(env1, coeff, col))
-                rhs = _vec_add(env1, rhs, extra)
+                    extra = vec_add(env1, extra, vec_scale(env1, coeff, col))
+                rhs = vec_add(env1, rhs, extra)
                 residuals.append(
-                    ("phi1-IT", (j, tcol, a), mat([_vec_sub(env1, base, rhs)]))
+                    ("phi1-IT", (j, tcol, a), mat([vec_sub(env1, base, rhs)]))
                 )
     return residuals
 
@@ -158,18 +158,6 @@ def _theta_combo(env1, FsigN, theta, j, scale_p):
     if scale_p != 1:
         acc = mat([[env1.int_mul(scale_p, x) for x in row] for row in acc])
     return acc
-
-
-def _vec_add(C, u, v):
-    return [C.add(a, b) for a, b in zip(u, v)]
-
-
-def _vec_sub(C, u, v):
-    return [C.sub(a, b) for a, b in zip(u, v)]
-
-
-def _vec_scale(C, c, u):
-    return [C.mul(c, a) for a in u]
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .frames import BudgetError, FrameError
+from .frames import BudgetError, FrameError, frame_axiom_failures
 from .nabla import (
     NablaContext,
     horizontality_check,
@@ -12,7 +12,7 @@ from .nabla import (
 )
 from .pdenv import PDAlgebra, PDPresentation, pd_frame, pd_torsion_probe
 from .report import Report
-from .scenario import BudgetExceeded, Scenario
+from .scenario import BudgetExceeded, Scenario, parse_verify_value
 from .verify import verify
 from .windows import (
     WindowError,
@@ -60,21 +60,7 @@ def run_scenario(sc: Scenario, objects: dict, internal_precision: int | None = N
 def _cmd_validate(cmd, sc, frames, homs, windows, report, m_int):
     frame = frames[cmd[1]]
     budget = min(sc.budgets["max_enum"], 4096)
-    gens = frame.ideal_spanning(budget)
-    failures = []
-    for g in gens:
-        if not frame.frame_axiom_p_sigma1(g):
-            failures.append(("p-sigma1", repr(g)))
-    samples = frame.sample_elements(16, seed=0)
-    cod = frame.sigma1_codomain
-    pm1 = frame.p ** max(frame.depth, 1)
-    for k, a in enumerate(samples):
-        g = gens[k % len(gens)]
-        defect = frame.sigma_linear_defect(a, g)
-        if defect != cod.zero and not _defect_at_ledger(frame, defect, pm1):
-            failures.append(("sigma1-linearity", repr((a, g))))
-        if not frame.eq_mod_p(frame.sigma(a), _p_power(frame.A, a)):
-            failures.append(("frobenius-mod-p", repr(a)))
+    failures, gens, samples = frame_axiom_failures(frame, budget, n_samples=16, seed=0)
     report.ledger.append([f"validate {cmd[1]}: sigma1 codomain depth {frame.depth}", 0])
     for note, count in frame.ledger.trace():
         report.ledger.append([f"validate {cmd[1]}: {note} x{count}", count])
@@ -83,22 +69,6 @@ def _cmd_validate(cmd, sc, frames, homs, windows, report, m_int):
     return "pass", {
         "summary": f"frame axioms hold on {len(gens)} ideal generators and {len(samples)} samples"
     }
-
-
-def _p_power(carrier, a):
-    out = carrier.one
-    for _ in range(carrier.p):
-        out = carrier.mul(out, a)
-    return out
-
-
-def _defect_at_ledger(frame, defect, pm1):
-    if frame.kind in ("lift", "pd"):
-        vals = defect if isinstance(defect, tuple) else (defect,)
-        if all(isinstance(c, int) for c in vals):
-            scale = frame.p ** (frame.A.m - 1) if hasattr(frame.A, "m") else pm1
-            return all(c % scale == 0 for c in vals)
-    return False
 
 
 def _cmd_classify(cmd, sc, frames, homs, windows, report, m_int):
@@ -259,7 +229,7 @@ def _cmd_verify(cmd, sc, frames, homs, windows, report, m_int):
     params = {}
     for tok in cmd[2:]:
         key, val = tok.split("=", 1)
-        params[key] = _parse_param(val)
+        params[key] = parse_verify_value(val)
     result = verify(tag, **params)
     data = {
         "summary": f"{result.checks} checks"
@@ -269,15 +239,6 @@ def _cmd_verify(cmd, sc, frames, homs, windows, report, m_int):
         "counterexamples": result.counterexamples,
     }
     return ("pass" if result.passed else "fail"), data
-
-
-def _parse_param(val: str):
-    if "," in val:
-        return tuple(_parse_param(v) for v in val.split(","))
-    try:
-        return int(val)
-    except ValueError:
-        return val
 
 
 _HANDLERS = {

@@ -85,11 +85,11 @@ def parse_monomial(token: str, line_no=None):
             raise ScenarioParseError(f"empty factor in monomial {token!r}", line_no)
         if "^" in factor:
             var, exp = factor.split("^", 1)
-            if "/" in exp:
-                num, den = exp.split("/", 1)
-                e = Fraction(int(num), int(den))
-            else:
-                e = Fraction(int(exp))
+            num, slash, den = exp.partition("/")
+            try:
+                e = Fraction(int(num), int(den) if slash else 1)
+            except (ValueError, ZeroDivisionError):
+                raise ScenarioParseError(f"bad exponent {exp!r} in monomial {token!r}", line_no)
         else:
             var, e = factor, Fraction(1)
         if not var.isidentifier():
@@ -167,7 +167,7 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioParseError(f"unknown directive {head!r}", line_no)
         except ScenarioParseError:
             raise
-        except (IndexError, ValueError, KeyError) as exc:
+        except (IndexError, ValueError, KeyError, ZeroDivisionError) as exc:
             raise ScenarioParseError(f"malformed {head!r} directive: {exc}", line_no)
     if not seen_version:
         raise ScenarioParseError("missing format_version")
@@ -187,13 +187,14 @@ def validate_scenario(sc: Scenario):
     an enumeration budget overrun while building one is a budget error.
     """
     from .frames import BudgetError, FrameError
+    from .pdenv import PDError
     from .windows import WindowError
 
     try:
         return _build_objects(sc)
     except BudgetError as exc:
         raise BudgetExceeded(str(exc)) from exc
-    except (WindowError, FrameError) as exc:
+    except (WindowError, FrameError, PDError) as exc:
         raise ScenarioSemanticError(str(exc)) from exc
 
 
@@ -207,11 +208,13 @@ def _build_objects(sc: Scenario):
     )
     from .monomial import MonomialAlgebra
     from .pdenv import PDPresentation, build_pd_envelope, pd_frame
-    from .residues import GaloisField, Residues
+    from .residues import GaloisField, Residues, is_prime
     from .windows import window_from_psi
 
     if sc.prime < 2:
         raise ScenarioSemanticError("prime is required")
+    if not is_prime(sc.prime):
+        raise ScenarioSemanticError(f"prime {sc.prime} is not prime")
     if sc.precision < 1:
         raise ScenarioSemanticError("precision is required")
     for key in ENV_BUDGETS:
@@ -275,6 +278,8 @@ def _build_objects(sc: Scenario):
                 for v, e in mono:
                     if e.denominator != 1:
                         raise ScenarioSemanticError("pd generators need integer exponents")
+                    if v not in variables:
+                        raise ScenarioSemanticError(f"pd generator {tok!r}: {v!r} is not in vars")
                     vec[variables.index(v)] += int(e)
                 gen_vecs.append(tuple(vec))
             m = int(kv.get("precision", sc.precision))
@@ -404,11 +409,34 @@ def _validate_command(cmd, frames, homs, windows):
     elif op == "verify":
         if cmd[1] not in TAGS:
             raise ScenarioSemanticError(f"unknown verify tag {cmd[1]!r}")
-        known = battery_parameters(cmd[1])
+        defaults = battery_parameters(cmd[1])
         for tok in cmd[2:]:
             if "=" not in tok:
                 raise ScenarioSemanticError(f"verify parameters look like key=value, got {tok!r}")
-            if tok.split("=", 1)[0] not in known:
+            key, val = tok.split("=", 1)
+            if key not in defaults:
                 raise ScenarioSemanticError(
-                    f"verify {cmd[1]} takes {', '.join(known)}; got {tok!r}"
+                    f"verify {cmd[1]} takes {', '.join(defaults)}; got {tok!r}"
                 )
+            if not _fits_default(parse_verify_value(val), defaults[key]):
+                raise ScenarioSemanticError(
+                    f"verify {cmd[1]} {key} takes values like {defaults[key]!r}; got {val!r}"
+                )
+
+
+def parse_verify_value(val: str):
+    """A verify value: an int, a comma-separated tuple, else the string."""
+    if "," in val:
+        return tuple(parse_verify_value(v) for v in val.split(","))
+    try:
+        return int(val)
+    except ValueError:
+        return val
+
+
+def _fits_default(value, default) -> bool:
+    """An int default takes an int; a tuple default an int or a tuple of ints."""
+    if isinstance(default, tuple):
+        value = value if isinstance(value, tuple) else (value,)
+        return all(isinstance(x, int) for x in value)
+    return isinstance(value, type(default))

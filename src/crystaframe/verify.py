@@ -66,9 +66,9 @@ TAGS = (
 )
 
 
-def battery_parameters(tag: str) -> tuple:
-    """The keyword parameters the battery behind `tag` accepts."""
-    return tuple(inspect.signature(_DISPATCH[tag]).parameters)
+def battery_parameters(tag: str) -> dict:
+    """The keyword parameters the battery behind `tag` accepts, with defaults."""
+    return {k: v.default for k, v in inspect.signature(_DISPATCH[tag]).parameters.items()}
 
 
 def verify(tag: str, **params) -> VerifyResult:

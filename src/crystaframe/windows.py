@@ -23,6 +23,7 @@ found as connected components of vectorised index maps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product as iproduct
 
 import numpy as np
@@ -33,7 +34,6 @@ from .matrices import (
     from_cols,
     identity,
     int_mat_mul,
-    int_mat_neg,
     is_invertible,
     mat,
     mat_add,
@@ -393,117 +393,95 @@ def _hom_space_bruteforce(v: Window, w: Window, mode: str, budget: int):
     return gens
 
 
+@lru_cache(maxsize=256)
+def _hom_equations(r_v: int, d_v: int, r_w: int, d_w: int, mode: str):
+    """The hom constraints as index data: the one encoding both backends read.
+
+    Returns (equations, bl) as tuples.  An equation is a tuple of terms
+    (sign, src, i, j, op, var) whose sum sign * src[i][j] * op(var) vanishes:
+    src names a structure matrix ("phi_v", "phi_w", "psi_v", "psi_w"), op a
+    coordinate operator ("id", "sigma", "sigma1_T", "sigma_mu"), and var an
+    unknown, the entry G[i][j] at i*r_v + j or the divided-Frobenius witness
+    of the bottom-left entry bl[k] at r_w*r_v + k.  Each equation is entry
+    (i, j) of a matrix identity and opens with the term src[0][j] * G[i][0].
+    The Phi rows G Phi_v = Phi_w sigma(G) come first, on every column in mode
+    "phi_module" and on the T-columns in mode "window"; mode "window" then
+    adds the Phi_1 rows G Psi_v = Psi_w sigma1filt(G) on the L-columns, where
+    a bottom entry enters as sigma1_T of itself plus sigma_mu of its witness.
+    The caller adds the parametrisation g = p*h of the bottom-left entries.
+    """
+    window = mode == "window"
+    bl = [(i, j) for i in range(d_w, r_w) for j in range(d_v)] if window else []
+    equations = []
+    for j in range(d_v if window else 0, r_v):
+        for i in range(r_w):
+            eq = [(1, "phi_v", k, j, "id", i * r_v + k) for k in range(r_v)]
+            eq += [(-1, "phi_w", i, k, "sigma", k * r_v + j) for k in range(r_w)]
+            equations.append(eq)
+    for j in range(d_v if window else 0):
+        for i in range(r_w):
+            eq = [(1, "psi_v", k, j, "id", i * r_v + k) for k in range(r_v)]
+            for k in range(r_w):
+                if k < d_w:
+                    eq.append((-1, "psi_w", i, k, "sigma", k * r_v + j))
+                else:
+                    eq.append((-1, "psi_w", i, k, "sigma1_T", k * r_v + j))
+                    eq.append((-1, "psi_w", i, k, "sigma_mu", r_w * r_v + bl.index((k, j))))
+            equations.append(eq)
+    return tuple(map(tuple, equations)), tuple(bl)
+
+
 def _hom_space_linear(v: Window, w: Window, mode: str):
-    """Flatten the hom constraints to Z/p^m linear algebra with witnesses."""
+    """Hom generators by Z/p^m linear algebra: the scalar backend of
+    `_hom_equations`, the single encoding of the hom constraints.
+
+    A term becomes the coordinate block mult_matrix(src[i][j]) @ op_matrix at
+    the unknown's coordinates, and each equation gets one slack unknown per
+    carrier relation.  Unknowns: G coordinates, witness coordinates, slacks.
+    """
     fr = v.frame
     A = fr.A
     p, m = fr.p, A.coord_precision()
+    mod = p ** m
     nc = A.coord_count()
     r_v, r_w = v.rank, w.rank
     nG = r_w * r_v * nc
-
+    equations, bl = _hom_equations(r_v, v.d, r_w, w.d, mode)
+    src = {"phi_v": v.phi_matrix(), "phi_w": w.phi_matrix(), "psi_v": v.psi, "psi_w": w.psi}
     rel_rows = [list(r) for r in A.relations.basis()]
-    sig = _sigma_matrix(fr, range(nc))
-    mult = {}
-
-    def mult_mat(a):
-        key = a
-        if key not in mult:
-            mult[key] = A.mult_matrix(a)
-        return mult[key]
-
-    mu = A.mu_indices()
-    bl = [(i, j) for i in range(w.d, r_w) for j in range(v.d)] if mode == "window" else []
-    nH = len(bl) * nc
-
-    def gvar(i, j, c):
-        return (i * r_v + j) * nc + c
-
-    def hvar(k, c):
-        return nG + k * nc + c
-
-    rows = []
-    nz_cols = nG + nH
-
-    def new_row():
-        return [0] * nz_cols
-
-    # D-valued equation accumulator with relation slack
-    slack_rows: list = []
-
-    def emit_equation(coeff_blocks):
-        """coeff_blocks: list of (var_index_base, nc x nc int matrix) plus
-        the target coordinate equations; one equation block = nc rows."""
-        block = [new_row() for _ in range(nc)]
-        for var_base, M in coeff_blocks:
-            for rr in range(nc):
-                row = block[rr]
-                Mr = M[rr]
-                for cc in range(nc):
-                    if Mr[cc]:
-                        row[var_base + cc] = (row[var_base + cc] + Mr[cc]) % (p ** m)
-        slack_rows.append(block)
-
-    # -- Phi-commutation rows (all columns for phi mode; T-columns for window)
-    phi_v = v.phi_matrix()
-    phi_w = w.phi_matrix()
-    cols = range(r_v) if mode == "phi_module" else range(v.d, r_v)
-    for jcol in cols:
-        for irow in range(r_w):
-            blocks = []
-            for k in range(r_v):
-                Mk = mult_mat(phi_v[k][jcol])
-                blocks.append((gvar(irow, k, 0), Mk))
-            for k in range(r_w):
-                Msig = int_mat_mul(A.mult_matrix(phi_w[irow][k]), sig, p ** m)
-                blocks.append((gvar(k, jcol, 0), int_mat_neg(Msig, p ** m)))
-            emit_equation(blocks)
-
-    if mode == "window":
-        # -- parametrization of bottom-left entries: mu-coords = p * h
-        param_rows = []
-        for kk, (i, j) in enumerate(bl):
-            for c in mu:
-                row = new_row()
-                row[gvar(i, j, c)] = 1
-                row[hvar(kk, c)] = (-p) % (p ** m)
-                param_rows.append(row)
-        # -- Phi_1 rows on L-columns: G Psi_j = Psi_w sigma1filt(G_j)
-        s1T = _coord_matrix(nc, lambda j: A.sigma1_cert(j), A.t_indices())
-        s_mu = _sigma_matrix(fr, mu)
-        for jcol in range(v.d):
-            for irow in range(r_w):
-                blocks = []
-                for k in range(r_v):
-                    blocks.append((gvar(irow, k, 0), mult_mat(v.psi[k][jcol])))
-                for k in range(r_w):
-                    Mpsi = A.mult_matrix(w.psi[irow][k])
-                    if k < w.d:
-                        Msig = int_mat_mul(Mpsi, sig, p ** m)
-                        blocks.append((gvar(k, jcol, 0), int_mat_neg(Msig, p ** m)))
-                    else:
-                        # sigma1 of the entry: T-part linear, mu-part via witness
-                        MT = int_mat_mul(Mpsi, s1T, p ** m)
-                        blocks.append((gvar(k, jcol, 0), int_mat_neg(MT, p ** m)))
-                        kk = bl.index((k, jcol))
-                        Mmu = int_mat_mul(Mpsi, s_mu, p ** m)
-                        blocks.append((hvar(kk, 0), int_mat_neg(Mmu, p ** m)))
-                emit_equation(blocks)
-    else:
-        param_rows = []
-
-    # assemble: each D-valued equation block gets its own relation slack
     n_rel = len(rel_rows)
-    total_vars = nz_cols + n_rel * len(slack_rows)
+    nz_cols = nG + len(bl) * nc
+    total_vars = nz_cols + n_rel * len(equations)
+    ops = {op: _op_matrix(fr, op) for op in {t[4] for eq in equations for t in eq}}
+    blocks = {}
+
+    def block(a, op):
+        if (a, op) not in blocks:
+            Ma = A.mult_matrix(a)
+            blocks[a, op] = Ma if op == "id" else int_mat_mul(Ma, ops[op], mod)
+        return blocks[a, op]
+
     mat_rows = []
-    for b_idx, block in enumerate(slack_rows):
-        for rr in range(nc):
-            row = block[rr] + [0] * (n_rel * len(slack_rows))
-            for s_idx in range(n_rel):
-                row[nz_cols + b_idx * n_rel + s_idx] = (-rel_rows[s_idx][rr]) % (p ** m)
+    for e, eq in enumerate(equations):
+        rows = [[0] * total_vars for _ in range(nc)]
+        for sign, s, i, j, op, var in eq:
+            M = block(src[s][i][j], op)
+            for rr in range(nc):
+                for cc in range(nc):
+                    if M[rr][cc]:
+                        col = var * nc + cc
+                        rows[rr][col] = (rows[rr][col] + sign * M[rr][cc]) % mod
+        for s_idx, rel in enumerate(rel_rows):
+            for rr in range(nc):
+                rows[rr][nz_cols + e * n_rel + s_idx] = (-rel[rr]) % mod
+        mat_rows.extend(rows)
+    # parametrization of bottom-left entries: mu-coords = p * witness
+    for kk, (i, j) in enumerate(bl):
+        for c in A.mu_indices():
+            row = [0] * total_vars
+            row[(i * r_v + j) * nc + c] = 1
+            row[nG + kk * nc + c] = (-p) % mod
             mat_rows.append(row)
-    for row in param_rows:
-        mat_rows.append(row + [0] * (n_rel * len(slack_rows)))
 
     if not mat_rows:
         gens_coords = [
@@ -556,6 +534,17 @@ def _sigma_matrix(fr: Frame, indices):
         return A.coords(fr.sigma(A.from_coords([int(i == j) for i in range(n)])))
 
     return _coord_matrix(n, column, indices)
+
+
+def _op_matrix(fr: Frame, op: str):
+    """Coordinate matrix of a `_hom_equations` operator on the frame carrier."""
+    A = fr.A
+    n = A.coord_count()
+    if op == "id":
+        return _coord_matrix(n, lambda j: [int(i == j) for i in range(n)], range(n))
+    if op == "sigma1_T":
+        return _coord_matrix(n, lambda j: A.sigma1_cert(j), A.t_indices())
+    return _sigma_matrix(fr, range(n) if op == "sigma" else A.mu_indices())
 
 
 # -- F and V -------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from crystaframe.frames import lift_frame
-from crystaframe.homsweep import _build_phi_systems, _build_window_systems, _phi_scaled
+from crystaframe.homsweep import _build_systems, _phi_scaled
 from crystaframe.linalg import SpanNF, batch_kernel
 from crystaframe.residues import Residues
 from crystaframe.windows import _hom_space_bruteforce, classify_windows, window_from_psi
@@ -60,11 +60,8 @@ def test_sweep_systems_match_scalar_hom_space(p, m, mode):
         Fv = _phi_scaled(Pv, d_v, p, mod)
         Fw = _phi_scaled(Pw, d_w, p, mod)
         nG = rw * rv
-        if mode == "phi_module":
-            gens, _ = batch_kernel(_build_phi_systems(Pv, Fv, Fw, mod), p, m)
-        else:
-            Mwin, _ = _build_window_systems(Pv, Pw, Fv, Fw, d_v, d_w, p, mod)
-            gens, _ = batch_kernel(Mwin, p, m)
+        M, _ = _build_systems(frame, Pv, Pw, Fv, Fw, d_v, d_w, mode)
+        gens, _ = batch_kernel(M, p, m)
         for n, (cv, cw) in enumerate(chosen):
             v = window_from_psi(frame, cv.d, cv.t, cv.psi)
             w = window_from_psi(frame, cw.d, cw.t, cw.psi)

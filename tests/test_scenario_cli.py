@@ -161,10 +161,29 @@ command validate Q
         "command hom a b mode window extra",
         "window c frame L d 1 t 0 psi 2",
         "command verify sigma1-formula bogus=1",
+        "command verify pd-axioms cap=notanint",
+        "command verify sigma1-formula nmax=x",
+        "command verify pd-axioms cap=1,2",
+        "command verify gamma-vp primes=2,x",
     )):
         scn = tmp_path / f"shape_{k}.scn"
         scn.write_text(MINIMAL + windows + line + "\n")
         assert main(["run", str(scn)]) == 3, line
+    # objects their constructors reject are semantic errors; a zero
+    # denominator is a parse error
+    for k, (text, code) in enumerate((
+        (MINIMAL.replace("prime 2", "prime 4"), 3),
+        (MINIMAL + "frame D kind pd vars x gens y cap 3\n", 3),
+        (MINIMAL + "frame D kind pd vars x gens x^0 cap 3\n", 3),
+        (MINIMAL + "ring S field Fp vars x:0:1/0\n", 2),
+        (MINIMAL + "frame D kind pd vars x gens x^1/0 cap 3\n", 2),
+    )):
+        scn = tmp_path / f"object_{k}.scn"
+        scn.write_text(text)
+        assert main(["run", str(scn)]) == code, text.splitlines()[-1]
+    # a tuple-valued verify parameter also takes a single int
+    validate_scenario(parse_scenario(MINIMAL + "command verify gamma-vp primes=2 nmax=1\n"))
+    validate_scenario(parse_scenario(MINIMAL + "command verify gamma-vp primes=2,3\n"))
     ok = tmp_path / "shape_ok.scn"
     ok.write_text(MINIMAL + windows + "command hom a b\ncommand hom a b mode phi_module\n")
     assert main(["run", str(ok)]) == 0

@@ -1,11 +1,13 @@
 import random
 from itertools import product as iproduct
 
+import numpy as np
 import pytest
 
 from crystaframe import windows
 from crystaframe.frames import BudgetError, FrameHom, lift_frame, witt_frame
-from crystaframe.linalg import SpanNF
+from crystaframe.homsweep import _build_systems, _phi_scaled
+from crystaframe.linalg import SpanNF, batch_kernel
 from crystaframe.matrices import identity, is_invertible, mat, mat_mul
 from crystaframe.monomial import MonomialAlgebra
 from crystaframe.nabla import NablaContext, square_zero_frame
@@ -502,6 +504,44 @@ def test_linear_hom_space_matches_bruteforce():
                 v, w = rng.choice(buckets[kv]), rng.choice(buckets[kw])
                 for mode in rng.sample(["window", "phi_module"], modes):
                     assert_linear_matches_bruteforce(v, w, mode, p, m)
+
+
+def random_windows(fr, rng, rank, d, n):
+    """`n` seeded windows with random invertible Psi of the given shape."""
+    out = []
+    while len(out) < n:
+        psi = mat([[rng.randrange(fr.A.modulus) for _ in range(rank)] for _ in range(rank)])
+        if is_invertible(fr.A, psi):
+            out.append(window_from_psi(fr, d, rank - d, psi))
+    return out
+
+
+@pytest.mark.parametrize("p, m", [(2, 3), (3, 3)])
+def test_batched_and_scalar_hom_backends_agree(p, m):
+    # the two backends of `_hom_equations` at the lemma sweep's moduli: the
+    # G-part of the batched kernel spans the scalar generators' group, for
+    # two random pairs per (rank, d) bucket pair in both modes
+    fr = zframe(p, m)
+    mod = p ** m
+    rng = random.Random(67)
+    shapes = [(rank, d) for rank in (1, 2) for d in range(rank + 1)]
+    nontrivial = 0
+    for (rv, d_v), (rw, d_w) in iproduct(shapes, repeat=2):
+        vs = random_windows(fr, rng, rv, d_v, 2)
+        ws = random_windows(fr, rng, rw, d_w, 2)
+        Pv = np.array([v.psi for v in vs], dtype=np.int64)
+        Pw = np.array([w.psi for w in ws], dtype=np.int64)
+        Fv, Fw = _phi_scaled(Pv, d_v, p, mod), _phi_scaled(Pw, d_w, p, mod)
+        for mode in ("window", "phi_module"):
+            M, _ = _build_systems(fr, Pv, Pw, Fv, Fw, d_v, d_w, mode)
+            gens, _ = batch_kernel(M, p, m)
+            for n, (v, w) in enumerate(zip(vs, ws)):
+                batched = [c.reshape(rw, rv).tolist() for c in gens[n, : rw * rv].T]
+                scalar = windows._hom_space_linear(v, w, mode)
+                want = hom_span_key(fr.A, p, m, scalar, (rw, rv))
+                assert hom_span_key(fr.A, p, m, batched, (rw, rv)) == want, (mode, v, w)
+                nontrivial += bool(want)
+    assert nontrivial >= 30, nontrivial
 
 
 def pd_x_frame(p, m, cap):
