@@ -3,16 +3,29 @@
 Z/p^m is local, so a Smith-style diagonalization only ever needs the entry
 of minimal p-valuation as pivot.  Everything a module computation needs --
 kernels, solving, span membership, quotient structure, unique normal forms
--- reduces to `diagonalize` or to the Howell-style row span `SpanNF`.
+-- reduces to the elimination core `_eliminate` or to the Howell-style row
+span `SpanNF`.
 
-`batch_kernel` is a numpy re-implementation of the same pivoting scheme
-over a stack of small matrices, for the pairwise window-hom sweep in
-`homsweep`.  It works in the narrowest integer dtype that cannot overflow:
-every intermediate lies within (p^m - 1)^2 + p^m of zero, so int16 serves
-p^m <= 181, int32 serves p^m <= 46,341 and int64 the rest.  The scalar
-routines are its oracle: the tests compare its pivot exponents with
-`diagonalize` and its kernel spans with `kernel_basis` on every system
-shape the sweep produces.
+`_eliminate` is the one elimination loop.  It diagonalizes a stack of N
+matrices stored along the last axis of a numpy array.  `batch_kernel` runs
+it on the many small systems of the window-hom sweep; `diagonalize`,
+`kernel_basis` and `solve` run it on one system (N = 1).  The column
+transform V always comes out.  The row transform acts only on an array the
+caller passes in: `diagonalize` passes the identity to get U, `solve` its
+right-hand side to get U*rhs.  Kernels never build U.
+
+Work dtype: every intermediate lies within (p^m - 1)^2 + p^m of zero, so
+int16 serves p^m <= 181, int32 p^m <= 46,341 and int64 p^m <= 3,037,000,500.
+Beyond that (a PD frame at precision 40, say) the arrays hold Python ints
+(dtype object), so the arithmetic stays exact at any modulus; inputs are
+reduced as Python ints there too, since numpy's int64 `%` overflows at
+such a modulus even when every entry fits int64.  Valuations
+and unit inverses come from lookup tables for p^m <= 2^16 and from gcd and
+pow above.
+
+The pure-Python scalar elimination that came before lives on in
+tests/test_linalg.py as the oracle: `diagonalize`, `kernel_basis`, `solve`
+and `batch_kernel` must reproduce its outputs bit for bit.
 """
 
 from __future__ import annotations
@@ -20,6 +33,8 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+
+_TABLE_MAX = 1 << 16  # largest modulus whose valuations and inverses are tabled
 
 
 def _val(a: int, p: int, m: int) -> int:
@@ -32,111 +47,88 @@ def _val(a: int, p: int, m: int) -> int:
     return v
 
 
+# -- one system ------------------------------------------------------------
+
+
+def _one_system(mat, p: int, m: int) -> np.ndarray:
+    """`mat` (rows of ints or a 2-d array) as an (r, c, 1) work-dtype stack.
+
+    Entries are reduced mod p^m; an empty `mat` has no columns.
+    """
+    mod = p ** m
+    r = len(mat)
+    c = len(mat[0]) if r else 0
+    dt = work_dtype(mod)
+    if dt is object:
+        A = np.array([[x % mod for x in row] for row in mat], dtype=object)
+    else:
+        try:
+            A = np.array(mat, dtype=np.int64)
+        except OverflowError:  # entries beyond int64 are reduced in Python first
+            A = np.array([[x % mod for x in row] for row in mat], dtype=np.int64)
+        if A.size and (A.min() < 0 or A.max() >= mod):
+            A %= mod
+    return A.astype(dt).reshape(r, c, 1)
+
+
 def diagonalize(mat, p: int, m: int):
     """Return (U, D, V, evals) with U*mat*V = D diagonal, D[k][k] = p^evals[k].
 
     U and V are invertible over Z/p^m.  evals[k] = m encodes a zero pivot.
     `mat` is a list of lists of ints; inputs are reduced mod p^m.
     """
-    mod = p ** m
-    A = [[x % mod for x in row] for row in mat]
-    r = len(A)
-    c = len(A[0]) if r else 0
-    U = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    V = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
-    steps = min(r, c)
-    evals = []
-    for k in range(steps):
-        # minimal-valuation pivot in the trailing submatrix
-        best = (m + 1, k, k)
-        for i in range(k, r):
-            Ai = A[i]
-            for j in range(k, c):
-                v = _val(Ai[j], p, m)
-                if v < best[0]:
-                    best = (v, i, j)
-            if best[0] == 0:
-                break
-        e, pi, pj = best
-        if e >= m:
-            evals.append(m)
-            continue
-        if pi != k:
-            A[k], A[pi] = A[pi], A[k]
-            U[k], U[pi] = U[pi], U[k]
-        if pj != k:
-            for row in A:
-                row[k], row[pj] = row[pj], row[k]
-            for row in V:
-                row[k], row[pj] = row[pj], row[k]
-        pe = p ** e
-        unit = A[k][k] // pe
-        w = pow(unit, -1, mod)
-        A[k] = [(w * x) % mod for x in A[k]]
-        U[k] = [(w * x) % mod for x in U[k]]
-        for i in range(r):
-            if i == k:
-                continue
-            f = A[i][k] // pe
-            if f:
-                Ak, Ai, Uk, Ui = A[k], A[i], U[k], U[i]
-                for j in range(c):
-                    Ai[j] = (Ai[j] - f * Ak[j]) % mod
-                for j in range(r):
-                    Ui[j] = (Ui[j] - f * Uk[j]) % mod
-        for j in range(k + 1, c):
-            g = A[k][j] // pe
-            if g:
-                for i in range(r):
-                    A[i][j] = (A[i][j] - g * A[i][k]) % mod
-                for i in range(c):
-                    V[i][j] = (V[i][j] - g * V[i][k]) % mod
-        evals.append(e)
-    return U, A, V, evals
+    A = _one_system(mat, p, m)
+    r, c, _ = A.shape
+    U = np.eye(r, dtype=A.dtype).reshape(r, r, 1)
+    V, evals = _eliminate(A, p, m, U=U)
+    evals = evals[: min(r, c), 0].tolist()
+    D = [[0] * c for _ in range(r)]
+    for k, e in enumerate(evals):
+        if e < m:
+            D[k][k] = p ** e
+    return U[:, :, 0].tolist(), D, V[:, :, 0].tolist(), evals
 
 
 def kernel_basis(mat, p: int, m: int):
     """Generators of {x : mat*x = 0 mod p^m} as a list of int tuples."""
-    r = len(mat)
-    c = len(mat[0]) if r else 0
+    A = _one_system(mat, p, m)
+    r, c, _ = A.shape
     if c == 0:
         return []
     if r == 0:
         return [tuple(1 if i == j else 0 for i in range(c)) for j in range(c)]
-    mod = p ** m
-    _, _, V, evals = diagonalize(mat, p, m)
-    gens = []
-    for j in range(c):
-        e = evals[j] if j < len(evals) else m
-        scale = p ** (m - e) if e > 0 else None
-        if scale is None:
-            continue
-        col = tuple((V[i][j] * scale) % mod for i in range(c))
-        if any(col):
-            gens.append(col)
-    return gens
+    G, evals = _eliminate(A, p, m, kernel=True)
+    G, evals = G[:, :, 0], evals[:, 0]
+    keep = (evals > 0) & (G != 0).any(axis=0)
+    return [tuple(g) for g in G.T[keep].tolist()]
 
 
 def solve(mat, rhs, p: int, m: int):
     """One solution of mat*x = rhs mod p^m, or None; pair with kernel_basis."""
     mod = p ** m
-    r = len(mat)
-    c = len(mat[0]) if r else 0
-    U, _, V, evals = diagonalize(mat, p, m)
-    y = [sum(U[i][k] * rhs[k] for k in range(r)) % mod for i in range(r)]
+    A = _one_system(mat, p, m)
+    r, c, _ = A.shape
+    if r == 0:
+        return ()
+    y = _one_system([[b] for b in rhs], p, m)
+    V, evals = _eliminate(A, p, m, U=y)
+    y, evals = y[:, 0, 0].tolist(), evals[:, 0].tolist()
     z = [0] * c
     for i in range(r):
-        e = evals[i] if i < len(evals) else m
+        e = evals[i] if i < c else m
         if e >= m:
-            if y[i] % mod:
+            if y[i]:
                 return None
             continue
         pe = p ** e
         if y[i] % pe:
             return None
         z[i] = y[i] // pe
-    x = [sum(V[i][j] * z[j] for j in range(c)) % mod for i in range(c)]
-    return tuple(x)
+    x = np.zeros(c, dtype=A.dtype)
+    for j, zj in enumerate(z):
+        if zj:
+            x = (x + V[:, j, 0] * zj) % mod
+    return tuple(x.tolist())
 
 
 class SpanNF:
@@ -237,6 +229,31 @@ class SpanNF:
                     v = [(a - q * b) % self.mod for a, b in zip(v, row)]
         return tuple(v)
 
+    def reduce_rows(self, vecs) -> np.ndarray:
+        """`reduce` of every row of the integer array `vecs`, as a work-dtype array.
+
+        The same steps as `reduce`, one pivot row at a time for all vectors
+        whose entry at its lead is at least the pivot.
+        """
+        mod = self.mod
+        dt = work_dtype(mod)
+        if dt is object:  # numpy's int64 % would overflow at this modulus
+            X = np.array([[x % mod for x in v] for v in vecs], dtype=object)
+        else:
+            X = (np.asarray(vecs) % mod).astype(dt)
+        reduce = mod_reducer(mod, np.empty_like(X))
+        leads = sorted(self.rows)
+        R = np.array([self.rows[lead][1] for lead in leads], dtype=dt)
+        for row, lead in zip(R, leads):
+            q = X[:, lead] // self.p ** self.rows[lead][0]
+            hit = np.flatnonzero(q)
+            if hit.size:
+                sub = X[hit, lead:]
+                sub -= q[hit, None] * row[lead:]
+                reduce(sub)
+                X[hit, lead:] = sub
+        return X
+
     def contains(self, vec) -> bool:
         return not any(self.reduce(vec))
 
@@ -274,7 +291,7 @@ def quotient_factor_orders(rel_rows, ncols: int, p: int, m: int):
     mod = p ** m
     if not rel_rows:
         return [mod] * ncols
-    _, _, _, evals = diagonalize(rel_rows, p, m)
+    evals = diagonalize(rel_rows, p, m)[3]
     orders = []
     for j in range(ncols):
         e = evals[j] if j < len(evals) else m
@@ -294,39 +311,42 @@ def p_torsion_of_quotient(rel_rows, ncols: int, p: int, m: int):
     mod = p ** m
     k = len(rel_rows)
     # variables (t, lambda): p*t - lambda*rel = 0
-    mat = [[0] * (ncols + k) for _ in range(ncols)]
-    for i in range(ncols):
-        mat[i][i] = p
-        for s in range(k):
-            mat[i][ncols + s] = (-rel_rows[s][i]) % mod
+    mat = np.zeros((ncols, ncols + k), dtype=work_dtype(mod))
+    mat[np.arange(ncols), np.arange(ncols)] = p % mod
+    if k:
+        mat[:, ncols:] = (-_one_system(rel_rows, p, m)[:, :, 0].T) % mod
     gens = kernel_basis(mat, p, m)
     nf = SpanNF(ncols, p, m)
     for row in rel_rows:
         nf.insert(row)
     out = []
     seen = set()
-    for g in gens:
-        t = nf.reduce(g[:ncols])
-        if any(t) and t not in seen:
-            seen.add(t)
-            out.append(t)
+    if gens:
+        for t in map(tuple, nf.reduce_rows([g[:ncols] for g in gens]).tolist()):
+            if any(t) and t not in seen:
+                seen.add(t)
+                out.append(t)
     return out, nf
 
 
-# -- batched numpy variants ------------------------------------------------
+# -- the elimination core ----------------------------------------------------
+
+
+_INT_DTYPES = [(dt, int(np.iinfo(dt).max)) for dt in (np.int16, np.int32, np.int64)]
 
 
 def int_dtype(bound: int):
     """Narrowest of int16/int32/int64 holding every integer of size <= bound."""
-    for dt in (np.int16, np.int32, np.int64):
-        if bound <= np.iinfo(dt).max:
+    for dt, top in _INT_DTYPES:
+        if bound <= top:
             return dt
     raise ValueError(f"{bound} does not fit in int64")
 
 
-def _work_dtype(mod: int):
-    """Narrowest of int16/int32/int64 holding (mod-1)^2 + mod: see `batch_kernel`."""
-    return int_dtype((mod - 1) ** 2 + mod)
+def work_dtype(mod: int):
+    """Narrowest dtype holding (mod-1)^2 + mod: int16/int32/int64, else object."""
+    bound = (mod - 1) ** 2 + mod
+    return object if bound > _INT_DTYPES[-1][1] else int_dtype(bound)
 
 
 def mod_reducer(mod: int, scratch: np.ndarray):
@@ -354,19 +374,36 @@ def mod_reducer(mod: int, scratch: np.ndarray):
 
 @functools.lru_cache(maxsize=None)
 def tables(p: int, m: int):
-    """Lookup tables (val, inv, ppow) for Z/p^m.
+    """Lookup tables (val, inv, ppow) for Z/p^m, p^m <= 2^16.
 
     val[a] = v_p(a) as int8 (m for a = 0); inv[a] = a^-1 for units and 0
     otherwise; ppow[e] = p^e for e = 0..m.  inv and ppow are in the work
     dtype of p^m.
     """
     mod = p ** m
-    dt = _work_dtype(mod)
+    dt = work_dtype(mod)
     val = np.array([_val(a, p, m) for a in range(mod)], dtype=np.int8)
     inv = np.array([pow(a, -1, mod) if a % p else 0 for a in range(mod)], dtype=dt)
     ppow = np.array([p ** e for e in range(m + 1)], dtype=dt)
     for t in (val, inv, ppow):
         t.flags.writeable = False  # shared by every caller
+    return val, inv, ppow
+
+
+def _computed_ops(p: int, m: int):
+    """(val, inv, ppow) as `tables` gives them, computed for moduli too big to table."""
+    mod = p ** m
+    dt = work_dtype(mod)
+    ppow = np.array([p ** e for e in range(m + 1)], dtype=dt)
+
+    def val(x):
+        # gcd(x, p^m) = p^v_p(x), and p^m for x = 0
+        return np.searchsorted(ppow, np.gcd(x, mod))
+
+    def inv(x):
+        flat = [pow(int(a), -1, mod) if a % p else 0 for a in np.ravel(x)]
+        return np.array(flat, dtype=dt).reshape(np.shape(x))
+
     return val, inv, ppow
 
 
@@ -383,26 +420,28 @@ def _to_columns(src: np.ndarray, dt) -> np.ndarray:
 
 
 def _to_rows(src: np.ndarray) -> np.ndarray:
-    """(k, N) -> (N, k) int64, copied blockwise."""
+    """(k, N) -> (N, k) int64 (object beyond int64), copied blockwise."""
     k, n = src.shape
-    out = np.empty((n, k), dtype=np.int64)
+    out = np.empty((n, k), dtype=object if src.dtype == object else np.int64)
     for s in range(0, n, _BLOCK):
         out[s : s + _BLOCK] = src[:, s : s + _BLOCK].T
     return out
 
 
-def _swap_pivots(A, V, k, systems, pi, pj):
+def _swap_pivots(A, U, V, k, systems, pi, pj):
     """Bring pivot (pi, pj) to (k, k) in the given systems only.
 
-    A row swap touches A's trailing columns, a column swap A's trailing rows
-    and all of V; the rest of A is never read again.
+    A row swap touches A's trailing columns and all of U, a column swap A's
+    trailing rows and all of V; the rest of A is never read again.
     """
     moved = pi != k
     if moved.any():
         s, src = systems[moved], pi[moved]
-        old = A[k, k:, s]
-        A[k, k:, s] = A[src, k:, s]
-        A[src, k:, s] = old
+        for X, lo in ((A, k), (U, 0)):
+            if X is not None:
+                old = X[k, lo:, s]
+                X[k, lo:, s] = X[src, lo:, s]
+                X[src, lo:, s] = old
     moved = pj != k
     if moved.any():
         s, src = systems[moved], pj[moved]
@@ -412,86 +451,130 @@ def _swap_pivots(A, V, k, systems, pi, pj):
             X[lo:, src, s] = old
 
 
-def batch_kernel(mats: np.ndarray, p: int, m: int):
-    """Kernel generators for a stack of matrices over Z/p^m.
+def _eliminate(A, p: int, m: int, U=None, kernel: bool = False):
+    """Diagonalize the systems A[:, :, n] over Z/p^m by minimal-valuation pivoting.
 
-    mats: (N, r, c) integer array; entries outside [0, p^m) are reduced
-    first.  Returns (gens, evals), both int64: gens is (N, c, c) with
-    gens[n, :, j] a kernel generator (possibly zero), evals (N, c) the
-    pivot exponents (m for free columns).  Same pivoting scheme as
-    `diagonalize`, which is the oracle for this function in the tests.
+    A: (r, c, N) in the work dtype of p^m with entries in [0, p^m); it is
+    overwritten.  Each step takes as pivot the first entry of minimal
+    valuation, in row-major order, of the trailing block, as the scalar
+    oracle does.  Returns (V, evals): V (c, c, N) the column transform
+    (with `kernel`, column j scaled by p^(m - e_j), which makes it a kernel
+    generator, 0 for a unit pivot), evals (c, N) the pivot exponents (m for
+    zero pivots and columns past min(r, c)).  U, if given, is an (r, q, N)
+    array in the same dtype whose rows undergo every row operation: the
+    identity becomes the row transform, a right-hand side b becomes U*b.
 
-    The systems are stored along the last axis, so each step is a few
-    contiguous in-place passes over the trailing blocks of all N systems.
     Only the trailing block of A is kept up to date: the column operations
-    `diagonalize` applies to A only clear the pivot row, which no later step
-    reads.  Entries stay in [0, p^m) between passes.  A pass forms f*b or
-    a - f*b with a, b in [0, p^m) and f in [0, p^m], then reduces x to
-    x - p^m * floor(x / p^m) in place, so no intermediate exceeds
-    p^m (p^m - 1) < (p^m - 1)^2 + p^m in absolute value.  The work dtype is
-    the narrowest that holds (p^m - 1)^2 + p^m: int16 for p^m <= 181, int32
-    up to 46,341, int64 beyond.
+    only clear the pivot row, which no later step reads.  Entries stay in
+    [0, p^m) between passes.  A pass forms f*b or a - f*b with a, b in
+    [0, p^m) and f in [0, p^m], then reduces x to x - p^m * floor(x / p^m)
+    in place, so no intermediate exceeds p^m (p^m - 1) < (p^m - 1)^2 + p^m
+    in absolute value: the work dtype holds them all.
     """
-    val_tab, inv_tab, ppow = tables(p, m)
     mod = p ** m
-    mats = np.asarray(mats)
-    N, r, c = mats.shape
-    if mats.size and (mats.min() < 0 or mats.max() >= mod):
-        mats = mats % mod
-    A = _to_columns(mats.reshape(N, r * c), inv_tab.dtype).reshape(r, c, N)
-    V = np.zeros((c, c, N), dtype=inv_tab.dtype)
+    r, c, N = A.shape
+    dt = A.dtype
+    S = r * c
+    key_dt = int_dtype((m + 1) * S)
+    if mod <= _TABLE_MAX:
+        val_tab, inv_tab, ppow = tables(p, m)
+        val, inv, keys = val_tab.take, inv_tab.take, (val_tab.astype(key_dt) * S).take
+    else:
+        val, inv, ppow = _computed_ops(p, m)
+
+        def keys(x):
+            return val(x).astype(key_dt) * S
+
+    V = np.zeros((c, c, N), dtype=dt)
     for j in range(c):
         V[j, j] = 1
     evals = np.full((c, N), m, dtype=np.int64)
-    tmp = np.empty((max(r, c), c, N), dtype=inv_tab.dtype)
+    q = U.shape[1] if U is not None else 0
+    tmp = np.empty((max(r, c), max(c, q), N), dtype=dt)
     reduce = mod_reducer(mod, tmp)  # clobbers tmp
 
-    # pivot search key: valuation * S + row-major position in the block
-    S = r * c
-    key_dt = np.int16 if (m + 1) * S <= np.iinfo(np.int16).max else np.int32
-    key_tab = val_tab.astype(key_dt) * S
     pos = np.arange(S, dtype=key_dt)[:, None]
     for k in range(min(r, c)):
         h, w = r - k, c - k
         # The pivot is the first entry of minimal valuation in row-major
         # order.  A unit at (k, k) is that entry, so only the systems
         # without one are searched.
-        e = val_tab.take(A[k, k])
+        e = val(A[k, k])
         hard = np.flatnonzero(e)
         if hard.size:
-            key = key_tab.take(A[k:, k:, hard]).reshape(h * w, -1)
+            key = keys(A[k:, k:, hard]).reshape(h * w, -1)
             key += pos[: h * w]
             best = np.minimum.reduce(key, axis=0)
             e[hard] = best // S
             at = best % S
-            _swap_pivots(A, V, k, hard, at // w + k, at % w + k)
+            _swap_pivots(A, U, V, k, hard, at // w + k, at % w + k)
         evals[k] = e
-        if w == 1:
+        if w == 1 and U is None:
             continue
         # normalise the pivot row by the unit part of its pivot p^e
         pe = ppow.take(e)
+        units = inv(A[k, k] // pe)
         row = A[k, k + 1 :]
-        np.multiply(row, inv_tab.take(A[k, k] // pe), out=row)
+        np.multiply(row, units, out=row)
         reduce(row)
-        # row and column multipliers: the trailing block is divisible by p^e
+        # row multipliers: the pivot column is divisible by p^e
         col = A[k + 1 :, k]
-        g = row.copy()
         deep = np.flatnonzero(e)
         if deep.size:
             col[:, deep] //= pe[deep]
-            g[:, deep] //= pe[deep]
-        if h > 1:
+        if h > 1 and w > 1:
             t = tmp[: h - 1, : w - 1]
             np.multiply(col[:, None], row[None], out=t)
             blk = A[k + 1 :, k + 1 :]
             np.subtract(blk, t, out=blk)
             reduce(blk)
-        t = tmp[:c, : w - 1]
-        np.multiply(V[:, k, None], g[None], out=t)
-        blk = V[:, k + 1 :]
-        np.subtract(blk, t, out=blk)
-        reduce(blk)
-    # gens[:, :, j] = p^(m - e_j) V[:, j], which is 0 for a unit pivot (e_j = 0)
-    np.multiply(V, ppow.take(m - evals)[None], out=V)
-    reduce(V)
-    return _to_rows(V.reshape(c * c, N)).reshape(N, c, c), evals.T.copy()
+        if U is not None:
+            units[e == m] = 1  # a zero pivot leaves the rows alone
+            Uk = U[k]
+            np.multiply(Uk, units, out=Uk)
+            reduce(Uk)
+            if h > 1:
+                t = tmp[: h - 1, :q]
+                np.multiply(col[:, None], Uk[None], out=t)
+                blk = U[k + 1 :]
+                np.subtract(blk, t, out=blk)
+                reduce(blk)
+        if w > 1:
+            # column multipliers: the pivot row is divisible by p^e too
+            g = row.copy()
+            if deep.size:
+                g[:, deep] //= pe[deep]
+            t = tmp[:c, : w - 1]
+            np.multiply(V[:, k, None], g[None], out=t)
+            blk = V[:, k + 1 :]
+            np.subtract(blk, t, out=blk)
+            reduce(blk)
+    if kernel:
+        # p^(m - e_j) V[:, j], which is 0 for a unit pivot (e_j = 0)
+        np.multiply(V, ppow.take(m - evals)[None], out=V)
+        reduce(V)
+    return V, evals
+
+
+def batch_kernel(mats: np.ndarray, p: int, m: int):
+    """Kernel generators for a stack of matrices over Z/p^m.
+
+    mats: (N, r, c) integer array; entries outside [0, p^m) are reduced
+    first.  Returns (gens, evals), both int64 (object beyond int64): gens is
+    (N, c, c) with gens[n, :, j] a kernel generator (possibly zero), evals
+    (N, c) the pivot exponents (m for free columns).  The systems are
+    stored along the last axis of `_eliminate`'s arrays, so each step is a
+    few contiguous in-place passes over the trailing blocks of all N
+    systems.
+    """
+    mod = p ** m
+    dt = work_dtype(mod)
+    mats = np.asarray(mats)
+    if dt is object:  # numpy's int64 % would overflow at this modulus
+        mats = mats.astype(object)
+    N, r, c = mats.shape
+    if mats.size and (mats.min() < 0 or mats.max() >= mod):
+        mats = mats % mod
+    A = _to_columns(mats.reshape(N, r * c), dt).reshape(r, c, N)
+    gens, evals = _eliminate(A, p, m, kernel=True)
+    return _to_rows(gens.reshape(c * c, N)).reshape(N, c, c), evals.T.copy()

@@ -23,8 +23,10 @@ import math
 from dataclasses import dataclass
 from itertools import product as iproduct
 
+import numpy as np
+
 from .intpoly import IntPolyRing
-from .linalg import SpanNF, diagonalize, p_torsion_of_quotient
+from .linalg import SpanNF, diagonalize, int_dtype, p_torsion_of_quotient, work_dtype
 from .residues import Residues, gamma_of_p
 from .frames import Frame
 
@@ -85,7 +87,7 @@ class PDAlgebra:
         self.basis.sort()
         self.index = {b: i for i, b in enumerate(self.basis)}
         self.n = len(self.basis)
-        self._mult_cache: dict = {}
+        self._coef, self._target = self._multiplication_table()
         self.relations = self._build_relations()
         self._sigma_cols = None
         self._sigma1_cert = None
@@ -226,24 +228,62 @@ class PDAlgebra:
         return nf
 
     def _close_under_multiplication(self, nf: SpanNF) -> None:
-        """Grow the row span until it is an ideal (stable under basis products)."""
+        """Grow the row span until it is an ideal (stable under basis products).
+
+        A pass visits the products row * b_j for every row of the span as it
+        stood at the start of the pass, in the order (row, j), and inserts
+        each one the span does not contain yet.  All products of a pass come
+        from that snapshot, so numpy forms them a block of rows at a time and
+        reduces them together against the snapshot span.  The span only grows
+        during a pass, so a product the snapshot span contains would fail the
+        sequential `contains` check at its turn too: dropping it changes
+        nothing.  The sequential `contains`/`insert` runs on the rest in the
+        same (row, j) order, so the inserted rows, and with them
+        `relations.basis()`, are those of the one-product-at-a-time pass.
+        """
         for _ in range(64):
             changed = False
-            for row in list(nf.basis()):
-                support = [(i, c) for i, c in enumerate(row) if c]
-                for j in range(self.n):
-                    prod = [0] * self.n
-                    for i, c in support:
-                        hit = self._basis_product_raw(i, j)
-                        if hit is not None:
-                            coeff, idx = hit
-                            prod[idx] = (prod[idx] + c * coeff) % self.mod
-                    if any(prod) and not nf.contains(prod):
-                        nf.insert(prod)
-                        changed = True
+            for prod in self._products_outside(nf):
+                if not nf.contains(prod):
+                    nf.insert(prod)
+                    changed = True
             if not changed:
                 return
         raise PDError("relation closure failed to stabilize")
+
+    _PRODUCT_BLOCK = 1 << 18  # entries of one block of products
+
+    def _products_outside(self, nf: SpanNF) -> list:
+        """The nonzero products row * b_j outside nf, in the order (row of nf.basis(), j).
+
+        A row's term c * b_i times every b_j is c times row i of the
+        multiplication table.  Rows go in blocks of about _PRODUCT_BLOCK / n
+        terms; the distinct products (row, j) of a block, in sorted order,
+        are summed densely _PRODUCT_BLOCK / n at a time and reduced together.
+        """
+        n, mod = self.n, self.mod
+        acc = object if self._coef.dtype == object else np.int64
+        rows = np.array(nf.basis(), dtype=acc).reshape(-1, n)
+        per_block = max(1, self._PRODUCT_BLOCK // n)
+        terms_through = (rows != 0).sum(axis=1).cumsum()
+        out = []
+        start = 0
+        while start < len(rows):
+            stop = max(start + 1, int(np.searchsorted(terms_through, terms_through[start] + per_block)))
+            r, i = np.nonzero(rows[start:stop])
+            vals = self._coef[i].astype(acc) * rows[start + r, i][:, None] % mod
+            t, j = np.nonzero(vals)
+            keys, which = np.unique(r[t] * n + j, return_inverse=True)
+            for k0 in range(0, len(keys), per_block):
+                sel = np.flatnonzero((which >= k0) & (which < k0 + per_block))
+                prods = np.zeros((min(per_block, len(keys) - k0), n), dtype=acc)
+                np.add.at(prods, (which[sel] - k0, self._target[i[t[sel]], j[sel]]), vals[t[sel], j[sel]])
+                prods %= mod
+                prods = prods[(prods != 0).any(axis=1)]
+                if len(prods):
+                    out += prods[(nf.reduce_rows(prods) != 0).any(axis=1)].tolist()
+            start = stop
+        return out
 
     # -- canonical elements ----------------------------------------------------
 
@@ -287,31 +327,39 @@ class PDAlgebra:
     def equal(self, a, b) -> bool:
         return a == b
 
-    def _basis_product_raw(self, i: int, j: int):
-        """Product of basis elements i and j as (coefficient, basis index).
+    def _multiplication_table(self):
+        """Products of basis elements as two dense n x n arrays (coef, target).
 
         Structurally a product of divided monomials is a single divided
-        monomial again; returns None when it crosses the cap.  No relation
-        reduction happens here, so this is usable while the relation span is
-        still being built.
+        monomial again: b_i * b_j = coef[i, j] * b_target[i, j], with
+        coef[i, j] = 0 when the product crosses the cap or vanishes mod p^m.
+        No relation reduction happens here, so the table serves while the
+        relation span is still being built.  Narrow dtypes keep it at a few
+        bytes per pair.
         """
-        key = (i, j) if i <= j else (j, i)
-        if key in self._mult_cache:
-            return self._mult_cache[key]
-        (mu1, n1) = self.basis[key[0]]
-        (mu2, n2) = self.basis[key[1]]
-        out = None
-        nv = [a + b for a, b in zip(n1, n2)]
-        if sum(nv) < self.cap:
-            coeff = 1
-            for a, b in zip(n1, n2):
-                coeff *= math.comb(a + b, a)
-            exps = [x + y for x, y in zip(mu1, mu2)]
-            coeff, mu, nv = self._absorb(coeff, exps, nv)
-            if coeff is not None and coeff % self.mod:
-                out = (coeff % self.mod, self.index[(mu, tuple(nv))])
-        self._mult_cache[key] = out
-        return out
+        n = self.n
+        coef = np.zeros((n, n), dtype=work_dtype(self.mod))
+        target = np.zeros((n, n), dtype=int_dtype(n))
+        degree = [sum(nv) for _, nv in self.basis]
+        for i, (mu1, n1) in enumerate(self.basis):
+            for j in range(i, n):
+                if degree[i] + degree[j] >= self.cap:
+                    continue
+                mu2, n2 = self.basis[j]
+                c = 1
+                for a, b in zip(n1, n2):
+                    c *= math.comb(a + b, a)
+                exps = [x + y for x, y in zip(mu1, mu2)]
+                c, mu, nv = self._absorb(c, exps, [a + b for a, b in zip(n1, n2)])
+                if c is not None and c % self.mod:
+                    coef[i, j] = coef[j, i] = c % self.mod
+                    target[i, j] = target[j, i] = self.index[(mu, tuple(nv))]
+        return coef, target
+
+    def _basis_product_raw(self, i: int, j: int):
+        """b_i * b_j as (coefficient, basis index), or None: see `_multiplication_table`."""
+        c = self._coef.item(i, j)
+        return (c, self._target.item(i, j)) if c else None
 
     def _absorb(self, coeff: int, exps, nv):
         """Rewrite a plain monomial times divided part into basis form.
@@ -843,10 +891,7 @@ def pd_torsion_probe(env: PDAlgebra) -> TorsionReport:
         if not fresh.contains(pt):
             raise AssertionError("torsion candidate failed independent re-reduction")
         certified.append(t_norm)
-    if rel_rows:
-        _, _, _, evals = diagonalize(rel_rows, env.p, env.m)
-    else:
-        evals = []
+    evals = diagonalize(rel_rows, env.p, env.m)[3]
     free = env.n - sum(1 for e in evals if e < env.m)
     orders = [env.p ** e for e in evals if 0 < e < env.m]
     return TorsionReport((env.cap, env.m), certified, free, orders)

@@ -418,10 +418,16 @@ def _validate_command(cmd, frames, homs, windows):
                 raise ScenarioSemanticError(
                     f"verify {cmd[1]} takes {', '.join(defaults)}; got {tok!r}"
                 )
-            if not _fits_default(parse_verify_value(val), defaults[key]):
+            value = parse_verify_value(val)
+            if not _fits_default(value, defaults[key]):
                 raise ScenarioSemanticError(
                     f"verify {cmd[1]} {key} takes values like {defaults[key]!r}; got {val!r}"
                 )
+            rule = VERIFY_RANGES.get((cmd[1], key), VERIFY_RANGES.get(key))
+            if rule:
+                what, ok = rule
+                if not all(ok(x) for x in (value if isinstance(value, tuple) else (value,))):
+                    raise ScenarioSemanticError(f"verify {cmd[1]} {key} must be {what}; got {val!r}")
 
 
 def parse_verify_value(val: str):
@@ -432,6 +438,30 @@ def parse_verify_value(val: str):
         return int(val)
     except ValueError:
         return val
+
+
+def _is_prime(n: int) -> bool:
+    from .residues import is_prime
+
+    return is_prime(n)
+
+
+# The values each verify keyword's ints must take, by keyword or by (tag,
+# keyword): outside them the batteries raise (a non-prime, precision 0, a
+# cap below 2) or report a FAIL for an input they cannot take (rank 5, a
+# lift frame of precision 1).
+VERIFY_RANGES = {
+    ("win-phi-mod", "precision"): ("at least 2", lambda v: v >= 2),
+    "p": ("a prime", _is_prime),
+    "primes": ("primes", _is_prime),
+    "p_list": ("primes", _is_prime),
+    "precision": ("at least 1", lambda v: v >= 1),
+    "nmax": ("at least 1", lambda v: v >= 1),
+    "cap": ("at least 2", lambda v: v >= 2),
+    "rank": ("0, 1 or 2", lambda v: 0 <= v <= 2),
+    "chunk": ("at least 1", lambda v: v >= 1),
+    "min_instances": ("at least 0", lambda v: v >= 0),
+}
 
 
 def _fits_default(value, default) -> bool:

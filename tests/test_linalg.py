@@ -6,14 +6,127 @@ import pytest
 
 from crystaframe.linalg import (
     SpanNF,
-    _work_dtype,
+    _val,
     batch_kernel,
     diagonalize,
     kernel_basis,
     p_torsion_of_quotient,
     quotient_factor_orders,
     solve,
+    work_dtype,
 )
+
+
+# -- the scalar oracle ---------------------------------------------------------
+# The pure-Python elimination that `linalg` used before its numpy core.  The
+# library must reproduce its (U, D, V, evals), kernels and solutions exactly.
+
+
+def scalar_diagonalize(mat, p: int, m: int):
+    """Return (U, D, V, evals) with U*mat*V = D diagonal, D[k][k] = p^evals[k].
+
+    U and V are invertible over Z/p^m.  evals[k] = m encodes a zero pivot.
+    `mat` is a list of lists of ints; inputs are reduced mod p^m.
+    """
+    mod = p ** m
+    A = [[x % mod for x in row] for row in mat]
+    r = len(A)
+    c = len(A[0]) if r else 0
+    U = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+    V = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+    steps = min(r, c)
+    evals = []
+    for k in range(steps):
+        # minimal-valuation pivot in the trailing submatrix
+        best = (m + 1, k, k)
+        for i in range(k, r):
+            Ai = A[i]
+            for j in range(k, c):
+                v = _val(Ai[j], p, m)
+                if v < best[0]:
+                    best = (v, i, j)
+            if best[0] == 0:
+                break
+        e, pi, pj = best
+        if e >= m:
+            evals.append(m)
+            continue
+        if pi != k:
+            A[k], A[pi] = A[pi], A[k]
+            U[k], U[pi] = U[pi], U[k]
+        if pj != k:
+            for row in A:
+                row[k], row[pj] = row[pj], row[k]
+            for row in V:
+                row[k], row[pj] = row[pj], row[k]
+        pe = p ** e
+        unit = A[k][k] // pe
+        w = pow(unit, -1, mod)
+        A[k] = [(w * x) % mod for x in A[k]]
+        U[k] = [(w * x) % mod for x in U[k]]
+        for i in range(r):
+            if i == k:
+                continue
+            f = A[i][k] // pe
+            if f:
+                Ak, Ai, Uk, Ui = A[k], A[i], U[k], U[i]
+                for j in range(c):
+                    Ai[j] = (Ai[j] - f * Ak[j]) % mod
+                for j in range(r):
+                    Ui[j] = (Ui[j] - f * Uk[j]) % mod
+        for j in range(k + 1, c):
+            g = A[k][j] // pe
+            if g:
+                for i in range(r):
+                    A[i][j] = (A[i][j] - g * A[i][k]) % mod
+                for i in range(c):
+                    V[i][j] = (V[i][j] - g * V[i][k]) % mod
+        evals.append(e)
+    return U, A, V, evals
+
+
+def scalar_kernel_basis(mat, p: int, m: int):
+    """Generators of {x : mat*x = 0 mod p^m} as a list of int tuples."""
+    r = len(mat)
+    c = len(mat[0]) if r else 0
+    if c == 0:
+        return []
+    if r == 0:
+        return [tuple(1 if i == j else 0 for i in range(c)) for j in range(c)]
+    mod = p ** m
+    _, _, V, evals = scalar_diagonalize(mat, p, m)
+    gens = []
+    for j in range(c):
+        e = evals[j] if j < len(evals) else m
+        scale = p ** (m - e) if e > 0 else None
+        if scale is None:
+            continue
+        col = tuple((V[i][j] * scale) % mod for i in range(c))
+        if any(col):
+            gens.append(col)
+    return gens
+
+
+def scalar_solve(mat, rhs, p: int, m: int):
+    """One solution of mat*x = rhs mod p^m, or None; pair with kernel_basis."""
+    mod = p ** m
+    r = len(mat)
+    c = len(mat[0]) if r else 0
+    U, _, V, evals = scalar_diagonalize(mat, p, m)
+    y = [sum(U[i][k] * rhs[k] for k in range(r)) % mod for i in range(r)]
+    z = [0] * c
+    for i in range(r):
+        e = evals[i] if i < len(evals) else m
+        if e >= m:
+            if y[i] % mod:
+                return None
+            continue
+        pe = p ** e
+        if y[i] % pe:
+            return None
+        z[i] = y[i] // pe
+    x = [sum(V[i][j] * z[j] for j in range(c)) % mod for i in range(c)]
+    return tuple(x)
 
 
 def matmul(A, B, mod):
@@ -184,11 +297,21 @@ def test_spannf_reduced_basis_is_canonical():
             assert len(seen) == 1
 
 
-def span_key(gens, ncols, p, m):
-    nf = SpanNF(ncols, p, m)
-    for g in gens:
-        nf.insert(g)
-    return nf.reduced_basis()
+@pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (3, 21), (3, 40), (2, 64)])
+def test_spannf_reduce_rows_matches_reduce(p, m):
+    rng = random.Random(23)
+    mod = p ** m
+    for _ in range(20):
+        n = rng.randrange(1, 9)
+        nf = SpanNF(n, p, m)
+        for _ in range(rng.randrange(0, 5)):
+            nf.insert([rng.randrange(mod) * p ** rng.randrange(2) for _ in range(n)])
+        vecs = [[rng.randrange(-mod, 2 * mod) for _ in range(n)] for _ in range(12)]
+        vecs += [list(row) for row in nf.basis()]
+        assert nf.reduce_rows(vecs).tolist() == [list(nf.reduce(v)) for v in vecs]
+        # small entries make an int64 array even when p^m is past int64
+        small = [[rng.randrange(-9, 10) * p ** rng.randrange(2) for _ in range(n)] for _ in range(6)]
+        assert nf.reduce_rows(small).tolist() == [list(nf.reduce(v)) for v in small]
 
 
 # every system shape of the window-hom sweep, plus two non-square shapes
@@ -234,12 +357,14 @@ def test_batch_kernel_matches_scalar(p, m):
         assert gens.shape == (len(mats), c, c) and evals.shape == (len(mats), c)
         assert gens.dtype == evals.dtype == np.int64
         for n, M in enumerate(mats):
-            ev = diagonalize(M, p, m)[3]
+            ev = scalar_diagonalize(M, p, m)[3]
             assert evals[n].tolist() == ev + [m] * (c - len(ev))
             got = gens[n].T.tolist()
             for g in got:
                 assert all(sum(a * b for a, b in zip(row, g)) % mod == 0 for row in M)
-            assert span_key(got, c, p, m) == span_key(kernel_basis(M, p, m), c, p, m)
+            # the nonzero generators of non-unit pivots are the oracle's, in order
+            nonzero = [tuple(g) for g, e in zip(got, evals[n]) if e and any(g)]
+            assert nonzero == scalar_kernel_basis(M, p, m)
 
 
 def test_batch_kernel_reduces_its_input():
@@ -248,10 +373,66 @@ def test_batch_kernel_reduces_its_input():
     shift = 27 * rng.integers(-3, 3, size=mats.shape)
     for got, want in zip(batch_kernel(mats + shift, 3, 3), batch_kernel(mats, 3, 3)):
         assert np.array_equal(got, want)
+    # past int64 the reduction runs on Python ints; the input is still int64
+    mod = 3 ** 40
+    small = rng.integers(-30, 30, size=(20, 4, 4))
+    got, evals = batch_kernel(small, 3, 40)
+    for M, G, ev in zip(small.tolist(), got, evals):
+        M = [[x % mod for x in row] for row in M]
+        assert ev.tolist()[:4] == scalar_diagonalize(M, 3, 40)[3]
+        nonzero = [tuple(g) for g, e in zip(G.T.tolist(), ev) if e and any(g)]
+        assert nonzero == scalar_kernel_basis(M, 3, 40)
 
 
 def test_batch_kernel_work_dtype():
-    # the narrowest dtype holding (mod - 1)^2 + mod
-    assert _work_dtype(8) == np.int16
-    assert _work_dtype(181) == np.int16 and _work_dtype(182) == np.int32
-    assert _work_dtype(46341) == np.int32 and _work_dtype(46342) == np.int64
+    # the narrowest dtype holding (mod - 1)^2 + mod; Python ints past int64
+    assert work_dtype(8) == np.int16
+    assert work_dtype(181) == np.int16 and work_dtype(182) == np.int32
+    assert work_dtype(46341) == np.int32 and work_dtype(46342) == np.int64
+    assert work_dtype(3037000500) == np.int64 and work_dtype(3037000501) is object
+
+
+# Moduli on both sides of every work-dtype switch (169 | 243 int16 | int32,
+# 2^15 | 2^16 int32 | int64), past the lookup tables (3^11, computed
+# valuations and inverses in int64) and past int64 (3^21, Python ints): PD
+# frames have no carrier budget, so a high-precision scenario reaches them.
+ORACLE_MODULI = [
+    (2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (13, 2), (3, 5), (2, 15), (2, 16), (3, 11), (3, 21)
+]
+ORACLE_SHAPES = [(1, 3), (3, 1), (3, 3), (5, 8), (8, 5)]
+
+
+def with_zero_column(rng, M):
+    j = rng.randrange(len(M[0]))
+    return [row[:j] + [0] + row[j + 1 :] for row in M]
+
+
+@pytest.mark.parametrize("p,m", ORACLE_MODULI)
+def test_single_system_matches_scalar_oracle(p, m):
+    rng = random.Random(31 * p + m)
+    mod = p ** m
+    cases = [M for r, c in ORACLE_SHAPES for M in oracle_mats(rng, r, c, p, m, 4)]
+    cases += [with_zero_column(rng, M) for M in cases[::3]]
+    cases += oracle_mats(rng, 40, 70, p, m, 2)[1:2] + oracle_mats(rng, 70, 40, p, m, 1)[:1]
+    for M in cases:
+        r, c = len(M), len(M[0])
+        want = scalar_diagonalize(M, p, m)
+        assert diagonalize(M, p, m) == want
+        assert kernel_basis(M, p, m) == scalar_kernel_basis(M, p, m)
+        # inputs are reduced first, also past int64
+        shifted = [[x - mod * rng.choice((1, 3, 2 ** 50)) for x in row] for row in M]
+        assert diagonalize(shifted, p, m) == want
+        x0 = [rng.randrange(mod) for _ in range(c)]
+        solvable = [sum(a * b for a, b in zip(row, x0)) % mod for row in M]
+        unsolvable = [rng.randrange(mod) for _ in range(r)]
+        for b in (solvable, unsolvable):
+            assert solve(M, b, p, m) == scalar_solve(M, b, p, m)
+        assert solve(M, solvable, p, m) is not None
+
+
+def test_empty_systems_match_scalar_oracle():
+    for M in ([], [[], []]):
+        assert diagonalize(M, 2, 3) == scalar_diagonalize(M, 2, 3)
+        assert kernel_basis(M, 2, 3) == scalar_kernel_basis(M, 2, 3)
+    assert solve([], [], 2, 3) == scalar_solve([], [], 2, 3)
+    assert kernel_basis([[0, 0]], 2, 3) == scalar_kernel_basis([[0, 0]], 2, 3)

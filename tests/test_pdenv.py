@@ -240,3 +240,57 @@ def test_d_sigma_compatibility():
         lhs = diff.d(env.sigma(a))
         rhs = diff.dsigma(diff.d(a))
         assert lhs == rhs
+
+
+def scalar_closure(env, nf):
+    """The one-product-at-a-time closure pass: the oracle for the batched one."""
+    for _ in range(64):
+        changed = False
+        for row in list(nf.basis()):
+            support = [(i, c) for i, c in enumerate(row) if c]
+            for j in range(env.n):
+                prod = [0] * env.n
+                for i, c in support:
+                    hit = env._basis_product_raw(i, j)
+                    if hit is not None:
+                        coeff, idx = hit
+                        prod[idx] = (prod[idx] + c * coeff) % env.mod
+                if any(prod) and not nf.contains(prod):
+                    nf.insert(prod)
+                    changed = True
+        if not changed:
+            return
+    raise PDError("relation closure failed to stabilize")
+
+
+CLOSURE_PRESENTATIONS = [
+    (("x",), ((1,),)),
+    (("x", "y"), ((1, 0), (0, 1))),
+    (("x", "y"), ((2, 0), (1, 1), (0, 2))),
+]
+
+
+def check_closure_against_scalar(monkeypatch, pres):
+    env = build_pd_envelope(pres)
+    report = pd_torsion_probe(env)
+    with monkeypatch.context() as patch:
+        patch.setattr(type(env), "_close_under_multiplication", scalar_closure)
+        ref = build_pd_envelope(pres)
+        assert env.relations.basis() == ref.relations.basis()
+        assert report == pd_torsion_probe(ref)
+
+
+@pytest.mark.parametrize("variables,gens", CLOSURE_PRESENTATIONS, ids=["x", "x,y", "(x,y)^2"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_batched_closure_matches_scalar(monkeypatch, variables, gens, p):
+    for m in (2, 3):
+        for cap in (4, 5, 6):
+            check_closure_against_scalar(monkeypatch, PDPresentation(p, m, variables, gens, cap))
+
+
+@pytest.mark.parametrize("p,m", [(2, 40), (3, 40), (2, 64)])
+def test_batched_closure_matches_scalar_past_int64(monkeypatch, p, m):
+    # products of two coefficients pass int64, so the arrays hold Python ints;
+    # at 3^40 and 2^64 the modulus itself does too
+    variables, gens = CLOSURE_PRESENTATIONS[2]
+    check_closure_against_scalar(monkeypatch, PDPresentation(p, m, variables, gens, 4))

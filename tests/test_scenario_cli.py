@@ -113,6 +113,15 @@ def test_cli_golden_report_byte_identical(tmp_path):
     assert out.read_bytes() == golden.read_bytes()
 
 
+def test_cli_pd_desk_golden_report_byte_identical(tmp_path):
+    # pins the torsion-probe and solve-connection bytes
+    golden = ROOT / "scenarios" / "golden" / "pd_desk.json"
+    out = tmp_path / "fresh.json"
+    code = main(["run", str(SCN / "pd_desk.scn"), "--report", str(out)])
+    assert code == 0
+    assert out.read_bytes() == golden.read_bytes()
+
+
 def test_cli_exit_codes(tmp_path):
     bad = tmp_path / "bad.scn"
     bad.write_text("format_version 1\nthisisnota directive\n")
@@ -165,6 +174,12 @@ command validate Q
         "command verify sigma1-formula nmax=x",
         "command verify pd-axioms cap=1,2",
         "command verify gamma-vp primes=2,x",
+        # values of the right type but out of range
+        "command verify pd-axioms p=4",
+        "command verify pd-axioms precision=0",
+        "command verify sigma1-formula nmax=-1",
+        "command verify win-phi-mod rank=5",
+        "command verify win-phi-mod precision=1",
     )):
         scn = tmp_path / f"shape_{k}.scn"
         scn.write_text(MINIMAL + windows + line + "\n")
