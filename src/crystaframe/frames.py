@@ -97,6 +97,8 @@ def frame_axiom_failures(frame: Frame, budget: int, n_samples: int, seed: int):
     and sigma is Frobenius mod p.  A failure is an (axiom, repr) pair.
     """
     gens = frame.ideal_spanning(budget)
+    if not gens:
+        raise BudgetError("no nonzero ideal generator within the enumeration budget")
     failures = [("p-sigma1", repr(g)) for g in gens if not frame.frame_axiom_p_sigma1(g)]
     samples = frame.sample_elements(n_samples, seed=seed)
     cod = frame.sigma1_codomain

@@ -27,8 +27,9 @@ ignored.  Directives:
     command verify <tag> [key=value ...]
 
 Monomials use `*` and `^` with optional fractional exponents: x, x^2,
-x^2*y, Y^1/2.  All three budgets are mandatory; enumerating operations
-refuse to exceed them.  Budget defaults can be overridden through the
+x^2*y, Y^1/2.  A ring, frame or hom directive with a missing or unknown
+key is a parse error.  All three budgets are mandatory and at least 1;
+enumerating operations refuse to exceed them.  Budget defaults can be overridden through the
 CRYSTAFRAME_MAX_CARRIER / _MAX_ENUM / _MAX_CAP environment variables.
 """
 
@@ -98,6 +99,37 @@ def parse_monomial(token: str, line_no=None):
     return out
 
 
+# the keys each frame kind takes, (required, optional); the integer-valued
+# ones are converted at parse time
+_FRAME_KEYS = {
+    "witt": (("ring", "length"), ()),
+    "lift": ((), ("precision",)),
+    "quotient": (("ring", "length", "ideal"), ()),
+    "pd": (("vars", "gens", "cap"), ("precision",)),
+}
+_FRAME_INT_KEYS = ("length", "precision", "cap")
+
+
+def _frame_keyvals(tokens, line_no):
+    kv = _keyvals(tokens, line_no)
+    if "kind" not in kv:
+        raise ScenarioParseError("frame needs a kind", line_no)
+    if kv["kind"] in _FRAME_KEYS:
+        required, optional = _FRAME_KEYS[kv["kind"]]
+        missing = [k for k in required if k not in kv]
+        unknown = sorted(set(kv) - {"kind", *required, *optional})
+        if missing or unknown:
+            raise ScenarioParseError(
+                f"frame kind {kv['kind']} takes {', '.join(required + optional)}; "
+                f"missing {missing}, unknown {unknown}",
+                line_no,
+            )
+    for key in _FRAME_INT_KEYS:
+        if key in kv:
+            kv[key] = int(kv[key])
+    return kv
+
+
 def _keyvals(tokens, line_no):
     if len(tokens) % 2:
         raise ScenarioParseError("expected key value pairs", line_no)
@@ -131,11 +163,15 @@ def parse_scenario(text: str) -> Scenario:
             elif head == "ring":
                 name = tokens[1]
                 kv = _keyvals(tokens[2:], line_no)
+                if not set(kv) <= {"field", "vars", "total_cap"}:
+                    raise ScenarioParseError("ring takes field, vars and total_cap", line_no)
                 spec = {"field": kv.get("field", "Fp"), "vars": []}
                 if "vars" in kv:
                     for piece in kv["vars"].split(","):
                         parts = piece.split(":")
                         vname = parts[0]
+                        if not vname.isidentifier() or len(parts) > 3:
+                            raise ScenarioParseError(f"bad variable {piece!r}", line_no)
                         depth = int(parts[1]) if len(parts) > 1 else 0
                         cap = Fraction(parts[2]) if len(parts) > 2 else None
                         spec["vars"].append((vname, depth, cap))
@@ -143,15 +179,12 @@ def parse_scenario(text: str) -> Scenario:
                     spec["total_cap"] = Fraction(kv["total_cap"])
                 sc.rings[name] = spec
             elif head == "frame":
-                name = tokens[1]
-                kv = _keyvals(tokens[2:], line_no)
-                if "kind" not in kv:
-                    raise ScenarioParseError("frame needs a kind", line_no)
-                sc.frames[name] = kv
+                sc.frames[tokens[1]] = _frame_keyvals(tokens[2:], line_no)
             elif head == "hom":
-                name = tokens[1]
                 kv = _keyvals(tokens[2:], line_no)
-                sc.homs[name] = kv
+                if sorted(kv) != ["from", "kind", "to"]:
+                    raise ScenarioParseError("hom takes from, to and kind", line_no)
+                sc.homs[tokens[1]] = kv
             elif head == "window":
                 name = tokens[1]
                 kv = _keyvals(tokens[2:], line_no)
@@ -220,6 +253,8 @@ def _build_objects(sc: Scenario):
     for key in ENV_BUDGETS:
         if key not in sc.budgets:
             raise ScenarioSemanticError(f"mandatory budget {key!r} missing")
+        if sc.budgets[key] < 1:
+            raise ScenarioSemanticError(f"budget {key!r} must be at least 1")
     max_cap = sc.budgets["max_cap"]
 
     rings = {}
@@ -244,31 +279,49 @@ def _build_objects(sc: Scenario):
         for (v, depth, cap) in spec["vars"]:
             if cap is not None and cap > max_cap:
                 raise BudgetExceeded(f"variable cap {cap} exceeds max_cap")
-        rings[name] = MonomialAlgebra(cf, spec["vars"], total_cap=spec.get("total_cap"))
+        try:
+            rings[name] = MonomialAlgebra(cf, spec["vars"], total_cap=spec.get("total_cap"))
+        except ValueError as exc:
+            raise ScenarioSemanticError(f"ring {name!r}: {exc}") from exc
 
     frames = {}
     for name, kv in sc.frames.items():
         kind = kv["kind"]
         if kind == "witt":
             R = _lookup(rings, kv["ring"], "ring")
-            fr = witt_frame(R, int(kv["length"]))
+            # gated before it is built: the universal polynomials grow with the length
+            if _power_exceeds(R.size(), kv["length"], sc.budgets["max_carrier"]):
+                raise BudgetExceeded(f"frame {name!r} carrier exceeds max_carrier")
+            fr = witt_frame(R, kv["length"])
         elif kind == "lift":
-            m = int(kv.get("precision", sc.precision))
+            m = kv.get("precision", sc.precision)
+            if m < 2:
+                raise ScenarioSemanticError(f"frame {name!r}: lift precision must be at least 2")
+            if _power_exceeds(sc.prime, m, sc.budgets["max_carrier"]):
+                raise BudgetExceeded(f"frame {name!r} carrier exceeds max_carrier")
             fr = lift_frame(Residues(sc.prime, m))
         elif kind == "quotient":
             S = _lookup(rings, kv["ring"], "ring")
+            n = kv["length"]
+            if n < 2:
+                raise ScenarioSemanticError(f"frame {name!r}: quotient length must be at least 2")
+            # A(K_*) contains Z/p^n for a proper K_*: a lower bound, checked first
+            if _power_exceeds(sc.prime, n, sc.budgets["max_carrier"]):
+                raise BudgetExceeded(f"frame {name!r} carrier exceeds max_carrier")
             gens = []
             for tok in kv["ideal"].split(","):
                 mono = parse_monomial(tok)
                 elt = S.one
                 for v, e in mono:
+                    if v not in S.names:
+                        raise ScenarioSemanticError(f"ideal {tok!r}: {v!r} is not a variable of the ring")
                     elt = S.mul(elt, S.gen(v, power=e))
                 gens.append(elt)
-            seq = AdmissibleSequence.minimal(S, gens, int(kv["length"]))
-            fr = admissible_quotient_frame(seq, int(kv["length"]))
+            seq = AdmissibleSequence.minimal(S, gens, n)
+            fr = admissible_quotient_frame(seq, n)
         elif kind == "pd":
             variables = tuple(kv["vars"].split(","))
-            cap = int(kv["cap"])
+            cap = kv["cap"]
             if cap > max_cap:
                 raise BudgetExceeded(f"cap {cap} exceeds max_cap")
             gen_vecs = []
@@ -282,7 +335,9 @@ def _build_objects(sc: Scenario):
                         raise ScenarioSemanticError(f"pd generator {tok!r}: {v!r} is not in vars")
                     vec[variables.index(v)] += int(e)
                 gen_vecs.append(tuple(vec))
-            m = int(kv.get("precision", sc.precision))
+            m = kv.get("precision", sc.precision)
+            if m < 1:
+                raise ScenarioSemanticError(f"frame {name!r}: pd precision must be at least 1")
             env = build_pd_envelope(PDPresentation(sc.prime, m, variables, tuple(gen_vecs), cap))
             fr = pd_frame(env)
         else:
@@ -334,6 +389,16 @@ def _build_objects(sc: Scenario):
     for cmd in sc.commands:
         _validate_command(cmd, frames, homs, windows)
     return {"rings": rings, "frames": frames, "homs": homs, "windows": windows}
+
+
+def _power_exceeds(q: int, n: int, bound: int) -> bool:
+    """q^n > bound for q >= 2, without forming q^n for a large n."""
+    size = 1
+    for _ in range(n):
+        size *= q
+        if size > bound:
+            return True
+    return False
 
 
 def _lookup(table, name, kind):
@@ -401,6 +466,9 @@ def _validate_command(cmd, frames, homs, windows):
         fr = _lookup(frames, cmd[1], "frame")
         if fr.kind != "pd":
             raise ScenarioSemanticError("solve-connection needs a pd frame")
+        if fr.env.cap < 4:
+            # each produced connection gets a curvature certificate, two cap levels down
+            raise ScenarioSemanticError("solve-connection needs a pd frame of cap at least 4")
         _lookup(windows, cmd[2], "window")
     elif op == "torsion-probe":
         fr = _lookup(frames, cmd[1], "frame")

@@ -14,10 +14,13 @@ coordinate carriers, Z/p^m included, are solved linearly; carriers without
 coordinates (Witt, quotient) are exhausted.
 
 Isomorphism testing is by solving for an invertible hom (unit scan on the
-hom space mod p), never by invariants.  Classification enumerates candidate
-Psi up to the twisted right-action Psi -> G Psi W(G)^{-1} of the
-filtration-preserving invertibles; over Z/p^m carriers the orbits are
-found as connected components of vectorised index maps.
+hom space mod p), never by invariants.  Over Z/p^m carriers classification
+finds the orbits of candidate Psi under the twisted right-action
+Psi -> G Psi W(G)^{-1} of the filtration-preserving invertibles, as
+connected components of vectorised index maps.  Witt and quotient carriers
+are classified by pairwise hom scans instead: each invertible Psi is tested
+for isomorphism against the representatives found so far, on the Witt
+arithmetic that finite carriers memoise (see `witt`).
 """
 
 from __future__ import annotations

@@ -6,6 +6,15 @@ any non-exact division is a fatal bug, and the ghost identities are also
 re-checked symbolically when the cache is built.  Witt vectors themselves
 are plain component tuples over their base ring, and all arithmetic is
 evaluation of the cached polynomials.
+
+Over a finite base (one with `elements` and `size`, as `MonomialAlgebra`
+has) a `WittRing` also memoises add, mul, neg and frobenius_charp on the
+exact operand tuples, one table per operation and per ring instance.  The
+tables start empty and hold at most |W_n(R)|^2 entries, so repeated
+arithmetic on a desk-scale carrier (window hom scans, Witt and quotient
+frames) evaluates each universal polynomial once per operand pair.
+Infinite bases such as `IntPolyRing` hold unhashable elements and always
+evaluate directly.
 """
 
 from __future__ import annotations
@@ -95,6 +104,8 @@ class WittRing:
         self.n = n
         self.p = base.p if p is None else p
         self.cache = witt_cache(self.p, n)
+        finite = hasattr(base, "elements") and hasattr(base, "size")
+        self._memo = {op: {} for op in ("add", "mul", "neg", "frob")} if finite else None
 
     def __repr__(self):
         return f"W_{self.n}({self.base!r})"
@@ -130,17 +141,28 @@ class WittRing:
         R = self.cache.ring
         return tuple(R.evaluate_in(f, self.base, values) for f in polys)
 
+    def _memoised(self, op, compute, *args):
+        """compute(*args), looked up first in this ring's table for op."""
+        if self._memo is None:
+            return compute(*args)
+        table = self._memo[op]
+        key = tuple(tuple(a) for a in args)
+        out = table.get(key)
+        if out is None:
+            out = table[key] = compute(*args)
+        return out
+
     def add(self, x, y):
         self._check(x, y)
-        return self._eval(self.cache.S, x, y)
+        return self._memoised("add", lambda a, b: self._eval(self.cache.S, a, b), x, y)
 
     def mul(self, x, y):
         self._check(x, y)
-        return self._eval(self.cache.P, x, y)
+        return self._memoised("mul", lambda a, b: self._eval(self.cache.P, a, b), x, y)
 
     def neg(self, x):
         self._check(x)
-        return self._eval(self.cache.N, x, x)
+        return self._memoised("neg", lambda a: self._eval(self.cache.N, a, a), x)
 
     def sub(self, x, y):
         return self.add(x, self.neg(y))
@@ -151,29 +173,22 @@ class WittRing:
                 raise ValueError("carrier mismatch: wrong Witt length")
 
     def embed_int(self, k: int):
-        """k * 1 by double-and-add; k may be negative."""
-        if k < 0:
-            return self.neg(self.embed_int(-k))
-        acc = self.zero
-        base = self.one
-        while k:
-            if k & 1:
-                acc = self.add(acc, base)
-            base = self.add(base, base)
-            k >>= 1
-        return acc
+        """k * 1; k may be negative."""
+        return self.int_mul(k, self.one)
 
     def int_mul(self, k: int, x):
+        """k * x by double-and-add, with no additions of zero and no unused
+        doubling; k may be negative."""
         if k < 0:
             return self.neg(self.int_mul(-k, x))
-        acc = self.zero
-        base = x
+        acc = None
         while k:
             if k & 1:
-                acc = self.add(acc, base)
-            base = self.add(base, base)
+                acc = x if acc is None else self.add(acc, x)
             k >>= 1
-        return acc
+            if k:
+                x = self.add(x, x)
+        return self.zero if acc is None else acc
 
     def equal(self, x, y):
         return x == y
@@ -205,7 +220,7 @@ class WittRing:
         restriction agrees with the universal truncated F.
         """
         self._check(x)
-        return tuple(self.base.frobenius(a) for a in x)
+        return self._memoised("frob", lambda a: tuple(self.base.frobenius(c) for c in a), x)
 
     def restrict(self, x, k: int):
         """The truncation ring map W_n -> W_k (k <= n)."""

@@ -1,9 +1,12 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from crystaframe.cli import main
 from crystaframe.report import Report
@@ -192,6 +195,35 @@ command validate Q
         (MINIMAL + "frame D kind pd vars x gens x^0 cap 3\n", 3),
         (MINIMAL + "ring S field Fp vars x:0:1/0\n", 2),
         (MINIMAL + "frame D kind pd vars x gens x^1/0 cap 3\n", 2),
+        # frame, ring and hom keys are checked when parsed, ranges when built
+        (MINIMAL + "frame M kind lift precison 3\n", 2),
+        (MINIMAL + "frame M kind lift precision x\n", 2),
+        (MINIMAL + "frame M kind lift precision 0\n", 3),
+        (MINIMAL + "frame D kind pd vars x gens x\n", 2),
+        (MINIMAL + "frame D kind pd vars x gens x cap 5 precision 0\n", 3),
+        (MINIMAL + "hom h from L\n", 2),
+        (MINIMAL + "ring S field Fp vars -1\n", 2),
+        (MINIMAL + "ring S field Fp vars y\n", 3),
+        (MINIMAL + "ring S field Fp vars y:1:1\nframe Q kind quotient ring S length 2 ideal z\n", 3),
+        (MINIMAL + "ring S field Fp vars y:1:1\nframe Q kind quotient ring S length -1 ideal y\n", 3),
+        (MINIMAL.replace("max_enum 1048576", "max_enum 0"), 3),
+        (
+            MINIMAL + "frame D kind pd vars x gens x cap 3\nwindow u frame D d 0 t 1 psi 1\n"
+            "command solve-connection D u\n",
+            3,
+        ),
+        # Witt lengths and lift precisions meet the carrier budget before
+        # any polynomial or modulus is built
+        (MINIMAL + "frame M kind lift precision 1000000000\n", 4),
+        (MINIMAL + "ring R field Fp\nframe W kind witt ring R length 65536\n", 4),
+        (MINIMAL + "ring S field Fp vars y:1:1\nframe Q kind quotient ring S length 65536 ideal y\n", 4),
+        # no nonzero ideal generator within max_enum 1
+        (
+            MINIMAL.split("frame L")[0].replace("max_enum 1048576", "max_enum 1")
+            + "ring S field Fp vars Y:2:2\nframe Q kind quotient ring S length 2 ideal Y\n"
+            "command validate Q\n",
+            4,
+        ),
     )):
         scn = tmp_path / f"object_{k}.scn"
         scn.write_text(text)
@@ -251,3 +283,54 @@ def test_console_entrypoint():
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+# -- exit-code fuzz: one-token mutations of the bundled scenarios -------------
+
+# Replacements sit at the edges of the range checks or are not values at all.
+# None enlarges a value, so every mutant stays as cheap as its scenario.
+EDGE_TOKENS = ["-1", "0", "1", "x", "#", "1/2", "1/0", "x^0", ",", "="]
+
+
+@st.composite
+def mutated_scenario(draw):
+    path = draw(st.sampled_from(sorted(SCN.glob("*.scn"))))
+    lines = path.read_text().splitlines()
+    spots = [
+        (i, j)
+        for i, line in enumerate(lines)
+        if not line.startswith("#")
+        for j in range(len(line.split()))
+    ]
+    i, j = draw(st.sampled_from(spots))
+    tokens = lines[i].split()
+    edit = draw(st.sampled_from(["replace", "delete", "duplicate", "swap"]))
+    if edit == "replace":
+        tokens[j] = draw(st.sampled_from(EDGE_TOKENS))
+    elif edit == "delete":
+        del tokens[j]
+    elif edit == "duplicate":
+        tokens.insert(j, tokens[j])
+    else:
+        k = (j + 1) % len(tokens)
+        tokens[j], tokens[k] = tokens[k], tokens[j]
+    lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@given(text=mutated_scenario())
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_mutated_scenarios_keep_the_exit_code_contract(text, tmp_path):
+    scn = tmp_path / "mutant.scn"
+    scn.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["run", str(scn)])
+    assert code in (0, 1, 2, 3, 4), text
+    assert "Traceback" not in err.getvalue(), text

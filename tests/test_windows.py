@@ -8,7 +8,7 @@ from crystaframe import windows
 from crystaframe.frames import BudgetError, FrameHom, lift_frame, witt_frame
 from crystaframe.homsweep import _build_systems, _phi_scaled
 from crystaframe.linalg import SpanNF, batch_kernel
-from crystaframe.matrices import identity, is_invertible, mat, mat_mul
+from crystaframe.matrices import identity, is_invertible, mat, mat_map, mat_mul
 from crystaframe.monomial import MonomialAlgebra
 from crystaframe.nabla import NablaContext, square_zero_frame
 from crystaframe.pdenv import PDPresentation, build_pd_envelope, pd_frame
@@ -214,6 +214,54 @@ def test_witt_frame_rank1_classification():
     table = classify_windows(fr, 1, budget=1 << 12)
     # W_2(F_2) = Z/4 with sigma = id on it: same 4 classes as the lift frame
     assert len(table.classes) == 4
+
+
+def witt_prime_frame(p, n):
+    return witt_frame(MonomialAlgebra(Residues(p, 1), []), n)
+
+
+def class_shape(table, d=None):
+    """The sorted (d, orbit_size) pairs of a class table, optionally of one d."""
+    return sorted((c.d, c.orbit_size) for c in table.classes if d is None or c.d == d)
+
+
+@pytest.mark.parametrize("p, n", [(2, 2), (3, 2), (2, 3)])
+def test_witt_rank1_tables_match_lift_frame(p, n):
+    # W_n(F_p) is Z/p^n with sigma = id: a cross-frame oracle at rank 1
+    witt = classify_windows(witt_prime_frame(p, n), 1)
+    lift = classify_windows(zframe(p, n), 1)
+    assert class_shape(witt) == class_shape(lift)
+
+
+@pytest.mark.slow
+def test_witt_rank2_table_against_lift_frame_z4():
+    """W_2(F_2) against Z/4 at rank 2 (about 35 s).
+
+    d = 0 and d = 2 agree.  d = 1 does not: the Witt frame compares
+    L-columns exactly one level down, in W_1, while Z/p^m admits existential
+    sigma1 witnesses at full length.  Each Witt class of d = 1 holds two lift
+    classes (the FOUND line on d = 1 rank-2 tables in CHANGES.md).
+    """
+    wf = witt_prime_frame(2, 2)
+    witt = classify_windows(wf, 2, budget=1 << 22)
+    lift = classify_windows(zframe(2, 2), 2)
+    for d in (0, 2):
+        assert class_shape(witt, d) == class_shape(lift, d)
+        assert len(class_shape(witt, d)) == 14
+    assert class_shape(witt, 1) == [(1, 16), (1, 16), (1, 32), (1, 32)]
+    assert class_shape(lift, 1) == [(1, 8)] * 4 + [(1, 16)] * 4
+    # carry each lift class along the ring isomorphism Z/4 -> W_2(F_2)
+    witt1 = [c for c in witt.classes if c.d == 1]
+    merged = [[] for _ in witt1]
+    for c in lift.classes:
+        if c.d != 1:
+            continue
+        img = Window(wf, c.d, c.t, mat_map(wf.A.embed_int, c.psi))
+        hits = [k for k, r in enumerate(witt1) if are_isomorphic(img, Window(wf, r.d, r.t, r.psi))]
+        assert len(hits) == 1
+        merged[hits[0]].append(c.orbit_size)
+    for c, sizes in zip(witt1, merged):
+        assert len(sizes) == 2 and sum(sizes) == c.orbit_size
 
 
 def eps_frames():
@@ -504,6 +552,16 @@ def test_linear_hom_space_matches_bruteforce():
                 v, w = rng.choice(buckets[kv]), rng.choice(buckets[kw])
                 for mode in rng.sample(["window", "phi_module"], modes):
                     assert_linear_matches_bruteforce(v, w, mode, p, m)
+
+
+@pytest.mark.slow
+def test_linear_hom_space_matches_bruteforce_all_z4_pairs():
+    # every ordered pair of rank <= 2 classes over Z/4, both modes (about 30 s)
+    fr = zframe(2, 2)
+    reps = class_windows(fr, 1) + class_windows(fr, 2)
+    for v, w in iproduct(reps, repeat=2):
+        for mode in ("window", "phi_module"):
+            assert_linear_matches_bruteforce(v, w, mode, 2, 2)
 
 
 def random_windows(fr, rng, rank, d, n):

@@ -1,12 +1,16 @@
 import random
 import time
+from pathlib import Path
 
 import pytest
 
 from crystaframe.intpoly import IntPolyRing
 from crystaframe.monomial import MonomialAlgebra
 from crystaframe.residues import GaloisField, Residues
+from crystaframe.scenario import parse_scenario, validate_scenario
 from crystaframe.witt import WittRing, witt_arith, witt_cache, witt_structure
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def F2():
@@ -200,3 +204,74 @@ def test_cache_build_time_budget():
         for n in range(2, 5):
             witt_cache(p, n)
     assert time.time() - t0 < 10.0
+
+
+# -- the per-ring memo of finite bases ------------------------------------------
+
+
+def direct_ops(W, x, y):
+    """add, mul, neg and frobenius_charp of W by direct evaluation, no memo."""
+    c = W.cache
+    return (
+        W._eval(c.S, x, y),
+        W._eval(c.P, x, y),
+        W._eval(c.N, x, x),
+        tuple(W.base.frobenius(a) for a in x),
+    )
+
+
+def memo_sizes(W):
+    return {op: len(table) for op, table in W._memo.items()}
+
+
+@pytest.mark.parametrize(
+    "base,n",
+    [
+        (MonomialAlgebra(GaloisField(2, 2), []), 2),
+        (MonomialAlgebra(Residues(2, 1), [("e", 0, 2)]), 2),
+        (F2(), 3),
+    ],
+    ids=["W2(F4)", "W2(F2[e])", "W3(F2)"],
+)
+def test_memoised_arithmetic_matches_direct_evaluation(base, n):
+    W = WittRing(base, n)
+    assert memo_sizes(W) == {"add": 0, "mul": 0, "neg": 0, "frob": 0}
+    pool = list(W.elements())
+    for warm in (False, True):
+        for x in pool:
+            for y in pool:
+                add, mul, neg, frob = direct_ops(W, x, y)
+                assert W.add(x, y) == add, (warm, x, y)
+                assert W.mul(x, y) == mul, (warm, x, y)
+                assert W.neg(x) == neg, (warm, x)
+                assert W.frobenius_charp(x) == frob, (warm, x)
+                # componentwise phi restricts to the universal truncated F
+                assert frob[: n - 1] == W.frobenius(x)
+        k = len(pool)
+        assert memo_sizes(W) == {"add": k * k, "mul": k * k, "neg": k, "frob": k}
+
+
+def test_memoised_quotient_carrier_matches_direct_evaluation():
+    text = (ROOT / "scenarios" / "witt_frame_f2.scn").read_text()
+    Q = validate_scenario(parse_scenario(text))["frames"]["Q"].A
+    W = Q.W
+    assert W._memo is not None
+    # |Q| = 4096: every ordered pair of a seeded 16-element sample
+    rng = random.Random(11)
+    pool = rng.sample(list(Q.elements()), 16)
+    for warm in (False, True):
+        for x in pool:
+            for y in pool:
+                add, mul, neg, frob = direct_ops(W, x, y)
+                assert Q.add(x, y) == Q.reduce(add), (warm, x, y)
+                assert Q.mul(x, y) == Q.reduce(mul), (warm, x, y)
+                assert Q.neg(x) == Q.reduce(neg), (warm, x)
+                assert W.frobenius_charp(x) == frob, (warm, x)
+
+
+def test_infinite_bases_evaluate_directly():
+    ring = IntPolyRing(("a",))
+    W = WittRing(ring, 2, 2)
+    assert W._memo is None
+    x = (ring.gen("a"), ring.const(1))
+    assert W.add(x, x) == W._eval(W.cache.S, x, x)
