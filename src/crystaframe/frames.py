@@ -589,6 +589,7 @@ class QuotientFrame(Frame):
         self.residue_ring = MonomialIdealQuotient(seq.S, seq, 0)
         self.name = f"quotient({carrier!r})"
         self.p_elt = carrier.embed_int(self.p)
+        self._p_image: set | None = None
         if n >= 2:
             self._codomain = QuotientCarrier(seq, n - 1)
         else:
@@ -649,22 +650,30 @@ class QuotientFrame(Frame):
     def sample_elements(self, k: int, seed: int = 0):
         return _deterministic_sample(self.A, k, seed)
 
+    def p_image_set(self):
+        """p*A(K_*) as a set, built once per frame.
+
+        Over a characteristic-p ring S, p = VF on W_n(S), so the image of x
+        is the shift of its componentwise Frobenius, with no Witt additions;
+        other coefficient rings multiply by p.
+        """
+        if self._p_image is None:
+            A, W, S = self.A, self.A.W, self.seq.S
+            if S.embed_int(self.p) == S.zero:
+
+                def times_p(x):
+                    return A.reduce(W.verschiebung(tuple(S.frobenius(c) for c in x[:-1])))
+
+            else:
+
+                def times_p(x):
+                    return A.int_mul(self.p, x)
+
+            self._p_image = {times_p(x) for x in A.elements()}
+        return self._p_image
+
     def eq_mod_p(self, x, y) -> bool:
-        d = self.A.sub(x, y)
-        return d in _p_image_cached(self)
-
-
-_P_IMAGE_CACHE: dict = {}
-
-
-def _p_image_cached(frame: QuotientFrame):
-    key = id(frame)
-    if key not in _P_IMAGE_CACHE:
-        img = set()
-        for x in frame.A.elements():
-            img.add(frame.A.int_mul(frame.p, x))
-        _P_IMAGE_CACHE[key] = img
-    return _P_IMAGE_CACHE[key]
+        return self.A.sub(x, y) in self.p_image_set()
 
 
 def admissible_quotient_frame(seq: AdmissibleSequence, n: int) -> QuotientFrame:

@@ -12,7 +12,16 @@ it on the many small systems of the window-hom sweep; `diagonalize`,
 `kernel_basis` and `solve` run it on one system (N = 1).  The column
 transform V always comes out.  The row transform acts only on an array the
 caller passes in: `diagonalize` passes the identity to get U, `solve` its
-right-hand side to get U*rhs.  Kernels never build U.
+right-hand side to get U*rhs (`solve_affine` takes the kernel from the
+same elimination).  Kernels never build U.
+
+Layout: `_eliminate` holds the systems on the last axis, (r, c, N), so
+every step is a contiguous pass over all N systems.  `batch_kernel` keeps
+its (N, r, c) interface: a caller that builds its stack system-last (the
+lemma sweep does) passes the `transpose(2, 0, 1)` view, whose one copy
+into the work dtype then reads memory in order; any other stack is
+transposed by that copy.  Its outputs are int64 (object beyond int64) views of the
+system-last results.
 
 Work dtype: every intermediate lies within (p^m - 1)^2 + p^m of zero, so
 int16 serves p^m <= 181, int32 p^m <= 46,341 and int64 p^m <= 3,037,000,500.
@@ -97,7 +106,11 @@ def kernel_basis(mat, p: int, m: int):
         return []
     if r == 0:
         return [tuple(1 if i == j else 0 for i in range(c)) for j in range(c)]
-    G, evals = _eliminate(A, p, m, kernel=True)
+    return _kernel_columns(*_eliminate(A, p, m, kernel=True))
+
+
+def _kernel_columns(G, evals):
+    """The nonzero generators of non-unit pivots, from `_eliminate(kernel=True)`."""
     G, evals = G[:, :, 0], evals[:, 0]
     keep = (evals > 0) & (G != 0).any(axis=0)
     return [tuple(g) for g in G.T[keep].tolist()]
@@ -105,30 +118,49 @@ def kernel_basis(mat, p: int, m: int):
 
 def solve(mat, rhs, p: int, m: int):
     """One solution of mat*x = rhs mod p^m, or None; pair with kernel_basis."""
+    return _solve(mat, rhs, p, m, kernel=False)[0]
+
+
+def solve_affine(mat, rhs, p: int, m: int):
+    """(solve(mat, rhs), kernel_basis(mat)) from one elimination.
+
+    The right-hand side rides along as U and never steers the pivoting, so
+    the column transform and pivot exponents are those `kernel_basis`
+    computes, and so are the generators, bit for bit.
+    """
+    return _solve(mat, rhs, p, m, kernel=True)
+
+
+def _solve(mat, rhs, p: int, m: int, kernel: bool):
     mod = p ** m
     A = _one_system(mat, p, m)
     r, c, _ = A.shape
     if r == 0:
-        return ()
+        return (), []
     y = _one_system([[b] for b in rhs], p, m)
     V, evals = _eliminate(A, p, m, U=y)
+    gens = []
+    if kernel and c:
+        G = V.copy()
+        _scale_to_kernel(G, evals, p, m, mod_reducer(mod, np.empty_like(G)))
+        gens = _kernel_columns(G, evals)
     y, evals = y[:, 0, 0].tolist(), evals[:, 0].tolist()
     z = [0] * c
     for i in range(r):
         e = evals[i] if i < c else m
         if e >= m:
             if y[i]:
-                return None
+                return None, gens
             continue
         pe = p ** e
         if y[i] % pe:
-            return None
+            return None, gens
         z[i] = y[i] // pe
     x = np.zeros(c, dtype=A.dtype)
     for j, zj in enumerate(z):
         if zj:
             x = (x + V[:, j, 0] * zj) % mod
-    return tuple(x.tolist())
+    return tuple(x.tolist()), gens
 
 
 class SpanNF:
@@ -407,48 +439,38 @@ def _computed_ops(p: int, m: int):
     return val, inv, ppow
 
 
-_BLOCK = 512  # systems per block of a transposing copy; a block fits in cache
-
-
-def _to_columns(src: np.ndarray, dt) -> np.ndarray:
-    """(N, k) -> (k, N) in dtype dt, copied blockwise."""
-    n, k = src.shape
-    out = np.empty((k, n), dtype=dt)
-    for s in range(0, n, _BLOCK):
-        out[:, s : s + _BLOCK] = src[s : s + _BLOCK].T
-    return out
-
-
-def _to_rows(src: np.ndarray) -> np.ndarray:
-    """(k, N) -> (N, k) int64 (object beyond int64), copied blockwise."""
-    k, n = src.shape
-    out = np.empty((n, k), dtype=object if src.dtype == object else np.int64)
-    for s in range(0, n, _BLOCK):
-        out[s : s + _BLOCK] = src[:, s : s + _BLOCK].T
-    return out
-
-
 def _swap_pivots(A, U, V, k, systems, pi, pj):
     """Bring pivot (pi, pj) to (k, k) in the given systems only.
 
     A row swap touches A's trailing columns and all of U, a column swap A's
-    trailing rows and all of V; the rest of A is never read again.
+    trailing rows and all of V; the rest of A is never read again.  Each
+    swap is a pair of gathers and scatters on the flat array, with the
+    indices of all moved systems and entries in one (entries, systems) grid.
     """
     moved = pi != k
     if moved.any():
-        s, src = systems[moved], pi[moved]
+        s, src = systems[moved], pi[moved].astype(np.intp)
         for X, lo in ((A, k), (U, 0)):
             if X is not None:
-                old = X[k, lo:, s]
-                X[k, lo:, s] = X[src, lo:, s]
-                X[src, lo:, s] = old
+                _, c, n = X.shape
+                at = np.arange(lo, c)[:, None] * n + s
+                _swap_flat(X, at + k * c * n, at + src * (c * n))
     moved = pj != k
     if moved.any():
-        s, src = systems[moved], pj[moved]
+        s, src = systems[moved], pj[moved].astype(np.intp)
         for X, lo in ((A, k), (V, 0)):
-            old = X[lo:, k, s]
-            X[lo:, k, s] = X[lo:, src, s]
-            X[lo:, src, s] = old
+            r, c, n = X.shape
+            at = np.arange(lo, r)[:, None] * (c * n) + s
+            _swap_flat(X, at + k * n, at + src * n)
+
+
+def _swap_flat(X, a, b):
+    """Swap the entries of C-contiguous X at flat indices a and b."""
+    assert X.flags.c_contiguous, "the swap must write through a view"
+    flat = X.reshape(-1)
+    old = flat.take(a)
+    flat[a] = flat.take(b)
+    flat[b] = old
 
 
 def _eliminate(A, p: int, m: int, U=None, kernel: bool = False):
@@ -550,10 +572,18 @@ def _eliminate(A, p: int, m: int, U=None, kernel: bool = False):
             np.subtract(blk, t, out=blk)
             reduce(blk)
     if kernel:
-        # p^(m - e_j) V[:, j], which is 0 for a unit pivot (e_j = 0)
-        np.multiply(V, ppow.take(m - evals)[None], out=V)
-        reduce(V)
+        _scale_to_kernel(V, evals, p, m, reduce)
     return V, evals
+
+
+def _scale_to_kernel(V, evals, p: int, m: int, reduce):
+    """V[:, j] -> p^(m - e_j) V[:, j] in place, 0 for a unit pivot (e_j = 0).
+
+    Each scaled column is a kernel generator of the diagonalized system.
+    """
+    ppow = np.array([p ** e for e in range(m + 1)], dtype=V.dtype)
+    np.multiply(V, ppow.take(m - evals)[None], out=V)
+    reduce(V)
 
 
 def batch_kernel(mats: np.ndarray, p: int, m: int):
@@ -562,19 +592,25 @@ def batch_kernel(mats: np.ndarray, p: int, m: int):
     mats: (N, r, c) integer array; entries outside [0, p^m) are reduced
     first.  Returns (gens, evals), both int64 (object beyond int64): gens is
     (N, c, c) with gens[n, :, j] a kernel generator (possibly zero), evals
-    (N, c) the pivot exponents (m for free columns).  The systems are
-    stored along the last axis of `_eliminate`'s arrays, so each step is a
-    few contiguous in-place passes over the trailing blocks of all N
-    systems.
+    (N, c) the pivot exponents (m for free columns).
+
+    Layout: `_eliminate` keeps the systems on the last axis, so each step is
+    a few contiguous in-place passes over the trailing blocks of all N
+    systems.  The input is copied once, into a C-contiguous (r, c, N)
+    array in the work dtype; for an input whose memory is already
+    system-last (the `transpose(2, 0, 1)` view of an (r, c, N) array) that
+    copy reads memory in order.  Both outputs are transposed views of system-last arrays:
+    `gens.transpose(1, 2, 0)` is a C-contiguous (c, c, N) array.
     """
     mod = p ** m
     dt = work_dtype(mod)
     mats = np.asarray(mats)
     if dt is object:  # numpy's int64 % would overflow at this modulus
         mats = mats.astype(object)
-    N, r, c = mats.shape
     if mats.size and (mats.min() < 0 or mats.max() >= mod):
-        mats = mats % mod
-    A = _to_columns(mats.reshape(N, r * c), dt).reshape(r, c, N)
+        mats = mats % mod  # keeps the layout of mats
+    A = mats.transpose(1, 2, 0).astype(dt, order="C")  # a copy: _eliminate overwrites A
     gens, evals = _eliminate(A, p, m, kernel=True)
-    return _to_rows(gens.reshape(c * c, N)).reshape(N, c, c), evals.T.copy()
+    if dt is not object:
+        gens = gens.astype(np.int64, copy=False)
+    return gens.transpose(2, 0, 1), evals.T

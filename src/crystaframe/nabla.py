@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .frames import Frame, FrameHom
-from .linalg import kernel_basis, solve as lin_solve
+from .linalg import solve_affine
 from .matrices import identity, mat, mat_add, mat_col, mat_map, mat_mul, mat_sub
 from .pdenv import PDAlgebra, PDDifferential, PDError, PDFrame, PDPresentation
 from .windows import Window, WindowError, base_change, is_window_hom
@@ -221,10 +221,9 @@ def solve_connection(ctx: NablaContext, w: Window):
             row[nvars + blk * len(rel_rows) + s_idx] = rel[e % nc] % mod
         rows.append(row)
         rhs.append((-zero_res[e]) % mod)
-    part = lin_solve(rows, rhs, env1.p, env1.m)
+    part, hom_gens = solve_affine(rows, rhs, env1.p, env1.m)
     if part is None:
         return None
-    hom_gens = kernel_basis(rows, env1.p, env1.m)
 
     def decode(vec):
         mats = []

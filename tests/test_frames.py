@@ -259,3 +259,22 @@ def test_pd_frame_axioms():
         for g in fr.ideal_spanning():
             assert fr.frame_axiom_p_sigma1(g)
         check_frame_axioms(fr, budget=64)
+
+
+def test_quotient_p_image_is_shifted_frobenius():
+    # p*x = V(F(x)) over the characteristic-2 ring of witt_frame_f2.scn's Q,
+    # against multiplication by p on every element of the carrier
+    from pathlib import Path
+
+    from crystaframe.scenario import parse_scenario, validate_scenario
+
+    text = (Path(__file__).resolve().parents[1] / "scenarios" / "witt_frame_f2.scn").read_text()
+    fr = validate_scenario(parse_scenario(text))["frames"]["Q"]
+    assert isinstance(fr, QuotientFrame)
+    image = fr.p_image_set()
+    assert image == {fr.A.int_mul(fr.p, x) for x in fr.A.elements()}
+    assert fr.A.zero in image and len(image) < fr.A.size()
+    # the set lives on the frame: a second frame builds its own
+    assert fr.p_image_set() is image
+    twin = admissible_quotient_frame(fr.seq, fr.n)
+    assert twin.p_image_set() is not image and twin.p_image_set() == image

@@ -13,6 +13,7 @@ from crystaframe.linalg import (
     p_torsion_of_quotient,
     quotient_factor_orders,
     solve,
+    solve_affine,
     work_dtype,
 )
 
@@ -436,3 +437,38 @@ def test_empty_systems_match_scalar_oracle():
         assert kernel_basis(M, 2, 3) == scalar_kernel_basis(M, 2, 3)
     assert solve([], [], 2, 3) == scalar_solve([], [], 2, 3)
     assert kernel_basis([[0, 0]], 2, 3) == scalar_kernel_basis([[0, 0]], 2, 3)
+
+
+@pytest.mark.parametrize("p,m", ORACLE_MODULI)
+def test_solve_affine_is_solve_and_kernel_basis(p, m):
+    # one elimination gives what the two separate calls give, bit for bit
+    rng = random.Random(37 * p + m)
+    mod = p ** m
+    cases = [M for r, c in ORACLE_SHAPES for M in oracle_mats(rng, r, c, p, m, 4)]
+    cases += [with_zero_column(rng, M) for M in cases[::3]]
+    cases += oracle_mats(rng, 40, 70, p, m, 2)[1:2]
+    for M in cases:
+        x0 = [rng.randrange(mod) for _ in M[0]]
+        solvable = [sum(a * b for a, b in zip(row, x0)) % mod for row in M]
+        for b in (solvable, [rng.randrange(mod) for _ in M]):
+            assert solve_affine(M, b, p, m) == (solve(M, b, p, m), kernel_basis(M, p, m))
+    assert solve_affine([], [], p, m) == (solve([], [], p, m), kernel_basis([], p, m))
+
+
+@pytest.mark.parametrize("p,m", [(2, 3), (3, 3), (3, 21)])
+def test_batch_kernel_layout(p, m):
+    # a C-contiguous stack and the same stack stored system-last, as the
+    # lemma sweep builds it, give the same gens and evals
+    rng = random.Random(41 + m)
+    for r, c in SWEEP_SHAPES:
+        dense = np.array(oracle_mats(rng, r, c, p, m, 12), dtype=np.int64)
+        last = np.ascontiguousarray(dense.transpose(1, 2, 0)).transpose(2, 0, 1)
+        assert np.array_equal(last, dense)
+        assert r * c == 1 or not last.flags.c_contiguous
+        want, got = batch_kernel(dense, p, m), batch_kernel(last, p, m)
+        for a, b, shape in zip(got, want, [dense.shape[:1] + (c, c), dense.shape[:1] + (c,)]):
+            assert a.shape == b.shape == shape
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+        assert want[0].dtype == (object if work_dtype(p ** m) is object else np.int64)
+        assert want[1].dtype == np.int64

@@ -587,8 +587,8 @@ def test_batched_and_scalar_hom_backends_agree(p, m):
     for (rv, d_v), (rw, d_w) in iproduct(shapes, repeat=2):
         vs = random_windows(fr, rng, rv, d_v, 2)
         ws = random_windows(fr, rng, rw, d_w, 2)
-        Pv = np.array([v.psi for v in vs], dtype=np.int64)
-        Pw = np.array([w.psi for w in ws], dtype=np.int64)
+        Pv = np.array([v.psi for v in vs], dtype=np.int64).transpose(1, 2, 0)
+        Pw = np.array([w.psi for w in ws], dtype=np.int64).transpose(1, 2, 0)
         Fv, Fw = _phi_scaled(Pv, d_v, p, mod), _phi_scaled(Pw, d_w, p, mod)
         for mode in ("window", "phi_module"):
             M, _ = _build_systems(fr, Pv, Pw, Fv, Fw, d_v, d_w, mode)
