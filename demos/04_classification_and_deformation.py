@@ -43,8 +43,8 @@ def proj(x):
 
 hom = FrameHom(src, tgt, fn=proj,
                cod_fn=lambda y: tuple(tuple(((), v) for e, v in c if not any(e)) for c in y),
-               name="eps->0")
-hom.section = lambda x: tuple(tuple(((0,), v) for _, v in c) for c in x)
+               name="eps->0",
+               section=lambda x: tuple(tuple(((0,), v) for _, v in c) for c in x))
 
 t_src = classify_windows(src, 1, budget=1 << 16)
 t_tgt = classify_windows(tgt, 1, budget=1 << 12)

@@ -20,7 +20,7 @@ from .monomial import (
     embed_after_adjoin,
     frobenius_kernel_nilpotency,
 )
-from .witt import WittRing, witt_arith, witt_cache, witt_structure
+from .witt import WittRing, witt_cache
 from .frames import (
     AdmissibleSequence,
     BudgetError,
@@ -44,9 +44,7 @@ from .pdenv import (
     PDFrame,
     PDPresentation,
     build_pd_envelope,
-    pd_derivation,
     pd_frame,
-    pd_multiply,
     pd_torsion_probe,
 )
 from .windows import (
@@ -65,7 +63,6 @@ from .windows import (
     lift_hom_along,
     lift_window_along,
     normal_decomposition,
-    phi_from_psi,
     validate_window,
     window_from_psi,
     window_from_raw,

@@ -19,11 +19,13 @@ from .scenario import (
     BudgetExceeded,
     ScenarioParseError,
     ScenarioSemanticError,
+    _validate_command,
     apply_env_budget_overrides,
     parse_scenario,
+    parse_verify_value,
     validate_scenario,
 )
-from .verify import TAGS, verify
+from .verify import TAGS, battery_parameters, verify
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -106,33 +108,22 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    params = {}
-    if args.grid:
-        for tok in args.grid.split(","):
-            if "=" not in tok:
-                print(f"semantic error: bad grid token {tok!r}", file=sys.stderr)
-                return EXIT_SEMANTIC
-            key, val = tok.split("=", 1)
-            try:
-                params[key] = int(val)
-            except ValueError:
-                params[key] = val
+    """The flags become key=value tokens, checked as `command verify` is:
+    --grid values first, then --p under the battery's prime keyword."""
+    tokens = args.grid.split(",") if args.grid else []
+    given = {tok.split("=", 1)[0] for tok in tokens}
+    flags = {"precision": args.precision}
     if args.p is not None:
-        if args.tag in ("sigma1-formula",):
-            params.setdefault("primes", (args.p,))
-        elif args.tag in ("gamma-vp",):
-            params.setdefault("primes", (args.p,))
-        elif args.tag in ("integrability", "f-nilpotent-sequence"):
-            params.setdefault("p_list", (args.p,))
-        else:
-            params.setdefault("p", args.p)
-    if args.precision is not None:
-        params.setdefault("precision", args.precision)
+        defaults = battery_parameters(args.tag)
+        flags[next((k for k in ("p", "primes", "p_list") if k in defaults), "p")] = args.p
+    tokens += [f"{k}={v}" for k, v in flags.items() if v is not None and k not in given]
     try:
-        result = verify(args.tag, **params)
-    except TypeError as exc:
+        _validate_command(["verify", args.tag, *tokens], {}, {}, {})
+    except ScenarioSemanticError as exc:
         print(f"semantic error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
+    params = dict(tok.split("=", 1) for tok in tokens)
+    result = verify(args.tag, **{k: parse_verify_value(v) for k, v in params.items()})
     status = "PASS" if result.passed else "FAIL"
     print(f"[{status}] verify {args.tag}: {result.checks} checks")
     for key, val in sorted(result.details.items()):

@@ -31,32 +31,6 @@ class BudgetError(FrameError):
     """An enumeration would exceed its budget (scenario exit code 4)."""
 
 
-def additive_closure(carrier, gens, budget: int = 1 << 20):
-    """The additive span of `gens` inside a finite carrier, as a set."""
-    span = {carrier.zero}
-    for g in gens:
-        if g in span:
-            continue
-        shifted = set(span)
-        cur = g
-        while cur not in span:
-            shifted |= {carrier.add(s, cur) for s in span}
-            cur = carrier.add(cur, g)
-            if len(shifted) > budget:
-                raise BudgetError("additive closure exceeded budget")
-        span = shifted
-    return span
-
-
-def ideal_span_set(carrier, gens, budget: int = 1 << 20):
-    """The ideal generated by `gens` in a small finite carrier, as a set."""
-    products = []
-    for g in gens:
-        for e in carrier.elements():
-            products.append(carrier.mul(g, e))
-    return additive_closure(carrier, products, budget)
-
-
 class Frame:
     """Shared contract of the sealed frame kinds."""
 
@@ -70,9 +44,10 @@ class Frame:
         self.depth = depth  # certified applications of sigma1 before exhaustion
         self.ledger = PrecisionLedger(depth + 1)
 
-    # subclasses implement: residue_ring, residue, section, sigma, sigma1,
-    # sigma1_codomain, reduce_to_codomain, ideal_contains, ideal_spanning,
-    # sample_elements, p_elt, eq_mod_p
+    # every kind implements: name, p_elt, sigma, sigma1, sigma1_codomain,
+    # reduce_to_codomain, ideal_contains, ideal_spanning, sample_elements and
+    # eq_mod_p.  Only lift frames add the residue map (residue_ring, residue,
+    # section) that normal decompositions need, and sigma1_witnessed.
 
     def sigma_linear_defect(self, a, i):
         """sigma1(a*i) - sigma(a)*sigma1(i) in the sigma1 codomain."""
@@ -257,17 +232,10 @@ class WittFrame(Frame):
         super().__init__(carrier, R.p, n - 1)
         self.base = R
         self.n = n
-        self.residue_ring = R
         self.name = f"wittframe({R!r},{n})"
         self.p_elt = carrier.embed_int(self.p)
         self._p_image: set | None = None
-        self._codomain = WittRing(R, n - 1) if n >= 2 else None
-
-    def residue(self, x):
-        return x[0]
-
-    def section(self, r):
-        return self.A.teichmuller(r)
+        self._codomain = WittRing(R, n - 1)
 
     def sigma(self, x):
         return self.A.frobenius_charp(x)
@@ -390,80 +358,6 @@ class AdmissibleSequence:
                     raise FrameError(f"K_{i}^p not contained in K_{i + 1}")
 
 
-class MonomialIdealQuotient:
-    """R = S / (monomial ideal): drop the ideal's monomials, keep S's ops."""
-
-    def __init__(self, S: MonomialAlgebra, seq: AdmissibleSequence, level: int):
-        self.S = S
-        self.seq = seq
-        self.level = level
-        self.p = S.p
-
-    def _red(self, x):
-        return tuple(
-            (e, c) for e, c in x if not self.seq.monomial_in_ideal(e, self.level)
-        )
-
-    @property
-    def zero(self):
-        return ()
-
-    @property
-    def one(self):
-        return self.S.one
-
-    def add(self, a, b):
-        return self._red(self.S.add(a, b))
-
-    def mul(self, a, b):
-        return self._red(self.S.mul(a, b))
-
-    def neg(self, a):
-        return self._red(self.S.neg(a))
-
-    def embed_int(self, c):
-        return self._red(self.S.embed_int(c))
-
-    def int_mul(self, k, a):
-        return self._red(self.S.int_mul(k, a))
-
-    def frobenius(self, a):
-        return self._red(self.S.frobenius(a))
-
-    def is_unit(self, a):
-        return self.S.is_unit(a)
-
-    def inv(self, a):
-        if not self.is_unit(a):
-            raise ZeroDivisionError("not a unit")
-        y = self._red(self.S.scalar(self.S.cf.inv(self.S.constant_term(a))))
-        two = self.embed_int(2)
-        for _ in range(2 * len(self.S.basis()) + 4):
-            ay = self.mul(a, y)
-            if ay == self.one:
-                return y
-            y = self.mul(y, self.add(two, self.neg(ay)))
-        raise AssertionError("quotient inversion failed to converge")
-
-    def equal(self, a, b):
-        return a == b
-
-    def complement_monomials(self):
-        return [e for e in self.S.basis() if not self.seq.monomial_in_ideal(e, self.level)]
-
-    def elements(self):
-        from itertools import product as iproduct
-
-        monos = self.complement_monomials()
-        pool = list(self.S.cf.elements())
-        for combo in iproduct(pool, repeat=len(monos)):
-            yield self._red(self.S._canon({e: c for e, c in zip(monos, combo)}))
-
-    def size(self):
-        q = self.S.cf.modulus if isinstance(self.S.cf, Residues) else self.S.p ** self.S.cf.k
-        return q ** len(self.complement_monomials())
-
-
 class QuotientCarrier:
     """A(K_*) = W_n(S)/W_n(K_*) with staircase-canonical representatives.
 
@@ -576,24 +470,26 @@ class QuotientFrame(Frame):
     sigma is induced by the componentwise Frobenius; sigma1 is induced by
     v^{-1} and lands one level down, in A(K_0..K_{n-2}) at length n-1.  The
     constructor verifies that v^{-1} descends: v(y) in W(K_*) forces y into
-    the shifted sequence, so distinct witnesses agree in the codomain.
+    the shifted sequence, so distinct witnesses agree in the codomain.  As
+    for the Witt frame, S must have characteristic p: otherwise the
+    componentwise Frobenius is not a ring map.
     """
 
     kind = "quotient"
 
     def __init__(self, seq: AdmissibleSequence, n: int, check_budget: int = 4096):
+        if not seq.S.char_is_p:
+            raise FrameError("quotient frame needs a characteristic-p ring")
+        if n < 2:
+            raise FrameError("quotient frame needs n >= 2")
         carrier = QuotientCarrier(seq, n)
         super().__init__(carrier, seq.S.p, n - 1)
         self.seq = seq
         self.n = n
-        self.residue_ring = MonomialIdealQuotient(seq.S, seq, 0)
         self.name = f"quotient({carrier!r})"
         self.p_elt = carrier.embed_int(self.p)
         self._p_image: set | None = None
-        if n >= 2:
-            self._codomain = QuotientCarrier(seq, n - 1)
-        else:
-            raise FrameError("quotient frame needs n >= 2")
+        self._codomain = QuotientCarrier(seq, n - 1)
         self._well_definedness_check(check_budget)
 
     def _well_definedness_check(self, budget: int):
@@ -608,12 +504,6 @@ class QuotientFrame(Frame):
             if all(c == () for c in vy):
                 if any(c != () for c in self._codomain.reduce(y)):
                     raise FrameError("sigma1 well-definedness failure on v-witnesses")
-
-    def residue(self, x):
-        return self.residue_ring._red(x[0])
-
-    def section(self, r):
-        return self.A.reduce(self.A.W.teichmuller(r))
 
     def sigma(self, x):
         return self.A.reduce(self.A.W.frobenius_charp(x))
@@ -634,10 +524,6 @@ class QuotientFrame(Frame):
             raise FrameError("sigma1 is only defined on the ideal")
         return self._codomain.reduce(tuple(i[1:]))
 
-    def sigma1_witnessed(self, a):
-        """sigma1(p*a) = sigma(a) reduced to the codomain."""
-        return self.reduce_to_codomain(self.sigma(a))
-
     def ideal_spanning(self, budget: int = 4096):
         out = []
         Wm1 = self.A.W.shorter(self.n - 1)
@@ -653,23 +539,15 @@ class QuotientFrame(Frame):
     def p_image_set(self):
         """p*A(K_*) as a set, built once per frame.
 
-        Over a characteristic-p ring S, p = VF on W_n(S), so the image of x
-        is the shift of its componentwise Frobenius, with no Witt additions;
-        other coefficient rings multiply by p.
+        S has characteristic p, so p = VF on W_n(S): the image of x is the
+        shift of its componentwise Frobenius, with no Witt additions.
         """
         if self._p_image is None:
             A, W, S = self.A, self.A.W, self.seq.S
-            if S.embed_int(self.p) == S.zero:
-
-                def times_p(x):
-                    return A.reduce(W.verschiebung(tuple(S.frobenius(c) for c in x[:-1])))
-
-            else:
-
-                def times_p(x):
-                    return A.int_mul(self.p, x)
-
-            self._p_image = {times_p(x) for x in A.elements()}
+            self._p_image = {
+                A.reduce(W.verschiebung(tuple(S.frobenius(c) for c in x[:-1])))
+                for x in A.elements()
+            }
         return self._p_image
 
     def eq_mod_p(self, x, y) -> bool:
@@ -689,7 +567,9 @@ class FrameHom:
 
     `fn` maps source-carrier elements to target-carrier elements;
     `cod_fn` (when sigma1 codomains differ from the carriers) maps the
-    source sigma1-codomain to the target one for the sigma1 square.
+    source sigma1-codomain to the target one for the sigma1 square;
+    `section` (for a surjection) maps target-carrier elements back to
+    preimages, which window and hom lifting need.
     """
 
     source: Frame
@@ -697,6 +577,7 @@ class FrameHom:
     fn: object
     cod_fn: object = None
     name: str = "hom"
+    section: object = None
 
     def __call__(self, x):
         return self.fn(x)
@@ -760,50 +641,33 @@ class NilpotenceReport:
 
 
 class ModuleSpan:
-    """Membership oracle for the ideal span of some generators and for p times it.
+    """Membership oracle for the ideal span of some generators and for p times
+    it, by coordinate linear algebra (SpanNF) over Z/p^m."""
 
-    Uses coordinate linear algebra (SpanNF) when the carrier exposes
-    Z/p^m coordinates, and plain set closure for small finite carriers.
-    """
+    def __init__(self, carrier, gens):
+        from .linalg import SpanNF
 
-    def __init__(self, carrier, gens, budget: int = 1 << 16):
         self.carrier = carrier
-        if hasattr(carrier, "coords") and hasattr(carrier, "coord_count"):
-            from .linalg import SpanNF
-
-            n = carrier.coord_count()
-            p, m = carrier.p, carrier.coord_precision()
-            self.nf = SpanNF(n, p, m)
-            self.pnf = SpanNF(n, p, m)
-            mults = carrier.module_spanning()
-            for g in gens:
-                for b in mults:
-                    x = carrier.mul(g, b)
-                    self.nf.insert(list(carrier.coords(x)))
-                    self.pnf.insert(list(carrier.coords(carrier.int_mul(carrier.p, x))))
-            self._mode = "coords"
-        else:
-            span = ideal_span_set(carrier, gens, budget)
-            self._span = span
-            self._pspan = {carrier.int_mul(carrier.p, s) for s in span}
-            self._mode = "sets"
+        n = carrier.coord_count()
+        p, m = carrier.p, carrier.coord_precision()
+        self.nf = SpanNF(n, p, m)
+        self.pnf = SpanNF(n, p, m)
+        mults = carrier.module_spanning()
+        for g in gens:
+            for b in mults:
+                x = carrier.mul(g, b)
+                self.nf.insert(list(carrier.coords(x)))
+                self.pnf.insert(list(carrier.coords(carrier.int_mul(carrier.p, x))))
 
     def contains(self, x) -> bool:
-        if self._mode == "coords":
-            return self.nf.contains(list(self.carrier.coords(x)))
-        return x in self._span
+        return self.nf.contains(list(self.carrier.coords(x)))
 
     def p_contains(self, x) -> bool:
-        if self._mode == "coords":
-            return self.pnf.contains(list(self.carrier.coords(x)))
-        return x in self._pspan
+        return self.pnf.contains(list(self.carrier.coords(x)))
 
 
-def _module_spanning_elements(carrier, gens, budget: int = 4096):
-    if hasattr(carrier, "module_spanning"):
-        mults = carrier.module_spanning()
-    else:
-        mults = _sample(carrier.elements(), budget)
+def _module_spanning_elements(carrier, gens):
+    mults = carrier.module_spanning()
     out = []
     for g in gens:
         for b in mults:
@@ -820,77 +684,44 @@ def sigma1_nilpotence_index(frame: Frame, N_gens, bound: int | None = None) -> N
     rejected (sigma1 is undefined there); an iterate that leaves N or I is
     reported as NotNilpotent rather than an error, since it disproves that
     sigma1 restricts to a pointwise nilpotent endomorphism of N/p.
+
+    Scope: coordinate carriers whose sigma1 stays at level, that is lift
+    frames over Z/p^m, PD and square-zero frames.  Witt, quotient and
+    lift-over-W(k) frames raise FrameError.
     """
     A = frame.A
+    if frame.sigma1_codomain is not A or not hasattr(A, "coord_count"):
+        raise FrameError(
+            f"sigma1 nilpotence needs coordinates and sigma1 at level; {frame.name} has not"
+        )
     if not N_gens:
         return NilpotenceReport(True, 0, 0)
     for g in N_gens:
         if not frame.ideal_contains(g):
             raise FrameError("sigma1 does not preserve N: generator outside I")
-
-    same_level = frame.sigma1_codomain is A or frame.sigma1_codomain == A
-    if same_level:
-        span = ModuleSpan(A, N_gens)
-        if bound is None:
-            bound = _default_bound(frame)
-        frontier = _module_spanning_elements(A, N_gens)
-        worst = 0
-        for x in frontier:
-            r = 0
-            cur = x
-            while not span.p_contains(cur):
-                if not frame.ideal_contains(cur) or not span.contains(cur):
-                    return NilpotenceReport(
-                        False, r, bound, "sigma1 left N: not an endomorphism of N/p"
-                    )
-                cur = frame.sigma1(cur)
-                r += 1
-                if r > bound:
-                    return NilpotenceReport(False, r, bound, "iteration bound reached")
-            worst = max(worst, r)
-        return NilpotenceReport(True, worst, bound)
-
-    # level-dropping frames (Witt / quotient): at most `depth` applications
-    if bound is None or bound > frame.depth:
-        bound = frame.depth
-    cur_frame = frame
-    frontier = _module_spanning_elements(A, N_gens)
-    gens_at_level = list(N_gens)
-    for r in range(0, bound + 1):
-        span = ModuleSpan(cur_frame.A, [g for g in gens_at_level if g != cur_frame.A.zero] or [cur_frame.A.zero])
-        if all(span.p_contains(x) for x in frontier):
-            return NilpotenceReport(True, r, bound)
-        if r == bound:
-            return NilpotenceReport(False, r, bound, "depth budget exhausted")
-        for x in frontier:
-            if not cur_frame.ideal_contains(x):
+    span = ModuleSpan(A, N_gens)
+    if bound is None:
+        bound = _default_bound(frame)
+    worst = 0
+    for x in _module_spanning_elements(A, N_gens):
+        r = 0
+        cur = x
+        while not span.p_contains(cur):
+            if not frame.ideal_contains(cur) or not span.contains(cur):
                 return NilpotenceReport(
-                    False, r, bound, "sigma1 left the ideal: not pointwise nilpotent in N"
+                    False, r, bound, "sigma1 left N: not an endomorphism of N/p"
                 )
-        frontier = [cur_frame.sigma1(x) for x in frontier]
-        gens_at_level = [cur_frame.reduce_to_codomain(g) for g in gens_at_level]
-        deeper = _frame_one_level_down(cur_frame)
-        if deeper is None:
-            # one final membership test already happened; no room to iterate
-            return NilpotenceReport(False, r + 1, bound, "depth budget exhausted")
-        cur_frame = deeper
-    return NilpotenceReport(False, bound, bound, "iteration bound reached")
-
-
-def _frame_one_level_down(frame: Frame):
-    if isinstance(frame, WittFrame) and frame.n >= 3:
-        return WittFrame(frame.base, frame.n - 1)
-    if isinstance(frame, QuotientFrame) and frame.n >= 3:
-        return QuotientFrame(frame.seq, frame.n - 1)
-    return None
+            cur = frame.sigma1(cur)
+            r += 1
+            if r > bound:
+                return NilpotenceReport(False, r, bound, "iteration bound reached")
+        worst = max(worst, r)
+    return NilpotenceReport(True, worst, bound)
 
 
 def _default_bound(frame: Frame) -> int:
     if hasattr(frame.A, "size"):
-        try:
-            return max(8, min(frame.A.size(), 4096))
-        except Exception:
-            return 64
+        return max(8, min(frame.A.size(), 4096))
     return 64
 
 

@@ -224,10 +224,12 @@ def sweep_win_phi_mod(frame, tables, chunk: int = 120_000) -> SweepReport:
 def _hom_part(gens, rw, rv, mod):
     """The G-part of batch_kernel generators as (rw, rv, column, N) entries.
 
-    `gens` is (N, c, c); its system-last memory is read in place, and the
-    first rw*rv rows are narrowed to the dtype `_defects` sums in.
+    `gens` is (N, c, c) in the work dtype; its system-last memory is read in
+    place, and the first rw*rv rows are cast to the dtype `_defects` sums
+    in, which copies only where the two differ.
     """
-    G = gens.transpose(1, 2, 0)[: rw * rv].astype(int_dtype(max(rw, rv) * (mod - 1) ** 2))
+    G = gens.transpose(1, 2, 0)[: rw * rv]
+    G = G.astype(int_dtype(max(rw, rv) * (mod - 1) ** 2), copy=False)
     return G.reshape((rw, rv) + G.shape[1:])
 
 

@@ -20,8 +20,8 @@ every step is a contiguous pass over all N systems.  `batch_kernel` keeps
 its (N, r, c) interface: a caller that builds its stack system-last (the
 lemma sweep does) passes the `transpose(2, 0, 1)` view, whose one copy
 into the work dtype then reads memory in order; any other stack is
-transposed by that copy.  Its outputs are int64 (object beyond int64) views of the
-system-last results.
+transposed by that copy.  Its outputs are views of the system-last results,
+the generators in the work dtype and the pivot exponents in int64.
 
 Work dtype: every intermediate lies within (p^m - 1)^2 + p^m of zero, so
 int16 serves p^m <= 181, int32 p^m <= 46,341 and int64 p^m <= 3,037,000,500.
@@ -590,9 +590,9 @@ def batch_kernel(mats: np.ndarray, p: int, m: int):
     """Kernel generators for a stack of matrices over Z/p^m.
 
     mats: (N, r, c) integer array; entries outside [0, p^m) are reduced
-    first.  Returns (gens, evals), both int64 (object beyond int64): gens is
-    (N, c, c) with gens[n, :, j] a kernel generator (possibly zero), evals
-    (N, c) the pivot exponents (m for free columns).
+    first.  Returns (gens, evals): gens is (N, c, c) in the work dtype
+    `work_dtype(p^m)`, with gens[n, :, j] a kernel generator (possibly
+    zero), and evals (N, c) int64, the pivot exponents (m for free columns).
 
     Layout: `_eliminate` keeps the systems on the last axis, so each step is
     a few contiguous in-place passes over the trailing blocks of all N
@@ -611,6 +611,4 @@ def batch_kernel(mats: np.ndarray, p: int, m: int):
         mats = mats % mod  # keeps the layout of mats
     A = mats.transpose(1, 2, 0).astype(dt, order="C")  # a copy: _eliminate overwrites A
     gens, evals = _eliminate(A, p, m, kernel=True)
-    if dt is not object:
-        gens = gens.astype(np.int64, copy=False)
     return gens.transpose(2, 0, 1), evals.T

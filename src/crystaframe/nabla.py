@@ -502,15 +502,8 @@ class SquareZeroFrame(Frame):
         super().__init__(carrier, base.p, base.depth)
         self.base_frame = base
         self.diff = diff
-        self.residue_ring = base.residue_ring
         self.name = f"squarezero({base.name})"
         self.p_elt = carrier.embed_int(base.p)
-
-    def residue(self, x):
-        return self.base_frame.residue(x[0])
-
-    def section(self, r):
-        return (self.base_frame.section(r), (self.diff.env1.zero,) * self.A.k)
 
     def sigma(self, x):
         a, w = x
@@ -582,9 +575,7 @@ def pbar0(fr: SquareZeroFrame) -> FrameHom:
     def fn(a):
         return (a, tuple(diff.d(a)))
 
-    hom = FrameHom(base, fr, fn=fn, name="pbar0")
-    hom.section = lambda x: x[0]
-    return hom
+    return FrameHom(base, fr, fn=fn, name="pbar0", section=lambda x: x[0])
 
 
 def pbar1(fr: SquareZeroFrame) -> FrameHom:
@@ -595,9 +586,7 @@ def pbar1(fr: SquareZeroFrame) -> FrameHom:
     def fn(a):
         return (a, z)
 
-    hom = FrameHom(base, fr, fn=fn, name="pbar1")
-    hom.section = lambda x: x[0]
-    return hom
+    return FrameHom(base, fr, fn=fn, name="pbar1", section=lambda x: x[0])
 
 
 def connection_to_stratification(ctx: NablaContext, w: Window, conn: Connection, sz: SquareZeroFrame | None = None):

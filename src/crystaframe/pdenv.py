@@ -692,83 +692,6 @@ def build_pd_envelope(pres: PDPresentation) -> PDAlgebra:
     return env
 
 
-# -- residue ring -------------------------------------------------------------
-
-
-class PDResidue:
-    """R = A/(p, generators): the F_p-span of the residual monomials."""
-
-    def __init__(self, env: PDAlgebra):
-        self.env = env
-        self.p = env.p
-        self.monos = list(env.residuals)
-        self.index = {mu: i for i, mu in enumerate(self.monos)}
-
-    @property
-    def zero(self):
-        return (0,) * len(self.monos)
-
-    @property
-    def one(self):
-        return self._unit(self.index[(0,) * self.env.nvars])
-
-    def _unit(self, i, c=1):
-        v = [0] * len(self.monos)
-        v[i] = c % self.p
-        return tuple(v)
-
-    def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple((-x) % self.p for x in a)
-
-    def mul(self, a, b):
-        out = [0] * len(self.monos)
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                if not cb:
-                    continue
-                exps = tuple(x + y for x, y in zip(self.monos[i], self.monos[j]))
-                if exps in self.index:
-                    out[self.index[exps]] = (out[self.index[exps]] + ca * cb) % self.p
-        return tuple(out)
-
-    def embed_int(self, c):
-        return self._unit(self.index[(0,) * self.env.nvars], c)
-
-    def int_mul(self, k, a):
-        return tuple((k * x) % self.p for x in a)
-
-    def equal(self, a, b):
-        return a == b
-
-    def is_unit(self, a):
-        return a[self.index[(0,) * self.env.nvars]] % self.p != 0
-
-    def inv(self, a):
-        if not self.is_unit(a):
-            raise ZeroDivisionError("not a unit")
-        c = a[self.index[(0,) * self.env.nvars]]
-        y = self._unit(self.index[(0,) * self.env.nvars], pow(c, -1, self.p))
-        two = self.embed_int(2)
-        for _ in range(2 * len(self.monos) + 4):
-            ay = self.mul(a, y)
-            if ay == self.one:
-                return y
-            y = self.mul(y, self.add(two, self.neg(ay)))
-        raise AssertionError("residue inversion failed to converge")
-
-    def elements(self):
-        for combo in iproduct(range(self.p), repeat=len(self.monos)):
-            yield tuple(combo)
-
-    def size(self):
-        return self.p ** len(self.monos)
-
-
 # -- the PD frame --------------------------------------------------------------
 
 
@@ -780,7 +703,6 @@ class PDFrame(Frame):
     def __init__(self, env: PDAlgebra):
         super().__init__(env, env.p, env.m)
         self.env = env
-        self.residue_ring = PDResidue(env)
         self.name = f"pdframe(p={env.p},m={env.m},cap={env.cap})"
         self.p_elt = env.embed_int(env.p)
         self.sigma1_certified_precision = env.verify_sigma1_well_defined()
@@ -789,22 +711,6 @@ class PDFrame(Frame):
             for i in env.t_indices()
             if all(env.p * n < env.cap for n in env.basis[i][1])
         ]
-
-    def residue(self, x):
-        R = self.residue_ring
-        out = [0] * len(R.monos)
-        for i, c in enumerate(x):
-            mu, nv = self.env.basis[i]
-            if not any(nv):
-                out[R.index[mu]] = c % self.p
-        return tuple(out)
-
-    def section(self, r):
-        out = [0] * self.env.n
-        for i, c in enumerate(r):
-            mu = self.residue_ring.monos[i]
-            out[self.env.index[(mu, (0,) * self.env.s)]] = c
-        return self.env.reduce(out)
 
     def sigma(self, x):
         return self.env.sigma(x)
@@ -824,9 +730,6 @@ class PDFrame(Frame):
             # the residual part goes through the minimal p-witness
             self.ledger.after_div_p(self.env.m, "sigma1-mu-canonical")
         return self.env.sigma1(i)
-
-    def sigma1_witnessed(self, a):
-        return self.sigma(a)
 
     def ideal_spanning(self, budget: int = 4096):
         env = self.env
@@ -1019,11 +922,3 @@ class PDDifferential:
     def dsigma(self, w):
         """d(sigma) = p * (dsigma)1."""
         return tuple(self.env1.int_mul(self.env.p, x) for x in self.dsigma1(w))
-
-
-def pd_derivation(diff: PDDifferential, a):
-    return diff.d(a)
-
-
-def pd_multiply(env: PDAlgebra, a, b):
-    return env.mul(a, b)

@@ -344,9 +344,8 @@ def _build_objects(sc: Scenario):
             raise ScenarioSemanticError(f"unknown frame kind {kind!r}")
         # max_carrier gates the kinds whose operations enumerate the carrier;
         # pd frames are solved through coordinates and never enumerated
-        if kind in ("witt", "lift", "quotient") and hasattr(fr.A, "size"):
-            if fr.A.size() > sc.budgets["max_carrier"]:
-                raise BudgetExceeded(f"frame {name!r} carrier exceeds max_carrier")
+        if kind != "pd" and fr.A.size() > sc.budgets["max_carrier"]:
+            raise BudgetExceeded(f"frame {name!r} carrier exceeds max_carrier")
         frames[name] = fr
 
     homs = {}
@@ -357,8 +356,7 @@ def _build_objects(sc: Scenario):
         if kind == "identity":
             if src is not tgt:
                 raise ScenarioSemanticError("identity hom needs equal frames")
-            hom = FrameHom(src, tgt, fn=lambda x: x, name=name)
-            hom.section = lambda x: x
+            hom = FrameHom(src, tgt, fn=lambda x: x, name=name, section=lambda x: x)
         elif kind == "witt-to-quotient":
             if src.kind != "witt" or tgt.kind != "quotient":
                 raise ScenarioSemanticError("witt-to-quotient needs a witt source and quotient target")
@@ -368,8 +366,8 @@ def _build_objects(sc: Scenario):
                 fn=tgt.A.reduce,
                 cod_fn=tgt.sigma1_codomain.reduce,
                 name=name,
+                section=lambda x: x,  # canonical representatives
             )
-            hom.section = lambda x: x  # canonical representatives
         else:
             raise ScenarioSemanticError(f"unknown hom kind {kind!r}")
         homs[name] = hom

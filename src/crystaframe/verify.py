@@ -224,8 +224,9 @@ def _eps_deformation():
     def sect(x):
         return tuple(tuple(((0,), v) for _, v in c) for c in x)
 
-    hom = FrameHom(src, tgt, fn=proj, cod_fn=lambda y: tuple(proj_comp(c) for c in y), name="eps->0")
-    hom.section = sect
+    hom = FrameHom(
+        src, tgt, fn=proj, cod_fn=lambda y: tuple(proj_comp(c) for c in y), name="eps->0", section=sect
+    )
     return src, tgt, hom
 
 

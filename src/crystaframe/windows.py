@@ -21,6 +21,10 @@ connected components of vectorised index maps.  Witt and quotient carriers
 are classified by pairwise hom scans instead: each invertible Psi is tested
 for isomorphism against the representatives found so far, on the Witt
 arithmetic that finite carriers memoise (see `witt`).
+
+Raw-form normalisation (`window_from_raw` through `normal_decomposition`)
+is for lift frames, over Z/p^m or W_n(k): only they carry the residue map
+it splits M/M_1 with.  Other kinds raise WindowError there.
 """
 
 from __future__ import annotations
@@ -95,18 +99,6 @@ def window_from_psi(frame: Frame, d: int, t: int, psi) -> Window:
     if d + t > 0 and not is_invertible(frame.A, psi):
         raise WindowError("structure matrix is not invertible")
     return Window(frame, d, t, psi)
-
-
-def phi_from_psi(w: Window):
-    """(Phi matrix, Phi_1 action on the M_1 spanning set).
-
-    Phi_1 is returned as the list of its values on L-basis vectors followed
-    by its sigma1-twisted action description on I*T generators.
-    """
-    A = w.frame.A
-    phi = w.phi_matrix()
-    phi1_on_L = [mat_col(w.psi, j) for j in range(w.d)]
-    return phi, phi1_on_L
 
 
 def validate_window(w: Window, n_samples: int = 8, seed: int = 0) -> bool:
@@ -645,7 +637,7 @@ class LiftReport:
 
 def lift_window_along(alpha: FrameHom, w: Window, section=None) -> Window:
     """Lift a target window through a surjection: any invertible entry lift."""
-    sect = section or getattr(alpha, "section", None)
+    sect = section or alpha.section
     if sect is None:
         raise WindowError("lifting needs a section of the carrier surjection")
     psi0 = mat_map(sect, w.psi)
@@ -674,7 +666,7 @@ def lift_hom_along(
     """
     src = alpha.source
     A = src.A
-    sect = section or getattr(alpha, "section", None)
+    sect = section or alpha.section
     if sect is None:
         raise WindowError("lifting needs a section of the carrier surjection")
     if kernel_elements is None:
@@ -761,8 +753,7 @@ def classify_windows(frame: Frame, rank: int, budget: int = 1 << 21) -> ClassTab
         raise WindowError(f"rank must be non-negative, got {rank}")
     if rank > 2:
         raise WindowError("classification is desk-scale: rank <= 2")
-    name = getattr(frame, "name", frame.kind)
-    table = ClassTable(name, rank)
+    table = ClassTable(frame.name, rank)
     if rank == 0:
         table.classes.append(WindowClass(0, 0, mat([]), 1))
         return table
@@ -852,7 +843,12 @@ def normal_decomposition(frame: Frame, rank: int, m1_generators):
     certifies the result: the basis change is invertible and every M_1
     generator decomposes with bottom entries in I.  Failure of the
     residue-field split reports M/M_1 as non-projective.
+
+    Scope: lift frames, the only kind with a residue map (residue_ring,
+    residue, section); any other kind raises WindowError.
     """
+    if frame.kind != "lift":
+        raise WindowError(f"normal decompositions need a lift frame, not {frame.name}")
     A = frame.A
     R = frame.residue_ring
     res_gens = [tuple(frame.residue(x) for x in g) for g in m1_generators]
@@ -927,7 +923,8 @@ def window_from_raw(frame: Frame, m1_generators, phi) -> Window:
     decomposition M = L + T with M_1 = L + I*T is computed first; in the
     new basis Phi's L-columns must be exact p-multiples (that is the window
     law p*Phi_1 = Phi on L), and Psi is Phi with those columns divided by p
-    through their certified witnesses.  The result is revalidated.
+    through their certified witnesses.  The result is revalidated.  Lift
+    frames only, as for `normal_decomposition`.
     """
     phi = mat(phi)
     rank = len(phi)
@@ -964,21 +961,15 @@ def window_from_raw(frame: Frame, m1_generators, phi) -> Window:
 
 
 def _divide_by_p(frame: Frame, x):
-    """A canonical witness h with p*h = x, or None."""
+    """A canonical witness h with p*h = x on a lift frame, or None."""
     A = frame.A
     if _has_coords(A):
+        # Z/p^m: one coordinate and no relations
         coords = A.coords(x)
         if any(c % frame.p for c in coords):
-            # fall back to a linear solve through the relation span
-            from .linalg import solve as lin_solve
-
-            n = A.coord_count()
-            rels = A.relations.basis()
-            rows = [[frame.p if i == j else 0 for j in range(n)] + [r[i] for r in rels] for i in range(n)]
-            sol = lin_solve(rows, list(coords), frame.p, A.coord_precision())
-            return None if sol is None else A.from_coords(sol[:n])
+            return None
         return A.from_coords([c // frame.p for c in coords])
-    # finite carriers: scan
+    # W_n(k): scan
     for h in A.elements():
         if A.int_mul(frame.p, h) == x:
             return h

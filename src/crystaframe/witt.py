@@ -130,12 +130,6 @@ class WittRing:
     def one(self):
         return (self.base.one,) + (self.base.zero,) * (self.n - 1)
 
-    def make(self, comps):
-        comps = tuple(comps)
-        if len(comps) != self.n:
-            raise ValueError(f"expected {self.n} components")
-        return comps
-
     def _eval(self, polys, x, y=None):
         values = list(x) + list(y if y is not None else x)
         R = self.cache.ring
@@ -276,21 +270,3 @@ class WittRing:
                 return y
             y = self.mul(y, self.sub(two, xy))
         raise AssertionError("Witt inversion failed to converge")
-
-
-def witt_arith(W: WittRing, x, y, kind: str):
-    if kind == "add":
-        return W.add(x, y)
-    if kind == "mul":
-        return W.mul(x, y)
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-def witt_structure(W: WittRing, x, kind: str):
-    if kind == "teichmuller":
-        return W.teichmuller(x)
-    if kind == "verschiebung":
-        return W.verschiebung(x)
-    if kind == "frobenius":
-        return W.frobenius(x)
-    raise ValueError(f"unknown kind {kind!r}")

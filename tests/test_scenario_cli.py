@@ -228,12 +228,68 @@ command validate Q
         scn = tmp_path / f"object_{k}.scn"
         scn.write_text(text)
         assert main(["run", str(scn)]) == code, text.splitlines()[-1]
+    # a quotient frame over a ring that is not of characteristic p
+    zpm = tmp_path / "zpm.scn"
+    zpm.write_text((SCN / "witt_frame_f2.scn").read_text().replace(
+        "ring S field Fp vars Y:2:2", "ring S field Zpm vars Y:2:2"
+    ))
+    assert main(["run", str(zpm)]) == 3
+    # the verify subcommand checks its flags as `command verify` does
+    for args in (
+        ["pd-axioms", "--p", "4"],
+        ["pd-axioms", "--precision", "0"],
+        ["sigma1-formula", "--grid", "nmax=-1"],
+        ["win-phi-mod", "--grid", "rank=5"],
+        ["pd-axioms", "--grid", "cap=1"],
+    ):
+        assert main(["verify", *args]) == 3, args
     # a tuple-valued verify parameter also takes a single int
     validate_scenario(parse_scenario(MINIMAL + "command verify gamma-vp primes=2 nmax=1\n"))
     validate_scenario(parse_scenario(MINIMAL + "command verify gamma-vp primes=2,3\n"))
     ok = tmp_path / "shape_ok.scn"
     ok.write_text(MINIMAL + windows + "command hom a b\ncommand hom a b mode phi_module\n")
     assert main(["run", str(ok)]) == 0
+
+
+HOMS = """
+format_version 1
+prime 2
+precision 2
+depth 1
+budget max_carrier 65536
+budget max_enum 1048576
+budget max_cap 16
+ring S field Fp vars Y:2:2
+frame W kind witt ring S length 2
+frame Q kind quotient ring S length 2 ideal Y
+frame L kind lift precision 2
+hom wq from W to Q kind witt-to-quotient
+hom id from L to L kind identity
+window a frame W d 1 t 0 psi 1
+window q frame Q d 1 t 0 psi 1
+window l frame L d 1 t 1 psi 1,1,0,1
+command base-change a hom wq
+command lift q hom wq
+command base-change l hom id
+command lift l hom id
+"""
+
+
+def test_cli_scenario_homs(tmp_path):
+    # base change along and lifting through both hom kinds pass
+    scn = tmp_path / "homs.scn"
+    scn.write_text(HOMS)
+    out = tmp_path / "homs.json"
+    assert main(["run", str(scn), "--report", str(out)]) == 0
+    results = json.loads(out.read_text())["results"]
+    assert [r["status"] for r in results] == ["pass"] * 4
+    assert results[2]["data"]["psi"] == results[3]["data"]["psi"] == [[1, 1], [0, 1]]
+    # a lift of a window over the hom's source, not its target, fails
+    scn.write_text(HOMS + "command lift a hom wq\n")
+    assert main(["run", str(scn), "--report", str(out)]) == 1
+    last = json.loads(out.read_text())["results"][-1]
+    assert last["status"] == "fail"
+    assert last["data"]["summary"] == "window is not over the hom's target frame"
 
 
 def test_cli_verify_subcommand():

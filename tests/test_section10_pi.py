@@ -22,8 +22,7 @@ def pi_to_witt_level(p=2, m=3, cap=6):
     def fn(x):
         return x[unit_idx] % tgt.A.modulus
 
-    hom = FrameHom(src, tgt, fn=fn, name="pi")
-    hom.section = lambda c: env.embed_int(c)
+    hom = FrameHom(src, tgt, fn=fn, name="pi", section=env.embed_int)
     return src, tgt, hom, env
 
 

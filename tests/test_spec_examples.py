@@ -88,8 +88,7 @@ def test_base_change_witt_to_quotient_revalidates():
 def test_lift_along_identity_returns_input():
     S = MonomialAlgebra(Residues(2, 1), [])
     fr = witt_frame(S, 2)
-    ident = FrameHom(fr, fr, fn=lambda x: x, name="id")
-    ident.section = lambda x: x
+    ident = FrameHom(fr, fr, fn=lambda x: x, name="id", section=lambda x: x)
     w = window_from_psi(fr, 1, 0, [[fr.A.one]])
     lifted = lift_window_along(ident, w)
     assert lifted.psi == w.psi

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from crystaframe import windows
-from crystaframe.frames import BudgetError, FrameHom, lift_frame, witt_frame
+from crystaframe.frames import (
+    AdmissibleSequence,
+    BudgetError,
+    FrameHom,
+    admissible_quotient_frame,
+    lift_frame,
+    witt_frame,
+)
 from crystaframe.homsweep import _build_systems, _phi_scaled
 from crystaframe.linalg import SpanNF, batch_kernel
 from crystaframe.matrices import identity, is_invertible, mat, mat_map, mat_mul
@@ -31,6 +38,7 @@ from crystaframe.windows import (
     lift_window_along,
     normal_decomposition,
     window_from_psi,
+    window_from_raw,
 )
 
 
@@ -85,6 +93,22 @@ def test_normal_decomposition_extremes():
     nd = normal_decomposition(fr, 2, [(1, 0), (0, 2)])
     assert (nd.d, nd.t) == (1, 1)
     assert is_invertible(fr.A, nd.basis_change)
+
+
+def test_normal_decomposition_needs_a_lift_frame():
+    # only lift frames carry the residue map that splits M/M_1
+    S = MonomialAlgebra(Residues(2, 1), [("Y", 2, 2)])
+    others = [
+        pd_frame(build_pd_envelope(PDPresentation(2, 2, ("x",), ((1,),), 4))),
+        witt_frame(MonomialAlgebra(Residues(2, 1), []), 2),
+        admissible_quotient_frame(AdmissibleSequence.minimal(S, [S.gen("Y")], 2), 2),
+    ]
+    for fr in others:
+        one, zero = fr.A.one, fr.A.zero
+        with pytest.raises(WindowError, match="lift frame"):
+            normal_decomposition(fr, 2, [(one, zero), (zero, one)])
+        with pytest.raises(WindowError, match="lift frame"):
+            window_from_raw(fr, [(one, zero), (zero, one)], [[one, zero], [zero, one]])
 
 
 def test_fv_certificates():
@@ -279,8 +303,9 @@ def eps_frames():
     def sect(x):
         return tuple(tuple(((0,), v) for _, v in c) for c in x)
 
-    hom = FrameHom(src, tgt, fn=proj, cod_fn=lambda y: tuple(proj_comp(c) for c in y), name="eps->0")
-    hom.section = sect
+    hom = FrameHom(
+        src, tgt, fn=proj, cod_fn=lambda y: tuple(proj_comp(c) for c in y), name="eps->0", section=sect
+    )
     return src, tgt, hom
 
 
@@ -331,8 +356,6 @@ def test_orbit_bfs_matches_bruteforce_iso_on_z4_rank2():
 
 
 def test_window_from_raw_normalizes():
-    from crystaframe.windows import window_from_raw
-
     fr = zframe()
     # raw data of the supersingular window: M_1 = <e_1> + I e_2,
     # Phi = [[0, 1], [2, 0]] (columns Phi(e_1) = 2 e_2, Phi(e_2) = e_1)

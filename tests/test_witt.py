@@ -8,7 +8,7 @@ from crystaframe.intpoly import IntPolyRing
 from crystaframe.monomial import MonomialAlgebra
 from crystaframe.residues import GaloisField, Residues
 from crystaframe.scenario import parse_scenario, validate_scenario
-from crystaframe.witt import WittRing, witt_arith, witt_cache, witt_structure
+from crystaframe.witt import WittRing, witt_cache
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -170,14 +170,6 @@ def test_inverse():
     units = [x for x in W.elements() if W.is_unit(x)]
     for x in units:
         assert W.mul(x, W.inv(x)) == W.one
-
-
-def test_wrappers():
-    W = WittRing(F2(), 2)
-    assert witt_arith(W, W.one, W.one, "add") == W.add(W.one, W.one)
-    assert witt_structure(W, W.base.one, "teichmuller") == W.one
-    with pytest.raises(ValueError):
-        witt_arith(W, W.one, W.one, "sub")
 
 
 def test_gamma_p_of_v_identity_symbolic():
