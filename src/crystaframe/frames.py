@@ -642,7 +642,11 @@ class NilpotenceReport:
 
 class ModuleSpan:
     """Membership oracle for the ideal span of some generators and for p times
-    it, by coordinate linear algebra (SpanNF) over Z/p^m."""
+    it, by coordinate linear algebra (SpanNF) over Z/p^m.
+
+    `elements` keeps the nonzero products g*b it spans, generators g against
+    the carrier's module spanning set, in insertion order.
+    """
 
     def __init__(self, carrier, gens):
         from .linalg import SpanNF
@@ -652,29 +656,21 @@ class ModuleSpan:
         p, m = carrier.p, carrier.coord_precision()
         self.nf = SpanNF(n, p, m)
         self.pnf = SpanNF(n, p, m)
+        self.elements = []
         mults = carrier.module_spanning()
         for g in gens:
             for b in mults:
                 x = carrier.mul(g, b)
                 self.nf.insert(list(carrier.coords(x)))
                 self.pnf.insert(list(carrier.coords(carrier.int_mul(carrier.p, x))))
+                if x != carrier.zero:
+                    self.elements.append(x)
 
     def contains(self, x) -> bool:
         return self.nf.contains(list(self.carrier.coords(x)))
 
     def p_contains(self, x) -> bool:
         return self.pnf.contains(list(self.carrier.coords(x)))
-
-
-def _module_spanning_elements(carrier, gens):
-    mults = carrier.module_spanning()
-    out = []
-    for g in gens:
-        for b in mults:
-            x = carrier.mul(g, b)
-            if x != carrier.zero:
-                out.append(x)
-    return out
 
 
 def sigma1_nilpotence_index(frame: Frame, N_gens, bound: int | None = None) -> NilpotenceReport:
@@ -703,7 +699,7 @@ def sigma1_nilpotence_index(frame: Frame, N_gens, bound: int | None = None) -> N
     if bound is None:
         bound = _default_bound(frame)
     worst = 0
-    for x in _module_spanning_elements(A, N_gens):
+    for x in span.elements:
         r = 0
         cur = x
         while not span.p_contains(cur):

@@ -3,27 +3,32 @@
 A connection is a tuple of matrices N_1..N_k (one per base variable) with
 entries in the cap-1 companion envelope: nabla(e_a) = sum e_b (N_i)_{ba} dx_i
 plus the Leibniz rule.  Horizontality of Phi and Phi_1 is checked exactly at
-the declared degree ledger; the solver flattens both diagrams to a linear
-system over Z/p^m and returns the full affine solution set.
+the declared degree ledger by evaluating both diagrams as residuals
+(`horizontality_check`).
 
 The square-zero frame D(1)_2 = D + Omega (multiplication (a,w)(a',w') =
 (aa', aw' + a'w)) carries sigma1 = (sigma1, (dsigma)1) and the two
 structural maps pbar_0(a) = (a, da), pbar_1(a) = (a, 0).  A horizontal
 connection corresponds to the window isomorphism eps(x) = x + nabla(x)
-between the two pullbacks; both directions of that dictionary are
-implemented and certified through the generic window machinery.
+between the two pullbacks (Berthelot-Ogus, Notes on Crystalline
+Cohomology, section 4); both directions of that dictionary are implemented
+and certified through the generic window machinery.  The solver uses it:
+`solve_connection` is the hom system of `windows.hom_affine` between the
+pullbacks with the D-part of eps pinned to the identity, and the residuals
+stay the independent check of its output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .frames import Frame, FrameHom
-from .linalg import solve_affine
-from .matrices import identity, mat, mat_add, mat_col, mat_map, mat_mul, mat_sub
+from .linalg import SpanNF
+from .matrices import is_invertible, mat, mat_add, mat_col, mat_map, mat_mul, mat_sub
+from .matrices import vec_add, vec_scale, vec_sub
 from .pdenv import PDAlgebra, PDDifferential, PDError, PDFrame, PDPresentation
-from .windows import Window, WindowError, base_change, is_window_hom
-from .matrices import is_invertible, vec_add, vec_scale, vec_sub
+from .windows import Window, WindowError, base_change, hom_affine, is_window_hom
 
 
 @dataclass(frozen=True)
@@ -32,10 +37,6 @@ class Connection:
 
     window: Window
     matrices: tuple  # k matrices, r x r over diff.env1
-
-    @property
-    def k(self):
-        return len(self.matrices)
 
 
 class NablaContext:
@@ -48,6 +49,11 @@ class NablaContext:
         self.env = frame.env
         self.diff = PDDifferential(self.env)
         self.env1 = self.diff.env1
+
+    @cached_property
+    def square_zero(self) -> "SquareZeroFrame":
+        """D(1)_2 over this frame, built on first use."""
+        return square_zero_frame(self.frame, self.diff)
 
     def partial(self, x):
         """Tuple of dx_i components of d(x), over env1."""
@@ -176,77 +182,52 @@ def horizontality_check(ctx: NablaContext, w: Window, conn: Connection) -> Horiz
     return out
 
 
-def solve_connection(ctx: NablaContext, w: Window):
-    """The affine lattice of horizontal connections, by exact linear algebra.
+def solve_connection(ctx: NablaContext, w: Window, budget: int = 1 << 16):
+    """The affine set of horizontal connections, as window isomorphisms.
+
+    A connection is the isomorphism eps = 1 + nabla from pbar0^* w to
+    pbar1^* w over D(1)_2: D-part the identity, K-part the N_i.  So this is
+    the hom system of `windows.hom_affine` with the D-coordinates of eps
+    pinned to the identity; the unknowns are its K-coordinates and the
+    divided-Frobenius witnesses.  The budget bounds the square of the
+    K-coordinate count (WindowBudgetError).
 
     Returns (particular, homogeneous_generators) or None when empty.  The
-    unknowns are the env1 coordinates of the N_i entries; every residual of
-    `_horizontality_residuals` is linear in them with constant part given by
-    the zero connection.
+    generators are the decoded `SpanNF.reduced_basis()` of the homogeneous
+    K-coordinate span and the particular solution is reduced modulo it, so
+    neither depends on the column layout.  Each produced connection is
+    certified by `horizontality_check`, the independent residual encoding.
     """
-    env1 = ctx.env1
-    k = ctx.diff.k
-    r = w.rank
-    nc = env1.coord_count()
-    nvars = k * r * r * nc
-    mod = env1.mod
-    rel_rows = [list(rw) for rw in env1.relations.basis()]
-
-    def var(i, a, b, c):
-        return ((i * r + a) * r + b) * nc + c
-
-    zero_res = _flatten_residuals(ctx, _horizontality_residuals(ctx, w, zero_connection(ctx, w)))
-    basis_res = []
-    for i in range(k):
-        for a in range(r):
-            for b in range(r):
-                for c in range(nc):
-                    Nc = [
-                        [[env1.zero] * r for _ in range(r)] for _ in range(k)
-                    ]
-                    Nc[i][a][b] = env1._unit_vec(c)
-                    conn = Connection(w, tuple(mat(M) for M in Nc))
-                    res = _flatten_residuals(ctx, _horizontality_residuals(ctx, w, conn))
-                    basis_res.append([(x - z) % mod for x, z in zip(res, zero_res)])
-    n_eq = len(zero_res)
-    n_blocks = n_eq // nc
-    n_slack = len(rel_rows) * n_blocks
-    rows = []
-    rhs = []
-    for e in range(n_eq):
-        row = [basis_res[v][e] for v in range(nvars)]
-        row += [0] * n_slack
-        blk = e // nc
-        for s_idx, rel in enumerate(rel_rows):
-            row[nvars + blk * len(rel_rows) + s_idx] = rel[e % nc] % mod
-        rows.append(row)
-        rhs.append((-zero_res[e]) % mod)
-    part, hom_gens = solve_affine(rows, rhs, env1.p, env1.m)
-    if part is None:
+    sz = ctx.square_zero
+    w0, w1 = _pullbacks(sz, w)
+    env, env1, k, r = ctx.env, ctx.env1, ctx.diff.k, w.rank
+    nc, n1 = sz.A.coord_count(), env1.n
+    # entry e = a*r + b of eps is diagonal iff e is a multiple of r + 1
+    ones = [env.coords(env.zero if e % (r + 1) else env.one) for e in range(r * r)]
+    pinned = {e * nc + c: x for e, cs in enumerate(ones) for c, x in enumerate(cs)}
+    sol = hom_affine(w0, w1, pinned, budget=budget)
+    if sol is None:
         return None
+    # the K-coordinates of eps, N_i[a][b] in the order (i, a, b)
+    starts = [e * nc + env.n + i * n1 for i in range(k) for e in range(r * r)]
 
-    def decode(vec):
-        mats = []
-        for i in range(k):
-            rowsm = []
-            for a in range(r):
-                rowm = []
-                for b in range(r):
-                    base = var(i, a, b, 0)
-                    rowm.append(env1.reduce(list(vec[base : base + nc])))
-                rowsm.append(rowm)
-            mats.append(mat(rowsm))
-        return Connection(w, tuple(mats))
+    def k_coords(vec):
+        return [x for s in starts for x in vec[s : s + n1]]
 
-    particular = decode(part)
-    gens = []
-    seen = set()
-    for g in hom_gens:
-        conn = decode(g)
-        keyed = tuple(conn.matrices)
-        if any(x != env1.zero for M in conn.matrices for row in M for x in row) and keyed not in seen:
-            seen.add(keyed)
-            gens.append(conn)
+    def decode(flat):
+        blocks = (list(flat[s : s + n1]) for s in range(0, len(flat), n1))
+        mats = [[[env1.reduce(next(blocks)) for b in range(r)] for a in range(r)] for i in range(k)]
+        return Connection(w, tuple(map(mat, mats)))
+
+    nf = SpanNF(k * r * r * n1, env1.p, env1.m)
+    for g in sol[1]:
+        nf.insert(k_coords(g))
+    particular = decode(nf.reduce(k_coords(sol[0])))
+    zero = zero_connection(ctx, w)
+    gens = [g for g in map(decode, nf.reduced_basis()) if g != zero]
+    for conn in produced_connections(ctx, w, (particular, gens), bound=len(gens)):
+        if not horizontality_check(ctx, w, conn).passed:
+            raise AssertionError("connection solver produced a non-horizontal connection; solver defect")
     return particular, gens
 
 
@@ -327,15 +308,6 @@ def integrability_and_qnilpotence(ctx: NablaContext, w: Window, conn: Connection
         else:
             indices.append(idx)
     return IntegrabilityReport(curv_zero and nilpotent_all, curv_zero, indices)
-
-
-def _flatten_residuals(ctx: NablaContext, residuals):
-    out = []
-    for tag, where, res in residuals:
-        for row in res:
-            for x in row:
-                out.extend(ctx.env1.coords(x))
-    return out
 
 
 # -- the square-zero frame D(1)_2 ---------------------------------------------------
@@ -471,24 +443,20 @@ class SquareZeroCarrier:
 
 
 class _SZRelations:
-    """Relation rows of the square-zero carrier coordinates."""
+    """Relation rows of the square-zero carrier coordinates: those of env on
+    the D-part, then those of env1 on each Omega slot."""
 
     def __init__(self, carrier: SquareZeroCarrier):
         self.carrier = carrier
 
     def basis(self):
         c = self.carrier
-        rows = []
-        for r in c.env.relations.basis():
-            rows.append(tuple(list(r) + [0] * (c.k * c.env1.n)))
-        for i in range(c.k):
-            for r in c.env1.relations.basis():
-                row = [0] * c.n
-                base = c.env.n + i * c.env1.n
-                for j, v in enumerate(r):
-                    row[base + j] = v
-                rows.append(tuple(row))
-        return rows
+        slots = [(0, c.env)] + [(c.env.n + i * c.env1.n, c.env1) for i in range(c.k)]
+        return [
+            tuple([0] * s + list(r) + [0] * (c.n - s - len(r)))
+            for s, alg in slots
+            for r in alg.relations.basis()
+        ]
 
 
 class SquareZeroFrame(Frame):
@@ -589,15 +557,18 @@ def pbar1(fr: SquareZeroFrame) -> FrameHom:
     return FrameHom(base, fr, fn=fn, name="pbar1", section=lambda x: x[0])
 
 
+def _pullbacks(sz: SquareZeroFrame, w: Window):
+    """pbar0^* w and pbar1^* w, the source and target of eps."""
+    return base_change(pbar0(sz), w), base_change(pbar1(sz), w)
+
+
 def connection_to_stratification(ctx: NablaContext, w: Window, conn: Connection, sz: SquareZeroFrame | None = None):
     """eps(x) = x + nabla(x) as a window isomorphism pbar0^* w -> pbar1^* w.
 
     Raises when the input is not horizontal (the certificate fails).
     """
-    sz = sz or square_zero_frame(ctx.frame, ctx.diff)
-    h0, h1 = pbar0(sz), pbar1(sz)
-    w0 = base_change(h0, w)
-    w1 = base_change(h1, w)
+    sz = sz or ctx.square_zero
+    w0, w1 = _pullbacks(sz, w)
     r = w.rank
     env1 = ctx.env1
     E = []
@@ -622,10 +593,8 @@ def stratification_to_connection(ctx: NablaContext, w: Window, E, sz: SquareZero
     Requires eps to reduce to the identity along K and to be a window
     isomorphism; the extracted connection is re-certified horizontal.
     """
-    sz = sz or square_zero_frame(ctx.frame, ctx.diff)
-    h0, h1 = pbar0(sz), pbar1(sz)
-    w0 = base_change(h0, w)
-    w1 = base_change(h1, w)
+    sz = sz or ctx.square_zero
+    w0, w1 = _pullbacks(sz, w)
     r = w.rank
     for a in range(r):
         for b in range(r):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from .frames import BudgetError, FrameError, frame_axiom_failures
 from .nabla import (
+    Connection,
     NablaContext,
     horizontality_check,
     integrability_and_qnilpotence,
@@ -60,10 +61,14 @@ def run_scenario(sc: Scenario, objects: dict, internal_precision: int | None = N
 def _cmd_validate(cmd, sc, frames, homs, windows, report, m_int):
     frame = frames[cmd[1]]
     budget = min(sc.budgets["max_enum"], 4096)
+    before = dict(frame.ledger.consumed)
     failures, gens, samples = frame_axiom_failures(frame, budget, n_samples=16, seed=0)
     report.ledger.append([f"validate {cmd[1]}: sigma1 codomain depth {frame.depth}", 0])
+    # the frame's ledger outlives the command: charge this command its own digits
     for note, count in frame.ledger.trace():
-        report.ledger.append([f"validate {cmd[1]}: {note} x{count}", count])
+        used = count - before.get(note, 0)
+        if used:
+            report.ledger.append([f"validate {cmd[1]}: {note} x{used}", used])
     if failures:
         return "fail", {"summary": f"{len(failures)} axiom failures", "witnesses": failures[:8]}
     return "pass", {
@@ -129,14 +134,12 @@ def _cmd_solve_connection(cmd, sc, frames, homs, windows, report, m_int):
     if w.frame is not frame:
         return "fail", {"summary": "window is not over the named pd frame"}
     ctx = NablaContext(frame)
-    sol = solve_connection(ctx, w)
+    sol = solve_connection(ctx, w, budget=sc.budgets["max_enum"])
     if sol is None:
         return "finding", {"summary": "empty solution set (recorded, not an error)"}
     particular, gens = sol
-    conns = produced_connections(ctx, w, sol)
+    conns = produced_connections(ctx, w, sol)  # solve_connection certified them horizontal
     for conn in conns:
-        if not horizontality_check(ctx, w, conn).passed:
-            return "fail", {"summary": "solver output failed horizontality"}
         rep = integrability_and_qnilpotence(ctx, w, conn)
         if not (rep.curvature_zero and all(i is not None for i in rep.nilpotence_indices)):
             return "fail", {"summary": "solver output failed the integrability lemma"}
@@ -146,7 +149,7 @@ def _cmd_solve_connection(cmd, sc, frames, homs, windows, report, m_int):
         "homogeneous_rank": len(gens),
     }
     if m_int and m_int > frame.env.m:
-        stable = _ledger_stability(frame, w, m_int)
+        stable = _ledger_stability(ctx, w, m_int, sc.budgets["max_enum"])
         data["ledger_stability"] = stable
         report.ledger.append([f"solve-connection {cmd[2]}: re-solved at precision {m_int}", m_int - frame.env.m])
         if not stable:
@@ -154,11 +157,13 @@ def _cmd_solve_connection(cmd, sc, frames, homs, windows, report, m_int):
     return "pass", data
 
 
-def _ledger_stability(frame, w, m_int) -> bool:
-    """Re-solve at higher internal precision; the reduced lattice must agree."""
+def _ledger_stability(ctx, w, m_int, budget) -> bool:
+    """Re-solve a solvable window at higher internal precision: the solution
+    set must stay non-empty and its particular reduce to a solution."""
     from .pdenv import build_pd_envelope
     from .windows import window_from_psi
 
+    frame = ctx.frame
     pres = frame.env.pres
     env2 = build_pd_envelope(
         PDPresentation(pres.p, m_int, pres.variables, pres.generators, pres.cap, pres.tau)
@@ -169,28 +174,15 @@ def _ledger_stability(frame, w, m_int) -> bool:
         for row in w.psi
     ]
     w2 = window_from_psi(fr2, w.d, w.t, psi2)
-    ctx2 = NablaContext(fr2)
-    sol2 = solve_connection(ctx2, w2)
-    ctx1 = NablaContext(frame)
-    sol1 = solve_connection(ctx1, w)
-    if (sol1 is None) != (sol2 is None):
+    sol2 = solve_connection(NablaContext(fr2), w2, budget)
+    if sol2 is None:
         return False
-    if sol1 is None:
-        return True
     # the higher-precision particular must reduce to a valid solution
-    part2 = sol2[0]
     reduced = tuple(
         tuple(tuple(_reduce_coords(env2, frame.env, x) for x in row) for row in M)
-        for M in part2.matrices
+        for M in sol2[0].matrices
     )
-    from .nabla import Connection
-
-    conn = Connection(w, tuple(_as_mat(M) for M in reduced))
-    return horizontality_check(ctx1, w, conn).passed
-
-
-def _as_mat(rows):
-    return tuple(tuple(r) for r in rows)
+    return horizontality_check(ctx, w, Connection(w, reduced)).passed
 
 
 def _lift_coords(env_small: PDAlgebra, env_big: PDAlgebra, x):

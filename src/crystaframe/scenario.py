@@ -481,9 +481,8 @@ def _validate_command(cmd, frames, homs, windows):
                 raise ScenarioSemanticError(f"verify parameters look like key=value, got {tok!r}")
             key, val = tok.split("=", 1)
             if key not in defaults:
-                raise ScenarioSemanticError(
-                    f"verify {cmd[1]} takes {', '.join(defaults)}; got {tok!r}"
-                )
+                takes = ", ".join(defaults) or "no parameters"
+                raise ScenarioSemanticError(f"verify {cmd[1]} takes {takes}; got {tok!r}")
             value = parse_verify_value(val)
             if not _fits_default(value, defaults[key]):
                 raise ScenarioSemanticError(

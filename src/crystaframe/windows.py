@@ -11,7 +11,8 @@ commutation identities exact.  Linear solvers introduce the witnesses as
 extra unknowns, so every reported hom is certified at full precision; the
 truncation ambiguity of sigma1 never enters silently.  Hom groups over
 coordinate carriers, Z/p^m included, are solved linearly; carriers without
-coordinates (Witt, quotient) are exhausted.
+coordinates (Witt, quotient) are exhausted.  `hom_affine` solves the same
+system with some coordinates of G fixed (the connection solver of `nabla`).
 
 Isomorphism testing is by solving for an invertible hom (unit scan on the
 hom space mod p), never by invariants.  Over Z/p^m carriers classification
@@ -36,7 +37,7 @@ from itertools import product as iproduct
 import numpy as np
 
 from .frames import BudgetError, Frame, FrameHom
-from .linalg import SpanNF, int_dtype, kernel_basis, mod_reducer
+from .linalg import SpanNF, int_dtype, kernel_basis, mod_reducer, solve_affine
 from .matrices import (
     from_cols,
     identity,
@@ -426,13 +427,15 @@ def _hom_equations(r_v: int, d_v: int, r_w: int, d_w: int, mode: str):
     return tuple(map(tuple, equations)), tuple(bl)
 
 
-def _hom_space_linear(v: Window, w: Window, mode: str):
-    """Hom generators by Z/p^m linear algebra: the scalar backend of
+def _hom_rows(v: Window, w: Window, mode: str):
+    """The hom system as integer rows over Z/p^m: the scalar backend of
     `_hom_equations`, the single encoding of the hom constraints.
 
     A term becomes the coordinate block mult_matrix(src[i][j]) @ op_matrix at
     the unknown's coordinates, and each equation gets one slack unknown per
-    carrier relation.  Unknowns: G coordinates, witness coordinates, slacks.
+    carrier relation.  Columns: the coordinates of G (entry (i, j),
+    coordinate c at (i*r_v + j)*nc + c), the witness coordinates, the slacks.
+    Returns (rows, column count).
     """
     fr = v.frame
     A = fr.A
@@ -477,13 +480,19 @@ def _hom_space_linear(v: Window, w: Window, mode: str):
             row[(i * r_v + j) * nc + c] = 1
             row[nG + kk * nc + c] = (-p) % mod
             mat_rows.append(row)
+    return mat_rows, total_vars
 
-    if not mat_rows:
-        gens_coords = [
-            tuple(1 if i == j else 0 for i in range(total_vars)) for j in range(total_vars)
-        ]
-    else:
-        gens_coords = kernel_basis(mat_rows, p, m)
+
+def _hom_space_linear(v: Window, w: Window, mode: str):
+    """Hom generators: the kernel of `_hom_rows`, projected to G."""
+    fr = v.frame
+    A = fr.A
+    p, m = fr.p, A.coord_precision()
+    nc = A.coord_count()
+    r_v, r_w = v.rank, w.rank
+    nG = r_w * r_v * nc
+    # rows exist unless G has no coordinates, and then neither has the kernel
+    gens_coords = kernel_basis(_hom_rows(v, w, mode)[0], p, m)
 
     # project to G, decode, deduplicate via a span normal form on the
     # normalized (relation-reduced) coordinates
@@ -491,15 +500,45 @@ def _hom_space_linear(v: Window, w: Window, mode: str):
     gens = []
     for vec in gens_coords:
         G = _decode_G(A, vec[:nG], r_w, r_v, nc)
-        norm = []
-        for i in range(r_w):
-            for j in range(r_v):
-                norm.extend(A.coords(G[i][j]))
+        norm = [c for row in G for x in row for c in A.coords(x)]
         if not any(norm) or nf.contains(norm):
             continue
         nf.insert(norm)
         gens.append(G)
     return gens
+
+
+def hom_affine(v: Window, w: Window, pinned: dict, budget: int = 1 << 16):
+    """The window homs G whose coordinates at `pinned` take the given values.
+
+    `pinned` maps G coordinates, in the column layout of `_hom_rows`, to
+    values.  Their columns move to the right-hand side and `solve_affine`
+    solves the rest of the same system, witnesses and slacks included.
+    Returns (particular, kernel) as G-coordinate vectors -- the pinned
+    coordinates at their values in the particular solution and 0 in the
+    kernel generators -- or None when no hom takes those values.  The
+    budget bounds the square of the free G coordinates, as in `hom_space`.
+    """
+    p, m = v.frame.p, v.frame.A.coord_precision()
+    mod = p ** m
+    nG = w.rank * v.rank * v.frame.A.coord_count()
+    n_free = nG - len(pinned)
+    if n_free * n_free > budget:
+        raise WindowBudgetError(f"hom system too large for the budget ({n_free} unknowns)")
+    rows, total_vars = _hom_rows(v, w, "window")
+    free = [c for c in range(total_vars) if c not in pinned]
+    rhs = [-sum(row[c] * x for c, x in pinned.items()) % mod for row in rows]
+    part, kernel = solve_affine([[row[c] for c in free] for row in rows], rhs, p, m)
+    if part is None:
+        return None
+
+    def to_G(vec, fixed):  # the free G columns come first in `free`
+        out = [fixed.get(c, 0) for c in range(nG)]
+        for c, x in zip(free[:n_free], vec):
+            out[c] = x
+        return out
+
+    return to_G(part, pinned), [to_G(g, {}) for g in kernel]
 
 
 def _decode_G(A, flat, r_w, r_v, nc):

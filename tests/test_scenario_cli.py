@@ -160,6 +160,17 @@ command validate Q
     enum = tmp_path / "enum.scn"
     enum.write_text(MINIMAL.replace("max_enum 1048576", "max_enum 16") + "command classify L rank 2\n")
     assert main(["run", str(enum)]) == 4
+    # so is a connection system whose unknowns, squared, exceed max_enum
+    conn = tmp_path / "conn.scn"
+    conn_text = (
+        MINIMAL.split("frame L")[0]
+        + "frame D kind pd vars x gens x cap 5\nwindow ss frame D d 1 t 1 psi 0,1,1,0\n"
+        "command solve-connection D ss\n"
+    )
+    conn.write_text(conn_text)
+    assert main(["run", str(conn)]) == 0
+    conn.write_text(conn_text.replace("max_enum 1048576", "max_enum 16"))
+    assert main(["run", str(conn)]) == 4
     # wrong token counts, a rejected window and an unknown verify keyword
     # are semantic errors, never a traceback or a silent pass
     windows = "window a frame L d 0 t 1 psi 1\nwindow b frame L d 1 t 0 psi 1\n"
@@ -295,6 +306,24 @@ def test_cli_scenario_homs(tmp_path):
 def test_cli_verify_subcommand():
     assert main(["verify", "gamma-vp"]) == 0
     assert main(["verify", "sigma1-formula", "--p", "2", "--grid", "nmax=4"]) == 0
+
+
+def test_verify_without_parameters_says_so():
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert main(["verify", "deform-win", "--p", "2"]) == 3
+    assert err.getvalue() == "semantic error: verify deform-win takes no parameters; got 'p=2'\n"
+
+
+def test_ledger_lines_are_per_command(tmp_path):
+    # the frame's ledger lives across commands; each validate reports its own digits
+    scn = tmp_path / "twice.scn"
+    scn.write_text((SCN / "classify_rank1_zp2.scn").read_text() + "command validate L\n")
+    out = tmp_path / "twice.json"
+    assert main(["run", str(scn), "--report", str(out)]) == 0
+    ledger = json.loads(out.read_text())["ledger"]
+    assert ledger[: len(ledger) // 2] == ledger[len(ledger) // 2 :]
+    assert ["validate L: sigma1-canonical x9", 9] in ledger
 
 
 def test_env_budget_override(monkeypatch, tmp_path):

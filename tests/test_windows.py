@@ -15,7 +15,7 @@ from crystaframe.frames import (
 )
 from crystaframe.homsweep import _build_systems, _phi_scaled
 from crystaframe.linalg import SpanNF, batch_kernel
-from crystaframe.matrices import identity, is_invertible, mat, mat_map, mat_mul
+from crystaframe.matrices import identity, is_invertible, mat, mat_add, mat_map, mat_mul
 from crystaframe.monomial import MonomialAlgebra
 from crystaframe.nabla import NablaContext, square_zero_frame
 from crystaframe.pdenv import PDPresentation, build_pd_envelope, pd_frame
@@ -654,6 +654,45 @@ def test_linear_hom_space_pd_sigma1_on_divided_powers():
     for v, w in [(v, w2) for v in rank1] + [(w2, w) for w in rank1]:
         for mode in ("window", "phi_module"):
             assert_linear_matches_bruteforce(v, w, mode, 2, 1)
+
+
+def test_hom_affine_pins_coordinates():
+    # `hom_affine` solves the system of `hom_space` with the pinned columns on
+    # the right-hand side: pinned nowhere it spans the hom group; pinned to a
+    # hom's coordinates at entry (0, 0) its particular is a hom taking them
+    # and its kernel the homs vanishing there; pinned to a unit where the
+    # group is zero it has no solution
+    pairs = list(iproduct(unit_windows(pd_x_frame(2, 2, 2)), repeat=2))
+    z8 = zframe(2, 3)
+    pairs.append((supersingular(z8), supersingular(z8)))
+    pinned_homs = empty = 0
+    for v, w in pairs:
+        A = v.frame.A
+        p, m, nc = A.p, A.coord_precision(), A.coord_count()
+        shape = (w.rank, v.rank)
+
+        def as_G(vec):
+            return windows._decode_G(A, vec, w.rank, v.rank, nc)
+
+        def key(gens):
+            return hom_span_key(A, p, m, gens, shape)
+
+        gens = hom_space(v, w).generators
+        part, kernel = windows.hom_affine(v, w, {})
+        assert key([as_G(g) for g in kernel] + [as_G(part)]) == key(gens)
+        for G in gens:
+            flat = [c for row in G for x in row for c in A.coords(x)]
+            part, kernel = windows.hom_affine(v, w, {c: flat[c] for c in range(nc)})
+            P = as_G(part)
+            assert part[:nc] == flat[:nc] and is_window_hom(v, w, P)
+            assert all(not any(g[:nc]) for g in kernel)
+            vanishing = [as_G(g) for g in kernel]
+            assert key(vanishing + [mat_add(A, P, mat_map(A.neg, G))]) == key(vanishing)
+            pinned_homs += 1
+        if not gens:
+            assert windows.hom_affine(v, w, {0: 1}) is None
+            empty += 1
+    assert pinned_homs >= 100 and empty >= 100, (pinned_homs, empty)
 
 
 def protocol_carriers():
