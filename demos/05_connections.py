@@ -13,7 +13,6 @@ from crystaframe import (
     pd_frame,
     produced_connections,
     solve_connection,
-    square_zero_frame,
     stratification_to_connection,
     window_from_psi,
 )
@@ -51,10 +50,9 @@ for name, (w, sol) in solutions.items():
 print()
 
 print("== The square-zero dictionary over D(1)_2 = D + Omega ==")
-sz = square_zero_frame(ctx.frame, ctx.diff)
 w, sol = solutions["supersingular"]
 conn = sol[0]
-E, _ = connection_to_stratification(ctx, w, conn, sz)
+E, _ = connection_to_stratification(ctx, w, conn)
 print("eps(x) = x + nabla(x) is a window isomorphism pbar0^* -> pbar1^*")
-back = stratification_to_connection(ctx, w, E, sz)
+back = stratification_to_connection(ctx, w, E)
 print("round trip nabla -> eps -> nabla is the identity:", back.matrices == conn.matrices)

@@ -640,6 +640,12 @@ class NilpotenceReport:
     note: str = ""
 
 
+def has_coords(carrier) -> bool:
+    """Whether the carrier speaks the coordinate protocol (Z/p^m, PD and
+    square-zero carriers); Witt and quotient carriers do not."""
+    return hasattr(carrier, "coords") and hasattr(carrier, "coord_count")
+
+
 class ModuleSpan:
     """Membership oracle for the ideal span of some generators and for p times
     it, by coordinate linear algebra (SpanNF) over Z/p^m.
@@ -686,7 +692,7 @@ def sigma1_nilpotence_index(frame: Frame, N_gens, bound: int | None = None) -> N
     lift-over-W(k) frames raise FrameError.
     """
     A = frame.A
-    if frame.sigma1_codomain is not A or not hasattr(A, "coord_count"):
+    if frame.sigma1_codomain is not A or not has_coords(A):
         raise FrameError(
             f"sigma1 nilpotence needs coordinates and sigma1 at level; {frame.name} has not"
         )

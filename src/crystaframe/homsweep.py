@@ -113,7 +113,7 @@ def _system_plan(frame, rv, d_v, rw, d_w, mode):
     """
     mod = frame.p ** frame.A.coord_precision()
     # every operator is a 1 x 1 coordinate matrix on this carrier
-    scalar = {op: _op_matrix(frame, op)[0][0] for op in ("id", "sigma", "sigma1_T", "sigma_mu")}
+    scalar = {op: _op_matrix(frame, op)[0, 0] for op in ("id", "sigma", "sigma1_T", "sigma_mu")}
     equations, bl = _hom_equations(rv, d_v, rw, d_w, mode)
     terms = []
     bound = mod

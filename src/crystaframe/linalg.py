@@ -77,7 +77,7 @@ def _one_system(mat, p: int, m: int) -> np.ndarray:
             A = np.array([[x % mod for x in row] for row in mat], dtype=np.int64)
         if A.size and (A.min() < 0 or A.max() >= mod):
             A %= mod
-    return A.astype(dt).reshape(r, c, 1)
+    return A.astype(dt, order="C").reshape(r, c, 1)  # a slice may be in F order
 
 
 def diagonalize(mat, p: int, m: int):
@@ -171,10 +171,10 @@ class SpanNF:
     The stored rows are closed under multiplication by p^{m-e}, which is
     what makes membership-by-reduction complete over Z/p^m.
 
-    `reduce` and `reduced_basis()` are canonical: they depend only on the
-    span.  `basis()` is not: a stored row is never reduced at pivot columns
-    placed after it, so the same span inserted in another order can give
-    other rows.
+    `reduce`, `reduced_basis()` and `membership_rows()` are canonical: they
+    depend only on the span.  `basis()` is not: a stored row is never
+    reduced at pivot columns placed after it, so the same span inserted in
+    another order can give other rows.
     """
 
     def __init__(self, ncols: int, p: int, m: int):
@@ -183,8 +183,10 @@ class SpanNF:
         self.m = m
         self.mod = p ** m
         self.rows: dict[int, tuple[int, list[int]]] = {}  # lead -> (e, row)
+        self._membership = None  # membership_rows(), until the next insert
 
     def insert(self, vec) -> None:
+        self._membership = None
         vec = [x % self.mod for x in vec]
         queue = [vec]
         while queue:
@@ -313,6 +315,29 @@ class SpanNF:
     def pivots(self):
         return {lead: e for lead, (e, row) in self.rows.items()}
 
+    def membership_rows(self):
+        """Rows T with x in the span exactly when T*x = 0 mod p^m.
+
+        One `diagonalize` of `reduced_basis()`: U R V = D, so x lies in the
+        row span of R exactly when (x V)_j is divisible by p^(e_j) for every
+        j, that is when p^(m - e_j) (x V)_j = 0.  T holds the nonzero rows
+        p^(m - e_j) V[:, j], those with e_j >= 1 (e_j = m past the rank), so
+        the empty span gives the identity.  The rows depend only on the span
+        (Storjohann-Mulders, "Fast algorithms for linear algebra modulo N",
+        1998).  Cached until the next `insert`.
+        """
+        if self._membership is None:
+            n, p, m = self.ncols, self.p, self.m
+            # a zero row spans the empty span: V is the identity there
+            _, _, V, evals = diagonalize(self.reduced_basis() or [[0] * n], p, m)
+            evals += [m] * (n - len(evals))
+            self._membership = tuple(
+                tuple(p ** (m - e) * V[i][j] % self.mod for i in range(n))
+                for j, e in enumerate(evals)
+                if e > 0
+            )
+        return self._membership
+
 
 def quotient_factor_orders(rel_rows, ncols: int, p: int, m: int):
     """Cyclic factor orders of (Z/p^m)^ncols / row-span(rel_rows).
@@ -379,6 +404,11 @@ def work_dtype(mod: int):
     """Narrowest dtype holding (mod-1)^2 + mod: int16/int32/int64, else object."""
     bound = (mod - 1) ** 2 + mod
     return object if bound > _INT_DTYPES[-1][1] else int_dtype(bound)
+
+
+def exact_dtype(bound: int):
+    """int64 when it holds every integer of size <= bound, else object (Python ints)."""
+    return object if bound > _INT_DTYPES[-1][1] else np.int64
 
 
 def mod_reducer(mod: int, scratch: np.ndarray):

@@ -4,8 +4,7 @@ A carrier only needs add/sub/mul/neg/zero/one/is_unit/inv.  Matrices are
 tuples of tuples (immutable, hashable when the entries are).  Inversion is
 Gaussian elimination with unit pivots, which is complete over the local
 carriers used here: a matrix is invertible iff every elimination step finds
-a unit pivot.  Vectors are tuples of entries.  The last helper works on plain
-integer matrices mod p^m, the coordinate blocks of the linear hom solver.
+a unit pivot.  Vectors are tuples of entries.
 """
 
 from __future__ import annotations
@@ -106,13 +105,3 @@ def mat_inverse(C, A):
 
 def is_invertible(C, A) -> bool:
     return mat_inverse(C, A) is not None
-
-
-# -- integer matrices mod p^m (lists of lists, as the linear solvers take) --
-
-
-def int_mat_mul(X, Y, mod: int):
-    return [
-        [sum(X[i][t] * Y[t][j] for t in range(len(Y))) % mod for j in range(len(Y[0]))]
-        for i in range(len(X))
-    ]

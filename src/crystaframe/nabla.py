@@ -437,26 +437,16 @@ class SquareZeroCarrier:
         img = self.diff.dsigma1(tuple(omega))
         return self.coords((self.env.zero, tuple(img)))
 
-    @property
-    def relations(self):
-        return _SZRelations(self)
-
-
-class _SZRelations:
-    """Relation rows of the square-zero carrier coordinates: those of env on
-    the D-part, then those of env1 on each Omega slot."""
-
-    def __init__(self, carrier: SquareZeroCarrier):
-        self.carrier = carrier
-
-    def basis(self):
-        c = self.carrier
-        slots = [(0, c.env)] + [(c.env.n + i * c.env1.n, c.env1) for i in range(c.k)]
-        return [
-            tuple([0] * s + list(r) + [0] * (c.n - s - len(r)))
-            for s, alg in slots
-            for r in alg.relations.basis()
-        ]
+    @cached_property
+    def relations(self) -> SpanNF:
+        """The relation span of the coordinates, built on first use: that of
+        env on the D-part, then that of env1 on each Omega slot."""
+        nf = SpanNF(self.n, self.p, self.m)
+        slots = [(0, self.env)] + [(self.env.n + i * self.env1.n, self.env1) for i in range(self.k)]
+        for s, alg in slots:
+            for r in alg.relations.basis():
+                nf.insert([0] * s + list(r) + [0] * (self.n - s - len(r)))
+        return nf
 
 
 class SquareZeroFrame(Frame):
@@ -562,12 +552,12 @@ def _pullbacks(sz: SquareZeroFrame, w: Window):
     return base_change(pbar0(sz), w), base_change(pbar1(sz), w)
 
 
-def connection_to_stratification(ctx: NablaContext, w: Window, conn: Connection, sz: SquareZeroFrame | None = None):
+def connection_to_stratification(ctx: NablaContext, w: Window, conn: Connection):
     """eps(x) = x + nabla(x) as a window isomorphism pbar0^* w -> pbar1^* w.
 
     Raises when the input is not horizontal (the certificate fails).
     """
-    sz = sz or ctx.square_zero
+    sz = ctx.square_zero
     w0, w1 = _pullbacks(sz, w)
     r = w.rank
     env1 = ctx.env1
@@ -587,14 +577,13 @@ def connection_to_stratification(ctx: NablaContext, w: Window, conn: Connection,
     return E, (w0, w1)
 
 
-def stratification_to_connection(ctx: NablaContext, w: Window, E, sz: SquareZeroFrame | None = None) -> Connection:
+def stratification_to_connection(ctx: NablaContext, w: Window, E) -> Connection:
     """Extract nabla from the K-component of a window isomorphism.
 
     Requires eps to reduce to the identity along K and to be a window
     isomorphism; the extracted connection is re-certified horizontal.
     """
-    sz = sz or ctx.square_zero
-    w0, w1 = _pullbacks(sz, w)
+    w0, w1 = _pullbacks(ctx.square_zero, w)
     r = w.rank
     for a in range(r):
         for b in range(r):

@@ -13,7 +13,7 @@ exact linear algebra over Z/p^m.
 Divided powers of p itself are scalars gamma_n(p) = p^n/n!, never basis
 symbols.  The divided Frobenius follows sigma1(a) = (p-1)! a^[p] + tau(a)
 and sigma1(a^[n]) = (p^{n-1}/n!) sigma1(a)^n on generators; its consistency
-on the relation span is certified at construction (one digit of slack is
+on the relation span is certified at construction (a loss of one digit is
 tolerated and recorded, since division by p is not well defined mod p^m).
 """
 
@@ -679,9 +679,12 @@ def _exact_factorial_ratio(a: int, b: int, ring: Residues) -> int:
 
 
 def build_pd_envelope(pres: PDPresentation) -> PDAlgebra:
-    """Construct the envelope and certify unique normal forms.
+    """Construct the envelope and check that its normal form is idempotent.
 
-    Uniqueness is re-checked by reducing a sample of products two ways.
+    The check reduces the normal form of each of the first min(n, 64) basis
+    vectors once more and requires it unchanged.  Uniqueness of normal
+    forms is not re-checked here: it rests on `SpanNF.reduce` being
+    canonical for the relation span.
     """
     env = PDAlgebra(pres)
     # idempotence sanity on the basis itself

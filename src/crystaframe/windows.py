@@ -11,8 +11,11 @@ commutation identities exact.  Linear solvers introduce the witnesses as
 extra unknowns, so every reported hom is certified at full precision; the
 truncation ambiguity of sigma1 never enters silently.  Hom groups over
 coordinate carriers, Z/p^m included, are solved linearly; carriers without
-coordinates (Witt, quotient) are exhausted.  `hom_affine` solves the same
-system with some coordinates of G fixed (the connection solver of `nabla`).
+coordinates (Witt, quotient) are exhausted.  A coordinate identity holds
+modulo the carrier relations, so each block of rows is multiplied by the
+relation span's `SpanNF.membership_rows()`: the unknowns are G and the
+witnesses, nothing else.  `hom_affine` solves the same system with some
+coordinates of G fixed (the connection solver of `nabla`).
 
 Isomorphism testing is by solving for an invertible hom (unit scan on the
 hom space mod p), never by invariants.  Over Z/p^m carriers classification
@@ -36,12 +39,11 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .frames import BudgetError, Frame, FrameHom
-from .linalg import SpanNF, int_dtype, kernel_basis, mod_reducer, solve_affine
+from .frames import BudgetError, Frame, FrameHom, has_coords
+from .linalg import SpanNF, exact_dtype, int_dtype, kernel_basis, mod_reducer, solve, solve_affine
 from .matrices import (
     from_cols,
     identity,
-    int_mat_mul,
     is_invertible,
     mat,
     mat_add,
@@ -198,7 +200,7 @@ def is_window_hom(v: Window, w: Window, G) -> bool:
             if lhs != rhs:
                 return False
         return True
-    if _has_coords(A):
+    if has_coords(A):
         return _l_columns_witnessed(v, w, G)
     # exact sigma1 (Witt / quotient): compare in the codomain
     cod = fr.sigma1_codomain
@@ -221,73 +223,52 @@ def _l_columns_witnessed(v: Window, w: Window, G) -> bool:
 
     The L-column identities are linear in the witnesses h of the bottom
     entries (entry mu-coords = p*h); consistency of that system is exactly
-    the existential hom condition.
+    the existential hom condition.  Each identity holds modulo the carrier
+    relations, so its block of rows is multiplied by `membership_rows()`.
     """
-    from .linalg import solve as lin_solve
-
     fr = v.frame
     A = fr.A
     p, m = fr.p, A.coord_precision()
     mod = p ** m
     nc = A.coord_count()
-    mu = A.mu_indices()
+    mu = np.array(A.mu_indices(), dtype=np.intp)
     bl = [(i, j) for i in range(w.d, w.rank) for j in range(v.d)]
-    s_mu = _sigma_matrix(fr, mu)
-    s1T = _coord_matrix(nc, lambda j: A.sigma1_cert(j), A.t_indices())
-    rel_rows = [list(r) for r in A.relations.basis()]
     nH = len(bl) * nc
+    dt = exact_dtype(max(nH, nc) * mod * mod)
+    T = np.array(A.relations.membership_rows(), dtype=dt).reshape(-1, nc)
+    s_mu = _op_matrix(fr, "sigma_mu", dt)
+    s1T = _op_matrix(fr, "sigma1_T", dt)
 
     rows = []
-    rhs_all = []
-    n_eq_blocks = v.d * w.rank
-    n_slack = len(rel_rows) * n_eq_blocks
-    blk = 0
+    rhs = []
     for j in range(v.d):
         for irow in range(w.rank):
             # constant part: (G Psi_j)_irow - sum_k Psi_w[irow][k]*(sigma/sigma1_T part)
-            const = list(A.coords(mat_vec(A, G, mat_col(v.psi, j))[irow]))
+            const = np.array(A.coords(mat_vec(A, G, mat_col(v.psi, j))[irow]), dtype=dt)
+            # unknown part: sum_{k >= d_w} Psi_w[irow][k] * (h_{k,j} . sigma_mu)
+            coeff = np.zeros((nc, nH), dtype=dt)
             for k in range(w.rank):
                 entry = G[k][j]
                 if k < w.d:
                     val = A.mul(w.psi[irow][k], fr.sigma(entry))
                 else:
                     # T-part of sigma1(entry) is linear and known
-                    ec = A.coords(entry)
-                    tpart = [0] * nc
-                    for cidx in range(nc):
-                        if ec[cidx]:
-                            col = [s1T[rr][cidx] for rr in range(nc)]
-                            for rr in range(nc):
-                                tpart[rr] = (tpart[rr] + ec[cidx] * col[rr]) % mod
-                    val = A.mul(w.psi[irow][k], A.from_coords(tpart))
-                const = [(a - b) % mod for a, b in zip(const, A.coords(val))]
-            # unknown part: - sum_{k >= d_w} Psi_w[irow][k] * (h_{k,j} . sigma_mu)
-            coeff = [[0] * (nH + n_slack) for _ in range(nc)]
-            for k in range(w.d, w.rank):
-                kk = bl.index((k, j))
-                Mmu = int_mat_mul(A.mult_matrix(w.psi[irow][k]), s_mu, mod)
-                for rr in range(nc):
-                    for cc in range(nc):
-                        if Mmu[rr][cc]:
-                            coeff[rr][kk * nc + cc] = (coeff[rr][kk * nc + cc] + Mmu[rr][cc]) % mod
-            for s_idx, rel in enumerate(rel_rows):
-                for rr in range(nc):
-                    coeff[rr][nH + blk * len(rel_rows) + s_idx] = rel[rr] % mod
-            for rr in range(nc):
-                rows.append(coeff[rr])
-                rhs_all.append(const[rr])
-            blk += 1
+                    tpart = s1T @ np.array(A.coords(entry), dtype=dt) % mod
+                    val = A.mul(w.psi[irow][k], A.from_coords(tpart.tolist()))
+                    kk = bl.index((k, j))
+                    Mk = np.array(A.mult_matrix(w.psi[irow][k]), dtype=dt)
+                    coeff[:, kk * nc : (kk + 1) * nc] = Mk @ s_mu % mod
+                const -= np.array(A.coords(val), dtype=dt)
+            rows.append(T @ coeff % mod)
+            rhs += (T @ const % mod).tolist()
     # witness parametrization: p * h = mu-part of the entry, coordinatewise
     for kk, (i, j) in enumerate(bl):
         ec = A.coords(G[i][j])
-        for c in mu:
-            row = [0] * (nH + n_slack)
-            row[kk * nc + c] = p
-            rows.append(row)
-            rhs_all.append(ec[c] % mod)
-    if not rows:
-        return True
-    return lin_solve(rows, rhs_all, p, m) is not None
+        block = np.zeros((len(mu), nH), dtype=dt)
+        block[np.arange(len(mu)), kk * nc + mu] = p
+        rows.append(block)
+        rhs += [ec[c] % mod for c in mu]
+    return solve(np.concatenate(rows), rhs, p, m) is not None
 
 
 # -- hom spaces ----------------------------------------------------------------
@@ -342,7 +323,7 @@ def hom_space(v: Window, w: Window, mode: str = "window", budget: int = 1 << 16)
     if mode not in ("window", "phi_module"):
         raise WindowError(f"unknown mode {mode!r}")
     fr = v.frame
-    if _has_coords(fr.A):
+    if has_coords(fr.A):
         nvars = w.rank * v.rank * fr.A.coord_count()
         if nvars * nvars > budget:
             raise WindowBudgetError(f"hom system too large for the budget ({nvars} unknowns)")
@@ -354,10 +335,6 @@ def hom_space(v: Window, w: Window, mode: str = "window", budget: int = 1 << 16)
         if not check(v, w, g):
             raise AssertionError("hom solver produced a non-hom; solver defect")
     return HomSpace(v, w, mode, gens)
-
-
-def _has_coords(carrier) -> bool:
-    return hasattr(carrier, "coords") and hasattr(carrier, "coord_count")
 
 
 def _hom_space_bruteforce(v: Window, w: Window, mode: str, budget: int):
@@ -428,14 +405,16 @@ def _hom_equations(r_v: int, d_v: int, r_w: int, d_w: int, mode: str):
 
 
 def _hom_rows(v: Window, w: Window, mode: str):
-    """The hom system as integer rows over Z/p^m: the scalar backend of
+    """The hom system as an integer array over Z/p^m: the scalar backend of
     `_hom_equations`, the single encoding of the hom constraints.
 
     A term becomes the coordinate block mult_matrix(src[i][j]) @ op_matrix at
-    the unknown's coordinates, and each equation gets one slack unknown per
-    carrier relation.  Columns: the coordinates of G (entry (i, j),
-    coordinate c at (i*r_v + j)*nc + c), the witness coordinates, the slacks.
-    Returns (rows, column count).
+    the unknown's coordinates.  An equation holds modulo the carrier
+    relations, so its block of rows is the sum of its terms times the
+    relation span's `membership_rows()` (the identity on Z/p^m, which has
+    none).  Columns: the coordinates of G (entry (i, j), coordinate c at
+    (i*r_v + j)*nc + c), then the witness coordinates.  Returns (rows,
+    column count), rows in `exact_dtype(columns * p^2m)`.
     """
     fr = v.frame
     A = fr.A
@@ -446,41 +425,28 @@ def _hom_rows(v: Window, w: Window, mode: str):
     nG = r_w * r_v * nc
     equations, bl = _hom_equations(r_v, v.d, r_w, w.d, mode)
     src = {"phi_v": v.phi_matrix(), "phi_w": w.phi_matrix(), "psi_v": v.psi, "psi_w": w.psi}
-    rel_rows = [list(r) for r in A.relations.basis()]
-    n_rel = len(rel_rows)
-    nz_cols = nG + len(bl) * nc
-    total_vars = nz_cols + n_rel * len(equations)
-    ops = {op: _op_matrix(fr, op) for op in {t[4] for eq in equations for t in eq}}
+    ncols = nG + len(bl) * nc
+    dt = exact_dtype(ncols * mod * mod)
+    T = np.array(A.relations.membership_rows(), dtype=dt).reshape(-1, nc)
+    nt = len(T)
+    mu = np.array(A.mu_indices(), dtype=np.intp)
+    rows = np.zeros((len(equations) * nt + len(bl) * len(mu), ncols), dtype=dt)
+    ops = {op: _op_matrix(fr, op, dt) for op in {t[4] for eq in equations for t in eq}}
     blocks = {}
-
-    def block(a, op):
-        if (a, op) not in blocks:
-            Ma = A.mult_matrix(a)
-            blocks[a, op] = Ma if op == "id" else int_mat_mul(Ma, ops[op], mod)
-        return blocks[a, op]
-
-    mat_rows = []
     for e, eq in enumerate(equations):
-        rows = [[0] * total_vars for _ in range(nc)]
+        out = rows[e * nt : (e + 1) * nt]
         for sign, s, i, j, op, var in eq:
-            M = block(src[s][i][j], op)
-            for rr in range(nc):
-                for cc in range(nc):
-                    if M[rr][cc]:
-                        col = var * nc + cc
-                        rows[rr][col] = (rows[rr][col] + sign * M[rr][cc]) % mod
-        for s_idx, rel in enumerate(rel_rows):
-            for rr in range(nc):
-                rows[rr][nz_cols + e * n_rel + s_idx] = (-rel[rr]) % mod
-        mat_rows.extend(rows)
+            a = src[s][i][j]
+            if (a, op) not in blocks:
+                blocks[a, op] = T @ np.array(A.mult_matrix(a), dtype=dt) % mod @ ops[op] % mod
+            out[:, var * nc : (var + 1) * nc] += sign * blocks[a, op]
+    rows %= mod
     # parametrization of bottom-left entries: mu-coords = p * witness
+    at = len(equations) * nt + np.arange(len(mu))
     for kk, (i, j) in enumerate(bl):
-        for c in A.mu_indices():
-            row = [0] * total_vars
-            row[(i * r_v + j) * nc + c] = 1
-            row[nG + kk * nc + c] = (-p) % mod
-            mat_rows.append(row)
-    return mat_rows, total_vars
+        rows[at + kk * len(mu), (i * r_v + j) * nc + mu] = 1
+        rows[at + kk * len(mu), nG + kk * nc + mu] = (-p) % mod
+    return rows, ncols
 
 
 def _hom_space_linear(v: Window, w: Window, mode: str):
@@ -513,11 +479,11 @@ def hom_affine(v: Window, w: Window, pinned: dict, budget: int = 1 << 16):
 
     `pinned` maps G coordinates, in the column layout of `_hom_rows`, to
     values.  Their columns move to the right-hand side and `solve_affine`
-    solves the rest of the same system, witnesses and slacks included.
-    Returns (particular, kernel) as G-coordinate vectors -- the pinned
-    coordinates at their values in the particular solution and 0 in the
-    kernel generators -- or None when no hom takes those values.  The
-    budget bounds the square of the free G coordinates, as in `hom_space`.
+    solves the rest of the same system, witnesses included.  Returns
+    (particular, kernel) as G-coordinate vectors -- the pinned coordinates
+    at their values in the particular solution and 0 in the kernel
+    generators -- or None when no hom takes those values.  The budget bounds
+    the square of the free G coordinates, as in `hom_space`.
     """
     p, m = v.frame.p, v.frame.A.coord_precision()
     mod = p ** m
@@ -525,16 +491,17 @@ def hom_affine(v: Window, w: Window, pinned: dict, budget: int = 1 << 16):
     n_free = nG - len(pinned)
     if n_free * n_free > budget:
         raise WindowBudgetError(f"hom system too large for the budget ({n_free} unknowns)")
-    rows, total_vars = _hom_rows(v, w, "window")
-    free = [c for c in range(total_vars) if c not in pinned]
-    rhs = [-sum(row[c] * x for c, x in pinned.items()) % mod for row in rows]
-    part, kernel = solve_affine([[row[c] for c in free] for row in rows], rhs, p, m)
+    rows, ncols = _hom_rows(v, w, "window")
+    cols = np.array(list(pinned), dtype=np.intp)
+    free = np.setdiff1d(np.arange(ncols), cols)
+    rhs = -(rows[:, cols] @ np.array(list(pinned.values()), dtype=rows.dtype)) % mod
+    part, kernel = solve_affine(rows[:, free], rhs.tolist(), p, m)
     if part is None:
         return None
 
     def to_G(vec, fixed):  # the free G columns come first in `free`
         out = [fixed.get(c, 0) for c in range(nG)]
-        for c, x in zip(free[:n_free], vec):
+        for c, x in zip(free[:n_free].tolist(), vec):
             out[c] = x
         return out
 
@@ -553,32 +520,25 @@ def _decode_G(A, flat, r_w, r_v, nc):
     return mat(rows)
 
 
-def _coord_matrix(n, column, indices):
-    """n x n integer matrix: column j is `column(j)` for j in `indices`, else 0."""
-    cols = {j: column(j) for j in indices}
-    return [[cols[j][i] if j in cols else 0 for j in range(n)] for i in range(n)]
-
-
-def _sigma_matrix(fr: Frame, indices):
-    """sigma on the coordinate basis elements in `indices`, in coordinates."""
-    A = fr.A
-    n = A.coord_count()
-
-    def column(j):
-        return A.coords(fr.sigma(A.from_coords([int(i == j) for i in range(n)])))
-
-    return _coord_matrix(n, column, indices)
-
-
-def _op_matrix(fr: Frame, op: str):
-    """Coordinate matrix of a `_hom_equations` operator on the frame carrier."""
+def _op_matrix(fr: Frame, op: str, dt=object):
+    """Coordinate matrix of a `_hom_equations` operator on the frame carrier,
+    as an array in dtype `dt` (Python ints by default)."""
     A = fr.A
     n = A.coord_count()
     if op == "id":
-        return _coord_matrix(n, lambda j: [int(i == j) for i in range(n)], range(n))
-    if op == "sigma1_T":
-        return _coord_matrix(n, lambda j: A.sigma1_cert(j), A.t_indices())
-    return _sigma_matrix(fr, range(n) if op == "sigma" else A.mu_indices())
+        return np.eye(n, dtype=dt)
+    if op == "sigma1_T":  # Z/p^m has no T coordinates, and no sigma1_cert
+        indices, column = A.t_indices(), lambda j: A.sigma1_cert(j)
+    else:
+        indices = range(n) if op == "sigma" else A.mu_indices()
+
+        def column(j):
+            return A.coords(fr.sigma(A.from_coords([int(i == j) for i in range(n)])))
+
+    out = np.zeros((n, n), dtype=dt)
+    for j in indices:
+        out[:, j] = column(j)
+    return out
 
 
 # -- F and V -------------------------------------------------------------------
@@ -1002,7 +962,7 @@ def window_from_raw(frame: Frame, m1_generators, phi) -> Window:
 def _divide_by_p(frame: Frame, x):
     """A canonical witness h with p*h = x on a lift frame, or None."""
     A = frame.A
-    if _has_coords(A):
+    if has_coords(A):
         # Z/p^m: one coordinate and no relations
         coords = A.coords(x)
         if any(c % frame.p for c in coords):

@@ -29,7 +29,6 @@ from crystaframe.nabla import (
     NablaContext,
     connection_to_stratification,
     horizontality_check,
-    square_zero_frame,
     stratification_to_connection,
     zero_connection,
     Connection,
@@ -237,7 +236,6 @@ def test_criterion_9_nabla_eps_dictionary():
     ok = True
     env = build_pd_envelope(PDPresentation(2, 3, ("x",), ((1,),), 6))
     ctx = NablaContext(pd_frame(env))
-    sz = square_zero_frame(ctx.frame, ctx.diff)
     one, zero = env.one, env.zero
     windows = [
         window_from_psi(ctx.frame, 0, 1, [[one]]),
@@ -249,8 +247,8 @@ def test_criterion_9_nabla_eps_dictionary():
         sol = solve_connection(ctx, w)
         conns = [zero_connection(ctx, w)] if sol is None else [sol[0]]
         for conn in conns:
-            E, _ = connection_to_stratification(ctx, w, conn, sz)
-            back = stratification_to_connection(ctx, w, E, sz)
+            E, _ = connection_to_stratification(ctx, w, conn)
+            back = stratification_to_connection(ctx, w, E)
             ok = ok and back.matrices == conn.matrices
     # bi-implication on sampled pairs
     rng = random.Random(5)
@@ -269,7 +267,7 @@ def test_criterion_9_nabla_eps_dictionary():
         cand = Connection(w, tuple(mat(Mi) for Mi in M))
         horizontal = horizontality_check(ctx, w, cand).passed
         try:
-            connection_to_stratification(ctx, w, cand, sz)
+            connection_to_stratification(ctx, w, cand)
             eps_ok = True
         except Exception:
             eps_ok = False

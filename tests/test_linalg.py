@@ -245,6 +245,7 @@ def test_spannf_membership_exhaustive(p, m):
         for g in gens:
             nf.insert(g)
         true_span = span_of([tuple(g) for g in gens], mod)
+        assert_membership_rows(nf, product(range(mod), repeat=n))
         for v in product(range(mod), repeat=n):
             assert nf.contains(v) == (v in true_span)
             red = nf.reduce(v)
@@ -294,8 +295,44 @@ def test_spannf_reduced_basis_is_canonical():
                 for g in gens:
                     nf.insert(g)
                 assert all(nf.contains(row) for row in nf.reduced_basis())
-                seen.add(tuple(nf.reduced_basis()))
+                seen.add((tuple(nf.reduced_basis()), nf.membership_rows()))
             assert len(seen) == 1
+
+
+def assert_membership_rows(nf, vecs):
+    """x lies in the span exactly when every membership row kills it."""
+    T = nf.membership_rows()
+    assert all(len(t) == nf.ncols and any(t) for t in T)
+    for x in vecs:
+        killed = all(sum(a * b for a, b in zip(t, x)) % nf.mod == 0 for t in T)
+        assert killed == nf.contains(x), (nf.p, nf.m, nf.reduced_basis(), x)
+
+
+@pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (3, 3), (3, 21)])
+def test_membership_rows_match_contains(p, m):
+    # spans with non-unit Smith exponents; vectors in them, next to them and at random
+    rng = random.Random(29)
+    mod = p ** m
+    members = 0
+    for _ in range(40):
+        n = rng.randrange(1, 7)
+        nf = SpanNF(n, p, m)
+        assert nf.membership_rows() == tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
+        gens = []
+        for _ in range(rng.randrange(1, 4)):
+            gens.append([rng.randrange(mod) * p ** rng.randrange(m) % mod for _ in range(n)])
+            nf.insert(gens[-1])  # each insert drops the cached rows
+            vecs = [[rng.randrange(mod) for _ in range(n)] for _ in range(8)]
+            for _ in range(8):
+                c = [rng.randrange(mod) for _ in gens]
+                x = [sum(a * g[i] for a, g in zip(c, gens)) % mod for i in range(n)]
+                vecs.append(x)
+                y = list(x)
+                y[rng.randrange(n)] += p ** rng.randrange(m)
+                vecs.append(y)
+            assert_membership_rows(nf, vecs)
+            members += sum(map(nf.contains, vecs))
+    assert members > 500
 
 
 @pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (3, 21), (3, 40), (2, 64)])

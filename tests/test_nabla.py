@@ -131,37 +131,34 @@ def test_square_zero_frame_selftest_and_homs():
 
 def test_stratification_round_trip():
     ctx = ctx_one_var()
-    sz = square_zero_frame(ctx.frame, ctx.diff)
     for make_w in (unit_window, mult_window, ss_window):
         w = make_w(ctx)
         sol = solve_connection(ctx, w)
         if sol is None:
             continue
         conn = sol[0]
-        E, _ = connection_to_stratification(ctx, w, conn, sz)
-        back = stratification_to_connection(ctx, w, E, sz)
+        E, _ = connection_to_stratification(ctx, w, conn)
+        back = stratification_to_connection(ctx, w, E)
         assert back.matrices == conn.matrices
 
 
 def test_stratification_round_trip_other_direction():
     # eps -> nabla -> eps is the identity on the stratification side
     ctx = ctx_one_var()
-    sz = square_zero_frame(ctx.frame, ctx.diff)
     for make_w in (unit_window, ss_window):
         w = make_w(ctx)
         sol = solve_connection(ctx, w)
         conn = sol[0] if sol else zero_connection(ctx, w)
-        E, _ = connection_to_stratification(ctx, w, conn, sz)
-        back = stratification_to_connection(ctx, w, E, sz)
-        E2, _ = connection_to_stratification(ctx, w, back, sz)
+        E, _ = connection_to_stratification(ctx, w, conn)
+        back = stratification_to_connection(ctx, w, E)
+        E2, _ = connection_to_stratification(ctx, w, back)
         assert E2 == E
 
 
 def test_zero_connection_gives_canonical_eps():
     ctx = ctx_one_var()
-    sz = square_zero_frame(ctx.frame, ctx.diff)
     w = unit_window(ctx)
-    E, _ = connection_to_stratification(ctx, w, zero_connection(ctx, w), sz)
+    E, _ = connection_to_stratification(ctx, w, zero_connection(ctx, w))
     assert E[0][0][0] == ctx.env.one
     assert all(u == ctx.env1.zero for u in E[0][0][1])
 
@@ -169,7 +166,6 @@ def test_zero_connection_gives_canonical_eps():
 def test_bi_implication_sampled():
     # eps is a window isomorphism iff horizontality holds, on random pairs
     ctx = ctx_one_var()
-    sz = square_zero_frame(ctx.frame, ctx.diff)
     rng = random.Random(9)
     checked_pass = checked_fail = 0
     for make_w in (unit_window, mult_window, ss_window):
@@ -186,7 +182,7 @@ def test_bi_implication_sampled():
             cand = Connection(w, tuple(mat(Mi) for Mi in M))
             horizontal = horizontality_check(ctx, w, cand).passed
             try:
-                connection_to_stratification(ctx, w, cand, sz)
+                connection_to_stratification(ctx, w, cand)
                 eps_ok = True
             except WindowError:
                 eps_ok = False

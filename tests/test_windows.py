@@ -14,7 +14,7 @@ from crystaframe.frames import (
     witt_frame,
 )
 from crystaframe.homsweep import _build_systems, _phi_scaled
-from crystaframe.linalg import SpanNF, batch_kernel
+from crystaframe.linalg import SpanNF, batch_kernel, diagonalize, kernel_basis
 from crystaframe.matrices import identity, is_invertible, mat, mat_add, mat_map, mat_mul
 from crystaframe.monomial import MonomialAlgebra
 from crystaframe.nabla import NablaContext, square_zero_frame
@@ -654,6 +654,114 @@ def test_linear_hom_space_pd_sigma1_on_divided_powers():
     for v, w in [(v, w2) for v in rank1] + [(w2, w) for w in rank1]:
         for mode in ("window", "phi_module"):
             assert_linear_matches_bruteforce(v, w, mode, 2, 1)
+
+
+# -- hom systems modulo the carrier relation spans ----------------------------
+
+
+def _hom_rows_slack(v, w, mode):
+    """The hom system with one slack unknown per carrier relation per
+    equation block, the formulation that `membership_rows` replaced: the
+    oracle for `windows._hom_rows`.  Columns: G, the witnesses, the slacks."""
+    A = v.frame.A
+    p = v.frame.p
+    nc = A.coord_count()
+    r_v, r_w = v.rank, w.rank
+    nG = r_w * r_v * nc
+    equations, bl = windows._hom_equations(r_v, v.d, r_w, w.d, mode)
+    src = {"phi_v": v.phi_matrix(), "phi_w": w.phi_matrix(), "psi_v": v.psi, "psi_w": w.psi}
+    rel_rows = A.relations.basis()
+    nz_cols = nG + len(bl) * nc
+    total = nz_cols + len(rel_rows) * len(equations)
+    rows = []
+    for e, eq in enumerate(equations):
+        block = [[0] * total for _ in range(nc)]
+        for sign, s, i, j, op, var in eq:
+            M = (np.array(A.mult_matrix(src[s][i][j]), dtype=object) @ windows._op_matrix(v.frame, op)).tolist()
+            for rr in range(nc):
+                for cc in range(nc):
+                    block[rr][var * nc + cc] += sign * M[rr][cc]
+        for s_idx, rel in enumerate(rel_rows):
+            for rr in range(nc):
+                block[rr][nz_cols + e * len(rel_rows) + s_idx] = -rel[rr]
+        rows += block
+    for kk, (i, j) in enumerate(bl):
+        for c in A.mu_indices():
+            row = [0] * total
+            row[(i * r_v + j) * nc + c] = 1
+            row[nG + kk * nc + c] = -p
+            rows.append(row)
+    return rows
+
+
+def hom_generators_slack(v, w, mode):
+    A = v.frame.A
+    nc = A.coord_count()
+    nG = w.rank * v.rank * nc
+    gens = kernel_basis(_hom_rows_slack(v, w, mode), A.p, A.coord_precision())
+    return [windows._decode_G(A, g[:nG], w.rank, v.rank, nc) for g in gens]
+
+
+def xy2_frame(p, m, cap):
+    return pd_frame(build_pd_envelope(PDPresentation(p, m, ("x", "y"), ((2, 0), (1, 1), (0, 2)), cap)))
+
+
+def seeded_rank1_windows(fr, count, seed):
+    """Rank-1 windows of both kinds with Psi = 1 + a random sparse element."""
+    rng = random.Random(seed)
+    A = fr.A
+    out = []
+    while len(out) < count:
+        x = A.reduce([rng.randrange(A.mod) if rng.random() < 0.2 else 0 for _ in range(A.n)])
+        u = A.add(A.one, x)
+        if A.is_unit(u):
+            d = len(out) % 2
+            out.append(window_from_psi(fr, d, 1 - d, [[u]]))
+    return out
+
+
+@pytest.mark.parametrize("cap", [4, 5])
+def test_hom_space_modulo_relations_matches_slack_reference(cap):
+    # (x, y)^2 over Z/8: at cap 4 the relation span is a direct summand
+    # (Smith exponents 0 or m), at cap 5 it has exponents 0 < e < m; on both,
+    # solving without the relations changes some of these hom groups
+    fr = xy2_frame(2, 3, cap)
+    rank1 = seeded_rank1_windows(fr, 3, seed=cap)
+    shape = (1, 1)
+    nonzero = 0
+    for v, w in iproduct(rank1, repeat=2):
+        for mode in ("window", "phi_module"):
+            got = hom_space(v, w, mode).generators
+            want = hom_generators_slack(v, w, mode)
+            assert hom_span_key(fr.A, 2, 3, got, shape) == hom_span_key(fr.A, 2, 3, want, shape), (
+                cap, mode, v.d, v.psi, w.d, w.psi,
+            )
+            nonzero += bool(got)
+    assert nonzero
+
+
+def test_membership_rows_of_carrier_relation_spans():
+    # the PD and D(1)_2 relation spans of (x, y)^2 over Z/8 at cap 5: x lies
+    # in the span exactly when the membership rows kill it
+    rng = random.Random(31)
+    fr = xy2_frame(2, 3, 5)
+    for A in (fr.A, square_zero_frame(fr, NablaContext(fr).diff).A):
+        nf = A.relations
+        R = nf.reduced_basis()
+        assert any(0 < e < 3 for e in diagonalize(R, 2, 3)[3])  # not a direct summand
+        T = nf.membership_rows()
+        n = A.coord_count()
+        vecs = [[rng.randrange(8) for _ in range(n)] for _ in range(10)]
+        for _ in range(20):
+            coeffs = rng.choices(range(8), k=len(R))
+            x = [sum(c * r[i] for c, r in zip(coeffs, R)) % 8 for i in range(n)]
+            y = list(x)
+            y[rng.randrange(n)] += rng.choice((1, 2, 4))
+            vecs += [x, y]
+        for x in vecs:
+            killed = all(sum(a * b for a, b in zip(t, x)) % 8 == 0 for t in T)
+            assert killed == nf.contains(x)
+        assert sum(map(nf.contains, vecs)) >= 20
 
 
 def test_hom_affine_pins_coordinates():
