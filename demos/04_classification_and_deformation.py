@@ -54,6 +54,6 @@ print("rank-1 classes: source", len(t_src.classes), " target", len(t_tgt.classes
 w_t = Window(tgt, 1, 0, ((tgt.A.one,),))
 v_s = lift_window_along(hom, w_t)
 print("window lifted; reduces back:", base_change(hom, v_s).psi == w_t.psi)
-for G in hom_space(w_t, w_t, "window", budget=1 << 12).elements_mod_p():
+for G in hom_space(w_t, w_t, "window", budget=1 << 12).elements():
     rep = lift_hom_along(hom, v_s, v_s, G)
     print(f"hom {G[0][0]} lifts uniquely:", rep.unique)

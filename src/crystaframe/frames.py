@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .monomial import MonomialAlgebra
 from .residues import Residues
-from .witt import WittRing
+from .witt import TableCarrier, TableCoords, WittRing
 
 
 class FrameError(ValueError):
@@ -48,6 +49,16 @@ class Frame:
     # reduce_to_codomain, ideal_contains, ideal_spanning, sample_elements and
     # eq_mod_p.  Only lift frames add the residue map (residue_ring, residue,
     # section) that normal decompositions need, and sigma1_witnessed.
+
+    @cached_property
+    def ideal_table(self) -> TableCarrier:
+        """The ideal of a finite carrier with table coordinates at its precision."""
+        A = self.A
+        return TableCarrier(A, lambda: filter(self.ideal_contains, A.elements()), A.coord_precision())
+
+    @cached_property
+    def codomain_table(self) -> TableCarrier:
+        return TableCarrier(self.sigma1_codomain, self.sigma1_codomain.elements, self.A.coord_precision())
 
     def sigma_linear_defect(self, a, i):
         """sigma1(a*i) - sigma(a)*sigma1(i) in the sigma1 codomain."""
@@ -201,8 +212,8 @@ class LiftFrame(Frame):
         return _deterministic_sample(self.A, k, seed)
 
     def eq_mod_p(self, x, y) -> bool:
-        d = self.A.add(x, self.A.neg(y))
-        return self.ideal_contains(d) if self._style == "residue" else _in_p_image(self.A, d)
+        """pA is the ideal: over a perfect base p*W = v(W_{n-1})."""
+        return self.ideal_contains(self.A.add(x, self.A.neg(y)))
 
 
 def lift_frame(carrier, sigma_fn=None, name: str = "") -> LiftFrame:
@@ -234,7 +245,6 @@ class WittFrame(Frame):
         self.n = n
         self.name = f"wittframe({R!r},{n})"
         self.p_elt = carrier.embed_int(self.p)
-        self._p_image: set | None = None
         self._codomain = WittRing(R, n - 1)
 
     def sigma(self, x):
@@ -263,29 +273,13 @@ class WittFrame(Frame):
     def sample_elements(self, k: int, seed: int = 0):
         return _deterministic_sample(self.A, k, seed)
 
-    def p_image_set(self, budget: int = 1 << 16):
-        if self._p_image is None:
-            img = set()
-            count = 0
-            for x in self.A.elements():
-                img.add(self.A.int_mul(self.p, x))
-                count += 1
-                if count > budget:
-                    raise BudgetError("carrier too large for p-image enumeration")
-            self._p_image = img
-        return self._p_image
-
     def eq_mod_p(self, x, y) -> bool:
-        return self.A.add(x, self.A.neg(y)) in self.p_image_set()
+        """In table coordinates pA is the vectors with every entry divisible by p."""
+        return not any(c % self.p for c in self.A.coords(self.A.sub(x, y)))
 
 
 def witt_frame(R: MonomialAlgebra, n: int) -> WittFrame:
     return WittFrame(R, n)
-
-
-def _in_p_image(W: WittRing, d) -> bool:
-    # perfect base: p*W = v(W_{n-1}) = vectors with zero first component
-    return d[0] == W.base.zero
 
 
 # -- admissible sequences and quotient frames -------------------------------
@@ -358,12 +352,13 @@ class AdmissibleSequence:
                     raise FrameError(f"K_{i}^p not contained in K_{i + 1}")
 
 
-class QuotientCarrier:
+class QuotientCarrier(TableCoords):
     """A(K_*) = W_n(S)/W_n(K_*) with staircase-canonical representatives.
 
     A representative (r_0, ..., r_{n-1}) has r_i supported outside K_i; the
     reduction subtracts W(K_*) elements bottom-up, which only corrupts higher
-    components by the triangularity of Witt addition.
+    components by the triangularity of Witt addition.  Table coordinates are
+    over Z/p^n.
     """
 
     def __init__(self, seq: AdmissibleSequence, n: int):
@@ -640,12 +635,6 @@ class NilpotenceReport:
     note: str = ""
 
 
-def has_coords(carrier) -> bool:
-    """Whether the carrier speaks the coordinate protocol (Z/p^m, PD and
-    square-zero carriers); Witt and quotient carriers do not."""
-    return hasattr(carrier, "coords") and hasattr(carrier, "coord_count")
-
-
 class ModuleSpan:
     """Membership oracle for the ideal span of some generators and for p times
     it, by coordinate linear algebra (SpanNF) over Z/p^m.
@@ -687,14 +676,15 @@ def sigma1_nilpotence_index(frame: Frame, N_gens, bound: int | None = None) -> N
     reported as NotNilpotent rather than an error, since it disproves that
     sigma1 restricts to a pointwise nilpotent endomorphism of N/p.
 
-    Scope: coordinate carriers whose sigma1 stays at level, that is lift
-    frames over Z/p^m, PD and square-zero frames.  Witt, quotient and
-    lift-over-W(k) frames raise FrameError.
+    Scope: carriers with closed-form coordinates whose sigma1 stays at
+    level, that is lift frames over Z/p^m, PD and square-zero frames.  Witt
+    and quotient frames (sigma1 one level down) and table carriers (lift
+    frames over W(k)) raise FrameError.
     """
     A = frame.A
-    if frame.sigma1_codomain is not A or not has_coords(A):
+    if frame.sigma1_codomain is not A or isinstance(A, TableCoords):
         raise FrameError(
-            f"sigma1 nilpotence needs coordinates and sigma1 at level; {frame.name} has not"
+            f"sigma1 nilpotence needs closed-form coordinates and sigma1 at level; {frame.name} has not"
         )
     if not N_gens:
         return NilpotenceReport(True, 0, 0)

@@ -15,10 +15,10 @@ stacks the systems per (rank, d) bucket for the batched diagonalization in
 `linalg`, so millions of ordered pairs stay inside the acceptance budget.
 The residual checks below evaluate the hom identities directly, not through
 that encoding.  tests/test_homsweep.py checks the batched systems against
-exhaustive hom search (`windows._hom_space_bruteforce`) over Z/4 and Z/9,
-the residual checks against the same search over Z/4, and a corrupted
-kernel against the scalar Phi defect; tests/test_windows.py checks the
-systems against the scalar backend over Z/8 and Z/27.
+exhaustive hom search (the brute-force reference in tests/oracles.py)
+over Z/4 and Z/9, the residual checks against the same search over Z/4,
+and a corrupted kernel against the scalar Phi defect; tests/test_windows.py
+checks the systems against the scalar backend over Z/8 and Z/27.
 
 Layout and dtype.  The sweep keeps the systems on the last axis, the layout
 `linalg._eliminate` works in, from start to finish:

@@ -339,25 +339,6 @@ class SpanNF:
         return self._membership
 
 
-def quotient_factor_orders(rel_rows, ncols: int, p: int, m: int):
-    """Cyclic factor orders of (Z/p^m)^ncols / row-span(rel_rows).
-
-    The factor at a relation pivot p^e is Z/p^e; columns without a pivot
-    contribute full Z/p^m factors.  Order-1 factors are dropped.
-    """
-    mod = p ** m
-    if not rel_rows:
-        return [mod] * ncols
-    evals = diagonalize(rel_rows, p, m)[3]
-    orders = []
-    for j in range(ncols):
-        e = evals[j] if j < len(evals) else m
-        order = p ** e
-        if order > 1:
-            orders.append(order)
-    return orders
-
-
 def p_torsion_of_quotient(rel_rows, ncols: int, p: int, m: int):
     """Generators of the p-torsion of (Z/p^m)^ncols / row-span(rel_rows).
 

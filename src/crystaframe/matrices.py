@@ -18,6 +18,18 @@ def identity(C, r: int):
     return mat([[C.one if i == j else C.zero for j in range(r)] for i in range(r)])
 
 
+def diag(C, entries):
+    return mat([[x if i == j else C.zero for j in range(len(entries))] for i, x in enumerate(entries)])
+
+
+def mult_matrix(C, a):
+    """Coordinate matrix of b -> a*b on a carrier with coordinates: column j
+    holds the coordinates of a times the j-th coordinate basis element."""
+    n = C.coord_count()
+    cols = [C.coords(C.mul(a, C.from_coords([int(i == j) for i in range(n)]))) for j in range(n)]
+    return [list(row) for row in zip(*cols)]
+
+
 def mat_add(C, A, B):
     return mat([[C.add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)])
 

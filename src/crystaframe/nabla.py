@@ -414,10 +414,6 @@ class SquareZeroCarrier:
     def module_spanning(self):
         return [self._unit_vec(i) for i in range(self.n)]
 
-    def mult_matrix(self, x):
-        cols = [self.coords(self.mul(x, self._unit_vec(j))) for j in range(self.n)]
-        return [[cols[j][i] for j in range(self.n)] for i in range(self.n)]
-
     def t_indices(self):
         out = list(self.env.t_indices())
         out += list(range(self.env.n, self.n))  # all Omega coordinates

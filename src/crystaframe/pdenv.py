@@ -60,7 +60,7 @@ class PDAlgebra:
     Elements are coordinate tuples over the divided-monomial basis, always
     in relation-span normal form.  The class doubles as the frame carrier:
     it exposes ring operations plus the coordinate hooks used by the linear
-    solvers (coords / module_spanning / mult_matrix / sigma matrices).
+    solvers (coords / module_spanning / sigma matrices).
     """
 
     RESIDUAL_BOUND = 4096
@@ -480,11 +480,6 @@ class PDAlgebra:
 
     def module_spanning(self):
         return [self._unit_vec(i) for i in range(self.n)]
-
-    def mult_matrix(self, a):
-        """Columns: a * basis_j, as plain coordinate columns."""
-        cols = [self.mul(a, self._unit_vec(j)) for j in range(self.n)]
-        return [[cols[j][i] for j in range(self.n)] for i in range(self.n)]
 
     def elements(self):
         for combo in iproduct(range(self.mod), repeat=self.n):

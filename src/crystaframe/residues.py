@@ -104,9 +104,6 @@ class Residues:
     def size(self) -> int:
         return self.modulus
 
-    def encode(self, a):
-        return a
-
     # -- coordinate protocol: one coordinate, ideal pA, no relations --
 
     def coords(self, a):
@@ -123,9 +120,6 @@ class Residues:
 
     def module_spanning(self):
         return [1]
-
-    def mult_matrix(self, a):
-        return [[a]]
 
     def mu_indices(self):
         return [0]
@@ -349,9 +343,6 @@ class GaloisField:
         from itertools import product as iproduct
         for tup in iproduct(range(self.p), repeat=self.k):
             yield tuple(tup)
-
-    def encode(self, a):
-        return a
 
     def fp_coords(self, a):
         return tuple(a)

@@ -266,7 +266,7 @@ def verify_deform_win() -> VerifyResult:
             w_t = Window(tgt, cw.d, cw.t, cw.psi)
             v_s = lift_window_along(hom, v_t)
             w_s = lift_window_along(hom, w_t)
-            for G in hom_space(v_t, w_t, "window", budget=1 << 12).elements_mod_p():
+            for G in hom_space(v_t, w_t, "window", budget=1 << 12).elements():
                 rep = lift_hom_along(hom, v_s, w_s, G)
                 out.record(rep.unique, ("unique-lift", cv.psi, cw.psi))
                 out.record(

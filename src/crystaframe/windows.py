@@ -9,22 +9,24 @@ Window homs mod p^m use existential witness semantics: a matrix G is a hom
 when its ideal-valued entries admit divided-Frobenius witnesses making the
 commutation identities exact.  Linear solvers introduce the witnesses as
 extra unknowns, so every reported hom is certified at full precision; the
-truncation ambiguity of sigma1 never enters silently.  Hom groups over
-coordinate carriers, Z/p^m included, are solved linearly; carriers without
-coordinates (Witt, quotient) are exhausted.  A coordinate identity holds
-modulo the carrier relations, so each block of rows is multiplied by the
-relation span's `SpanNF.membership_rows()`: the unknowns are G and the
-witnesses, nothing else.  `hom_affine` solves the same system with some
-coordinates of G fixed (the connection solver of `nabla`).
+truncation ambiguity of sigma1 never enters silently.  Every hom group is
+solved linearly, never exhausted, over carrier coordinates (table ones,
+`witt.TableCoords`, on Witt and quotient carriers).  Where sigma1 leaves
+the carrier, the witnesses have the ideal's coordinates and the L-column
+rows the sigma1 codomain's, the comparison `is_window_hom` makes there.  A
+coordinate identity holds modulo the carrier relations, so each block of
+rows is multiplied by the relation span's `SpanNF.membership_rows()`: the
+unknowns are G and the witnesses, nothing else.  `hom_affine` solves the
+same system with some coordinates of G fixed (the connection solver of
+`nabla`).
 
 Isomorphism testing is by solving for an invertible hom (unit scan on the
 hom space mod p), never by invariants.  Over Z/p^m carriers classification
 finds the orbits of candidate Psi under the twisted right-action
 Psi -> G Psi W(G)^{-1} of the filtration-preserving invertibles, as
 connected components of vectorised index maps.  Witt and quotient carriers
-are classified by pairwise hom scans instead: each invertible Psi is tested
-for isomorphism against the representatives found so far, on the Witt
-arithmetic that finite carriers memoise (see `witt`).
+are classified by pairwise isomorphism tests instead: each invertible Psi
+is tested against the representatives found so far.
 
 Raw-form normalisation (`window_from_raw` through `normal_decomposition`)
 is for lift frames, over Z/p^m or W_n(k): only they carry the residue map
@@ -39,9 +41,10 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .frames import BudgetError, Frame, FrameHom, has_coords
+from .frames import BudgetError, Frame, FrameHom
 from .linalg import SpanNF, exact_dtype, int_dtype, kernel_basis, mod_reducer, solve, solve_affine
 from .matrices import (
+    diag,
     from_cols,
     identity,
     is_invertible,
@@ -51,9 +54,12 @@ from .matrices import (
     mat_inverse,
     mat_map,
     mat_mul,
+    mat_sub,
     mat_vec,
+    mult_matrix,
 )
 from .residues import Residues
+from .witt import TableCoords
 
 
 class WindowError(ValueError):
@@ -77,18 +83,7 @@ class Window:
 
     def delta(self):
         """diag(p 1_d, 1_t) over the carrier."""
-        A = self.frame.A
-        r = self.rank
-        p_elt = self.frame.p_elt
-        return mat(
-            [
-                [
-                    (p_elt if i < self.d else A.one) if i == j else A.zero
-                    for j in range(r)
-                ]
-                for i in range(r)
-            ]
-        )
+        return diag(self.frame.A, [self.frame.p_elt] * self.d + [self.frame.A.one] * self.t)
 
     def phi_matrix(self):
         """Columns Phi(e_j): Psi * diag(p 1_d, 1_t)."""
@@ -146,10 +141,7 @@ def hom_defect_phi(v: Window, w: Window, G):
     """G*Phi_v - Phi_w*sigma(G): zero iff G is a Phi-module hom."""
     A = v.frame.A
     lhs = mat_mul(A, G, v.phi_matrix())
-    rhs = mat_mul(A, w.phi_matrix(), mat_map(v.frame.sigma, G))
-    return mat(
-        [[A.add(a, A.neg(b)) for a, b in zip(ra, rb)] for ra, rb in zip(lhs, rhs)]
-    )
+    return mat_sub(A, lhs, mat_mul(A, w.phi_matrix(), mat_map(v.frame.sigma, G)))
 
 
 def is_phi_hom(v: Window, w: Window, G) -> bool:
@@ -171,36 +163,26 @@ def is_window_hom(v: Window, w: Window, G) -> bool:
     """Existential-witness check of the window-hom identities.
 
     T-columns use the Phi identity at full length; L-columns need
-    divided-Frobenius values on the bottom entries.  On coordinate
-    carriers, Z/p^m included, the witnesses are solved for, so a hom is
-    never rejected for carrying a non-minimal witness; carriers without
-    coordinates (Witt, quotient) have an exact sigma1 one level down and
-    are compared directly in its codomain.
+    divided-Frobenius values on the bottom entries.  Where sigma1 stays in
+    the carrier (lift, PD and D(1)_2 frames) the witnesses are solved for,
+    so a hom is never rejected for carrying a non-minimal witness; Witt and
+    quotient frames have an exact sigma1 one level down, and there the
+    L-columns are compared directly in its codomain.
     """
     fr = v.frame
     A = fr.A
     if not filtration_ok(v, w, G):
         return False
-    # T-columns: G Psi_j = Phi_w sigma(G)_j
-    phi_w = w.phi_matrix()
-    sG = mat_map(fr.sigma, G)
-    for j in range(v.d, v.rank):
-        lhs = mat_vec(A, G, mat_col(v.psi, j))
-        rhs = mat_vec(A, phi_w, mat_col(sG, j))
-        if lhs != rhs:
+    # T-columns: G Psi_j = Phi_w sigma(G)_j; L-columns G Psi_j = Psi_w sigma(G)_j
+    # at full length too when no sigma1 enters (w.t = 0)
+    sG, phi_w = mat_map(fr.sigma, G), w.phi_matrix()
+    for j in range(0 if w.t == 0 else v.d, v.rank):
+        rhs = mat_vec(A, phi_w if j >= v.d else w.psi, mat_col(sG, j))
+        if mat_vec(A, G, mat_col(v.psi, j)) != rhs:
             return False
-    if v.d == 0:
+    if v.d == 0 or w.t == 0:
         return True
-    if w.t == 0:
-        # no sigma1 enters: Phi_1 columns compare at full length
-        sGm = mat_map(fr.sigma, G)
-        for j in range(v.d):
-            lhs = mat_vec(A, G, mat_col(v.psi, j))
-            rhs = mat_vec(A, w.psi, mat_col(sGm, j))
-            if lhs != rhs:
-                return False
-        return True
-    if has_coords(A):
+    if fr.sigma1_codomain is A:
         return _l_columns_witnessed(v, w, G)
     # exact sigma1 (Witt / quotient): compare in the codomain
     cod = fr.sigma1_codomain
@@ -235,7 +217,7 @@ def _l_columns_witnessed(v: Window, w: Window, G) -> bool:
     bl = [(i, j) for i in range(w.d, w.rank) for j in range(v.d)]
     nH = len(bl) * nc
     dt = exact_dtype(max(nH, nc) * mod * mod)
-    T = np.array(A.relations.membership_rows(), dtype=dt).reshape(-1, nc)
+    T = _membership(fr, A, dt)
     s_mu = _op_matrix(fr, "sigma_mu", dt)
     s1T = _op_matrix(fr, "sigma1_T", dt)
 
@@ -256,7 +238,7 @@ def _l_columns_witnessed(v: Window, w: Window, G) -> bool:
                     tpart = s1T @ np.array(A.coords(entry), dtype=dt) % mod
                     val = A.mul(w.psi[irow][k], A.from_coords(tpart.tolist()))
                     kk = bl.index((k, j))
-                    Mk = np.array(A.mult_matrix(w.psi[irow][k]), dtype=dt)
+                    Mk = _mult_matrix(fr, A, w.psi[irow][k], dt)
                     coeff[:, kk * nc : (kk + 1) * nc] = Mk @ s_mu % mod
                 const -= np.array(A.coords(val), dtype=dt)
             rows.append(T @ coeff % mod)
@@ -281,26 +263,27 @@ class HomSpace:
     mode: str
     generators: list  # matrices over the carrier
 
-    def elements_mod_p(self):
-        """All F_p-combinations of the generators, reduced mod p (for scans)."""
+    def elements(self):
+        """Every hom of the group, whatever the generators: the
+        F_p-combinations of their multiples by p^(m-1), ..., p, 1."""
         fr = self.source.frame
-        A = fr.A
-        p = fr.p
-        seen = set()
-        out = []
-        r_w, r_v = self.target.rank, self.source.rank
-        for combo in iproduct(range(p), repeat=len(self.generators)):
-            acc = [[A.zero] * r_v for _ in range(r_w)]
+        m = fr.A.coord_precision()
+        times = [fr.p ** k for k in range(m)[::-1]]
+        powers = [mat_map(lambda x: fr.A.int_mul(t, x), g) for g in self.generators for t in times]
+        return HomSpace(self.source, self.target, self.mode, powers).elements_mod_p()
+
+    def elements_mod_p(self):
+        """All F_p-combinations of the generators: a representative of every
+        class of the group mod p, for unit scans."""
+        A = self.source.frame.A
+        seen = {}
+        for combo in iproduct(range(self.source.frame.p), repeat=len(self.generators)):
+            acc = mat([[A.zero] * self.source.rank for _ in range(self.target.rank)])
             for c, g in zip(combo, self.generators):
                 if c:
-                    for i in range(r_w):
-                        for j in range(r_v):
-                            acc[i][j] = A.add(acc[i][j], A.int_mul(c, g[i][j]))
-            m = mat(acc)
-            if m not in seen:
-                seen.add(m)
-                out.append(m)
-        return out
+                    acc = mat_add(A, acc, mat_map(lambda x: A.int_mul(c, x), g))
+            seen.setdefault(acc, None)
+        return list(seen)
 
     def contains_zero_only(self) -> bool:
         A = self.source.frame.A
@@ -310,60 +293,30 @@ class HomSpace:
 
 
 def hom_space(v: Window, w: Window, mode: str = "window", budget: int = 1 << 16) -> HomSpace:
-    """Generators of the hom group, by exact linear algebra or exhaustion.
+    """Generators of the hom group, by exact linear algebra on every frame.
 
     mode "window": filtration + Phi_1 + Phi constraints (with witness
     unknowns for the ideal-valued entries); mode "phi_module": only the
-    Phi-commutation.  Coordinate carriers, Z/p^m included, are solved
-    linearly (the budget bounds the square of the unknown count); carriers
-    without coordinates are exhausted.  Every generator is re-checked.
+    Phi-commutation.  The budget bounds the square of the unknown count
+    and the size of a table carrier, checked before its table enumerates
+    anything.  Every generator is re-checked.
     """
     if v.frame is not w.frame and v.frame != w.frame:
         raise WindowError("hom_space needs windows over the same frame")
     if mode not in ("window", "phi_module"):
         raise WindowError(f"unknown mode {mode!r}")
-    fr = v.frame
-    if has_coords(fr.A):
-        nvars = w.rank * v.rank * fr.A.coord_count()
-        if nvars * nvars > budget:
-            raise WindowBudgetError(f"hom system too large for the budget ({nvars} unknowns)")
-        gens = _hom_space_linear(v, w, mode)
-    else:
-        gens = _hom_space_bruteforce(v, w, mode, budget)
+    A = v.frame.A
+    if isinstance(A, TableCoords) and A.size() > budget:
+        raise WindowBudgetError(f"carrier too large to tabulate within the budget ({A.size()} elements)")
+    nvars = w.rank * v.rank * A.coord_count()
+    if nvars * nvars > budget:
+        raise WindowBudgetError(f"hom system too large for the budget ({nvars} unknowns)")
+    gens = _hom_space_linear(v, w, mode)
     check = is_window_hom if mode == "window" else is_phi_hom
     for g in gens:
         if not check(v, w, g):
             raise AssertionError("hom solver produced a non-hom; solver defect")
     return HomSpace(v, w, mode, gens)
-
-
-def _hom_space_bruteforce(v: Window, w: Window, mode: str, budget: int):
-    fr = v.frame
-    A = fr.A
-    r_w, r_v = w.rank, v.rank
-    pool = list(A.elements())
-    total = len(pool) ** (r_w * r_v)
-    if total > budget:
-        raise WindowBudgetError(f"carrier too large for exhaustive hom search ({total} candidates)")
-    check = is_window_hom if mode == "window" else is_phi_hom
-    sols = []
-    for combo in iproduct(pool, repeat=r_w * r_v):
-        G = mat([combo[i * r_v : (i + 1) * r_v] for i in range(r_w)])
-        if check(v, w, G):
-            sols.append(G)
-    # reduce the solution set to additive generators (greedy span growth)
-    gens: list = []
-    span = {mat([[A.zero] * r_v for _ in range(r_w)])}
-    for s in sols:
-        if s not in span:
-            gens.append(s)
-            new = set(span)
-            cur = s
-            while cur not in span:
-                new |= {mat_add(A, x, cur) for x in span}
-                cur = mat_add(A, cur, s)
-            span = new
-    return gens
 
 
 @lru_cache(maxsize=256)
@@ -413,8 +366,11 @@ def _hom_rows(v: Window, w: Window, mode: str):
     relations, so its block of rows is the sum of its terms times the
     relation span's `membership_rows()` (the identity on Z/p^m, which has
     none).  Columns: the coordinates of G (entry (i, j), coordinate c at
-    (i*r_v + j)*nc + c), then the witness coordinates.  Returns (rows,
-    column count), rows in `exact_dtype(columns * p^2m)`.
+    (i*r_v + j)*nc + c), then the witness coordinates.  Where sigma1 leaves
+    the carrier, a witness h has the ideal's coordinates, g = iota(h), and
+    if w has T-columns the L-column rows are mult_C(red a) @ red @ op on G
+    and mult_C(red a) @ sigma1 on h in the sigma1 codomain C.  Returns
+    (rows, column count), rows in `exact_dtype(columns * p^2m)`.
     """
     fr = v.frame
     A = fr.A
@@ -422,30 +378,46 @@ def _hom_rows(v: Window, w: Window, mode: str):
     mod = p ** m
     nc = A.coord_count()
     r_v, r_w = v.rank, w.rank
-    nG = r_w * r_v * nc
+    nvar, nG = r_w * r_v, r_w * r_v * nc
     equations, bl = _hom_equations(r_v, v.d, r_w, w.d, mode)
     src = {"phi_v": v.phi_matrix(), "phi_w": w.phi_matrix(), "psi_v": v.psi, "psi_w": w.psi}
-    ncols = nG + len(bl) * nc
+    level = fr.sigma1_codomain is A
+    C = A if level or w.t == 0 else fr.codomain_table
+    nh = nc if level else fr.ideal_table.coord_count()
+    ncols = nG + len(bl) * nh
     dt = exact_dtype(ncols * mod * mod)
-    T = np.array(A.relations.membership_rows(), dtype=dt).reshape(-1, nc)
-    nt = len(T)
-    mu = np.array(A.mu_indices(), dtype=np.intp)
-    rows = np.zeros((len(equations) * nt + len(bl) * len(mu), ncols), dtype=dt)
+    T = _membership(fr, A, dt)
+    TC = T if C is A else _membership(fr, C, dt)
+    in_C = [C is not A and eq[0][1] == "psi_v" for eq in equations]
+    starts = np.cumsum([0] + [len(TC) if c else len(T) for c in in_C])
+    # parametrisation of a bottom-left entry g by its witness h: PG g + Ph h = 0
+    if level:  # mu-coords of g = p * those of h
+        PG = np.eye(nc, dtype=dt)[A.mu_indices()]
+        Ph = (-p * PG) % mod
+    else:  # g = iota(h)
+        PG, Ph = T, -(T @ _op_matrix(fr, "iota", dt)) % mod
+    rows = np.zeros((starts[-1] + len(bl) * len(PG), ncols), dtype=dt)
     ops = {op: _op_matrix(fr, op, dt) for op in {t[4] for eq in equations for t in eq}}
+    if C is not A:
+        red = _op_matrix(fr, "red", dt)
+        ops_C = {op: red @ M % mod for op, M in ops.items()}
+        ops_C["sigma_mu"] = _op_matrix(fr, "sigma1", dt)
     blocks = {}
     for e, eq in enumerate(equations):
-        out = rows[e * nt : (e + 1) * nt]
+        out = rows[starts[e] : starts[e + 1]]
         for sign, s, i, j, op, var in eq:
             a = src[s][i][j]
-            if (a, op) not in blocks:
-                blocks[a, op] = T @ np.array(A.mult_matrix(a), dtype=dt) % mod @ ops[op] % mod
-            out[:, var * nc : (var + 1) * nc] += sign * blocks[a, op]
+            key = (in_C[e], a, op)
+            if key not in blocks:  # an L-column row in C multiplies by red(a)
+                Tx, X, x, opx = (TC, C, fr.reduce_to_codomain(a), ops_C) if in_C[e] else (T, A, a, ops)
+                blocks[key] = Tx @ _mult_matrix(fr, X, x, dt) % mod @ opx[op] % mod
+            at = var * nc if var < nvar else nG + (var - nvar) * nh
+            out[:, at : at + blocks[key].shape[1]] += sign * blocks[key]
     rows %= mod
-    # parametrization of bottom-left entries: mu-coords = p * witness
-    at = len(equations) * nt + np.arange(len(mu))
     for kk, (i, j) in enumerate(bl):
-        rows[at + kk * len(mu), (i * r_v + j) * nc + mu] = 1
-        rows[at + kk * len(mu), nG + kk * nc + mu] = (-p) % mod
+        out = rows[starts[-1] + kk * len(PG) : starts[-1] + (kk + 1) * len(PG)]
+        out[:, (i * r_v + j) * nc : (i * r_v + j + 1) * nc] = PG
+        out[:, nG + kk * nh : nG + (kk + 1) * nh] = Ph
     return rows, ncols
 
 
@@ -509,36 +481,57 @@ def hom_affine(v: Window, w: Window, pinned: dict, budget: int = 1 << 16):
 
 
 def _decode_G(A, flat, r_w, r_v, nc):
-    rows = []
-    for i in range(r_w):
-        row = []
-        for j in range(r_v):
-            base = (i * r_v + j) * nc
-            coords = flat[base : base + nc]
-            row.append(A.from_coords(coords))
-        rows.append(row)
-    return mat(rows)
+    cells = [A.from_coords(flat[k * nc : (k + 1) * nc]) for k in range(r_w * r_v)]
+    return mat([cells[i * r_v : (i + 1) * r_v] for i in range(r_w)])
 
 
 def _op_matrix(fr: Frame, op: str, dt=object):
-    """Coordinate matrix of a `_hom_equations` operator on the frame carrier,
-    as an array in dtype `dt` (Python ints by default)."""
+    """Coordinate matrix of an operator, as a read-only array in dtype `dt`
+    (Python ints by default), built once per frame, operator and dtype.
+
+    The `_hom_equations` operators act on the carrier A.  Between the table
+    coordinates of A, its ideal I and its sigma1 codomain C there are also
+    "iota" (the inclusion I -> A), "red" (A -> C) and "sigma1" (I -> C).
+    """
+    return _frame_array(fr, op, dt, lambda: _op_columns(fr, op))
+
+
+def _op_columns(fr: Frame, op: str):
     A = fr.A
-    n = A.coord_count()
     if op == "id":
-        return np.eye(n, dtype=dt)
+        return np.eye(A.coord_count(), dtype=object)
+    source = fr.ideal_table if op in ("iota", "sigma1") else A
+    target = fr.codomain_table if op in ("red", "sigma1") else A
+    fn = {"iota": lambda x: x, "red": fr.reduce_to_codomain, "sigma1": fr.sigma1}.get(op, fr.sigma)
+    n = source.coord_count()
+    out = np.zeros((target.coord_count(), n), dtype=object)
     if op == "sigma1_T":  # Z/p^m has no T coordinates, and no sigma1_cert
-        indices, column = A.t_indices(), lambda j: A.sigma1_cert(j)
-    else:
-        indices = range(n) if op == "sigma" else A.mu_indices()
-
-        def column(j):
-            return A.coords(fr.sigma(A.from_coords([int(i == j) for i in range(n)])))
-
-    out = np.zeros((n, n), dtype=dt)
-    for j in indices:
-        out[:, j] = column(j)
+        for j in A.t_indices():
+            out[:, j] = A.sigma1_cert(j)
+        return out
+    for j in A.mu_indices() if op == "sigma_mu" else range(n):
+        out[:, j] = target.coords(fn(source.from_coords([int(i == j) for i in range(n)])))
     return out
+
+
+def _mult_matrix(fr: Frame, carrier, a, dt):
+    """mult_matrix(carrier, a), kept per frame as `_op_matrix` keeps operators."""
+    return _frame_array(fr, ("mult", id(carrier), a), dt, lambda: mult_matrix(carrier, a))
+
+
+def _membership(fr: Frame, carrier, dt):
+    """The carrier's `membership_rows()`, kept as `_mult_matrix` keeps products."""
+    T = carrier.relations.membership_rows
+    n = carrier.coord_count()
+    return _frame_array(fr, ("T", id(carrier)), dt, lambda: np.array(T(), dtype=object).reshape(-1, n))
+
+
+def _frame_array(fr: Frame, key, dt, build):
+    cache = fr.__dict__.setdefault("_coord_arrays", {})
+    if (key, dt) not in cache:
+        cache[key, dt] = np.array(build(), dtype=dt)
+        cache[key, dt].flags.writeable = False
+    return cache[key, dt]
 
 
 # -- F and V -------------------------------------------------------------------
@@ -561,29 +554,13 @@ def fv_operators(w: Window) -> FVCertificate:
     psi_inv = mat_inverse(A, w.psi)
     if psi_inv is None:
         raise WindowError("invalid window: Psi not invertible")
-    r = w.rank
-    delta_flip = mat(
-        [
-            [
-                (A.one if i < w.d else fr.p_elt) if i == j else A.zero
-                for j in range(r)
-            ]
-            for i in range(r)
-        ]
-    )
-    V = mat_mul(A, delta_flip, psi_inv)
-    p_id = mat(
-        [[fr.p_elt if i == j else A.zero for j in range(r)] for i in range(r)]
-    )
+    V = mat_mul(A, diag(A, [A.one] * w.d + [fr.p_elt] * w.t), psi_inv)
+    p_id = diag(A, [fr.p_elt] * w.rank)
     vf = mat_mul(A, V, F) == p_id
     fv = mat_mul(A, F, V) == p_id
     # V(Phi_1(x)) = 1 (x) on the L-basis: V Psi_L-columns are unit vectors
-    ok = True
-    for j in range(w.d):
-        col = mat_vec(A, V, mat_col(w.psi, j))
-        want = tuple(A.one if i == j else A.zero for i in range(r))
-        if col != want:
-            ok = False
+    eye = identity(A, w.rank)
+    ok = all(mat_vec(A, V, mat_col(w.psi, j)) == mat_col(eye, j) for j in range(w.d))
     cert = FVCertificate(F, V, vf, fv, ok)
     if not (vf and fv and ok):
         raise WindowError("FV certificate failed: invalid window data")
@@ -828,9 +805,7 @@ def lift_idempotent(frame: Frame, E0, max_iter: int = 64):
         if E2 == E:
             return E, k
         E3 = mat_mul(A, E2, E)
-        three_E2 = mat([[A.int_mul(3, x) for x in row] for row in E2])
-        two_E3 = mat([[A.int_mul(2, x) for x in row] for row in E3])
-        E = mat([[A.add(a, A.neg(b)) for a, b in zip(ra, rb)] for ra, rb in zip(three_E2, two_E3)])
+        E = mat_sub(A, mat_map(lambda x: A.int_mul(3, x), E2), mat_map(lambda x: A.int_mul(2, x), E3))
     raise WindowError("idempotent iteration failed to converge")
 
 
@@ -894,12 +869,7 @@ def normal_decomposition(frame: Frame, rank: int, m1_generators):
     E0 = mat_map(frame.section, P_R)
     E, iters = lift_idempotent(frame, E0)
     # assemble the decomposition: L = E * (chosen generators), T = (1-E) e_j
-    one_minus_E = mat(
-        [
-            [A.add((A.one if i == j else A.zero), A.neg(E[i][j])) for j in range(rank)]
-            for i in range(rank)
-        ]
-    )
+    one_minus_E = mat_sub(A, identity(A, rank), E)
     L_cols = [mat_vec(A, E, m1_generators[g]) for g in chosen]
     T_cols = [mat_col(one_minus_E, j) for j in complement]
     C = from_cols(L_cols + T_cols)
@@ -960,19 +930,16 @@ def window_from_raw(frame: Frame, m1_generators, phi) -> Window:
 
 
 def _divide_by_p(frame: Frame, x):
-    """A canonical witness h with p*h = x on a lift frame, or None."""
+    """A canonical witness h with p*h = x on a lift frame, or None.
+
+    Z/p^m and W_n(k), k perfect, are free over Z/p^m: their coordinates
+    have no relations, so p divides x exactly when it divides each one.
+    """
     A = frame.A
-    if has_coords(A):
-        # Z/p^m: one coordinate and no relations
-        coords = A.coords(x)
-        if any(c % frame.p for c in coords):
-            return None
-        return A.from_coords([c // frame.p for c in coords])
-    # W_n(k): scan
-    for h in A.elements():
-        if A.int_mul(frame.p, h) == x:
-            return h
-    return None
+    coords = A.coords(x)
+    if any(c % frame.p for c in coords):
+        return None
+    return A.from_coords([c // frame.p for c in coords])
 
 
 def _unit_group_generators(p: int, m: int):

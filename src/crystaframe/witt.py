@@ -19,7 +19,81 @@ evaluate directly.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .intpoly import IntPolyRing
+from .linalg import SpanNF, diagonalize
+
+
+class TableCoords:
+    """Additive coordinates over Z/p^m of a finite carrier, from one table.
+
+    The carrier (p, n, zero, add, mul, elements()) is an abelian group
+    killed by p^n, so m = n.  On first use one pass over `elements()`
+    makes each element not yet reached a generator and adds its multiples
+    to everything reached: a discrete log, and one relation per generator.
+    The basis that diagonalizes the relations gives coordinate j the
+    cyclic factor Z/p^(e_j), e_j >= 1, and the relation span the p^(e_j)
+    e_j alone (none on a free group).  Every coordinate is of mu type.
+    """
+
+    def coord_precision(self) -> int:
+        return self.n
+
+    @cached_property
+    def _table(self):
+        p, m = self.p, self.coord_precision()
+        log, rels = {self.zero: ()}, []
+        for x in self.elements():
+            if x in log:
+                continue
+            multiples = [x]
+            while (y := self.add(multiples[-1], x)) not in log:
+                multiples.append(y)
+            rels.append([-c for c in log[y]] + [0] * (len(rels) - len(log[y])) + [len(multiples) + 1])
+            for s, c in list(log.items()):
+                for i, mx in enumerate(multiples, 1):
+                    log[self.add(s, mx)] = c + (0,) * (len(rels) - 1 - len(c)) + (i,)
+        _, _, V, evals = diagonalize([r + [0] * (len(rels) - len(r)) for r in rels], p, m)
+        keep = [(j, p ** e) for j, e in enumerate(evals) if e > 0]
+        coords = {
+            x: tuple(sum(a * V[i][j] for i, a in enumerate(c)) % q for j, q in keep) for x, c in log.items()
+        }
+        elements = {c: x for x, c in coords.items()}
+        if len(elements) != len(coords):
+            raise AssertionError("table coordinates are not a bijection")
+        relations = SpanNF(len(keep), p, m)
+        for k, (_, q) in enumerate(keep):
+            relations.insert([q * (i == k) for i in range(len(keep))])
+        return coords, elements, [q for _, q in keep], relations
+
+    def coords(self, x):
+        return self._table[0][x]
+
+    def from_coords(self, cs):
+        return self._table[1][tuple(int(c) % q for c, q in zip(cs, self._table[2]))]
+
+    def coord_count(self) -> int:
+        return len(self._table[2])
+
+    @property
+    def relations(self) -> SpanNF:
+        return self._table[3]
+
+    def mu_indices(self):
+        return list(range(self.coord_count()))
+
+    def t_indices(self):
+        return []
+
+
+class TableCarrier(TableCoords):
+    """The elements of `ring` that the callable `elements` lists, with table
+    coordinates at precision n (a frame's ideal or sigma1 codomain)."""
+
+    def __init__(self, ring, elements, n: int):
+        self.p, self.zero, self.add, self.mul = ring.p, ring.zero, ring.add, ring.mul
+        self.elements, self.n = elements, n
 
 
 class WittPolynomialCache:
@@ -63,22 +137,15 @@ class WittPolynomialCache:
             out.append(R.divexact(rhs, self.p ** i))
         return out
 
-    def _ghost_of(self, polys, i):
-        R = self.ring
-        acc = R.zero
-        for j in range(i + 1):
-            acc = R.add(acc, R.scale(self.p ** j, R.pow(polys[j], self.p ** (i - j))))
-        return acc
-
     def verify_ghost_identities(self) -> None:
         """Symbolic w_i compatibility for every cached polynomial family."""
         R = self.ring
         for i in range(self.n):
-            assert R.equal(self._ghost_of(self.S, i), R.add(self.ghost_x[i], self.ghost_y[i]))
-            assert R.equal(self._ghost_of(self.P, i), R.mul(self.ghost_x[i], self.ghost_y[i]))
-            assert R.equal(self._ghost_of(self.N, i), R.neg(self.ghost_x[i]))
+            assert R.equal(self._ghost(self.S, i), R.add(self.ghost_x[i], self.ghost_y[i]))
+            assert R.equal(self._ghost(self.P, i), R.mul(self.ghost_x[i], self.ghost_y[i]))
+            assert R.equal(self._ghost(self.N, i), R.neg(self.ghost_x[i]))
         for i in range(self.n - 1):
-            assert R.equal(self._ghost_of(self.F, i), self.ghost_x[i + 1])
+            assert R.equal(self._ghost(self.F, i), self.ghost_x[i + 1])
 
 
 _CACHE: dict[tuple[int, int], WittPolynomialCache] = {}
@@ -91,12 +158,13 @@ def witt_cache(p: int, n: int) -> WittPolynomialCache:
     return _CACHE[key]
 
 
-class WittRing:
+class WittRing(TableCoords):
     """W_n(base) with componentwise canonical elements (tuples of length n).
 
     `base` is any ring object exposing add/mul/neg/zero/one/equal/embed_int
     (MonomialAlgebra and IntPolyRing both qualify).  Vectors over different
-    carriers never mix: ops check length and assume a fixed base.
+    carriers never mix: ops check length and assume a fixed base.  Table
+    coordinates are over Z/p^n, which kills W_n of a characteristic-p base.
     """
 
     def __init__(self, base, n: int, p: int | None = None):

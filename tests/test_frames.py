@@ -263,8 +263,8 @@ def test_pd_sigma1_linearity_loses_one_digit():
 
 @pytest.mark.parametrize("kind", ["witt", "quotient", "lift-witt"])
 def test_sigma1_nilpotence_scope(kind):
-    # sigma1 drops a level (Witt, quotient) or the carrier has no coordinates
-    # (lift over W(k)): rejected at entry
+    # sigma1 drops a level (Witt, quotient) or the carrier has only table
+    # coordinates (lift over W(k)): rejected at entry
     if kind == "witt":
         fr = witt_frame(F2(), 2)
     elif kind == "quotient":

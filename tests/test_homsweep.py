@@ -4,10 +4,10 @@
 On a seeded sample of ordered pairs of classification representatives
 (rank <= 2, every (rank, d) bucket pair, endomorphisms included) those
 systems, solved by `batch_kernel`, must span the same group as the
-generators found by exhausting every matrix (`_hom_space_bruteforce`): the
-Phi-module homs in mode "phi_module", and the G-part of (G, witness)
-solutions in mode "window".  `hom_space` itself solves Z/p^m linearly, so
-it is not an independent oracle here.
+generators found by exhausting every matrix
+(`oracles.hom_space_bruteforce`): the Phi-module homs in mode
+"phi_module", and the G-part of (G, witness) solutions in mode "window".  `hom_space` itself solves every frame
+linearly, so it is not an independent oracle here.
 
 The sweep's residual checks get negative controls: over Z/4 they must
 vanish exactly on the exhaustive hom groups, and a sweep whose kernel is
@@ -31,13 +31,8 @@ from crystaframe.homsweep import (
 )
 from crystaframe.linalg import SpanNF, batch_kernel
 from crystaframe.residues import Residues
-from crystaframe.windows import (
-    ClassTable,
-    _hom_space_bruteforce,
-    classify_windows,
-    hom_defect_phi,
-    window_from_psi,
-)
+from crystaframe.windows import ClassTable, classify_windows, hom_defect_phi, window_from_psi
+from oracles import hom_space_bruteforce
 
 
 def span_key(gens, ncols, p, m):
@@ -85,7 +80,7 @@ def test_sweep_systems_match_scalar_hom_space(p, m, mode):
             w = window_from_psi(frame, cw.d, cw.t, cw.psi)
             exhaustive = [
                 tuple(int(x) for row in G for x in row)
-                for G in _hom_space_bruteforce(v, w, mode, 1 << 16)
+                for G in hom_space_bruteforce(v, w, mode)
             ]
             want = span_key(exhaustive, nG, p, m)
             got = span_key(gens[n, :nG].T.tolist(), nG, p, m)
@@ -136,7 +131,7 @@ def check_residuals_against_bruteforce(pairs, p, m):
     proper = 0
     for v, w in pairs:
         for mode in ("phi_module", "window"):
-            exhaustive = _hom_space_bruteforce(v, w, mode, 1 << 16)
+            exhaustive = hom_space_bruteforce(v, w, mode)
             want = hom_group(exhaustive, w.rank * v.rank, mod)
             assert residual_zero_set(v, w, mode, p, mod) == want, (mode, v.d, v.psi, w.d, w.psi)
             proper += 1 < len(want) < mod ** (w.rank * v.rank)

@@ -11,7 +11,6 @@ from crystaframe.linalg import (
     diagonalize,
     kernel_basis,
     p_torsion_of_quotient,
-    quotient_factor_orders,
     solve,
     solve_affine,
     work_dtype,
@@ -258,13 +257,6 @@ def test_spannf_membership_exhaustive(p, m):
             for s in list(true_span)[:4]:
                 w = tuple((v[j] + s[j]) % mod for j in range(n))
                 assert nf.reduce(w) == red
-
-
-def test_quotient_factor_orders():
-    # Z/8^2 / <(2,0)> = Z/2 + Z/8
-    orders = quotient_factor_orders([[2, 0]], 2, 2, 3)
-    assert sorted(orders) == [2, 8]
-    assert quotient_factor_orders([], 2, 2, 3) == [8, 8]
 
 
 def test_p_torsion_of_quotient():

@@ -4,7 +4,7 @@ from itertools import product as iproduct
 import numpy as np
 import pytest
 
-from crystaframe import windows
+from crystaframe import frames, windows
 from crystaframe.frames import (
     AdmissibleSequence,
     BudgetError,
@@ -15,11 +15,12 @@ from crystaframe.frames import (
 )
 from crystaframe.homsweep import _build_systems, _phi_scaled
 from crystaframe.linalg import SpanNF, batch_kernel, diagonalize, kernel_basis
-from crystaframe.matrices import identity, is_invertible, mat, mat_add, mat_map, mat_mul
+from crystaframe.matrices import identity, is_invertible, mat, mat_add, mat_map, mat_mul, mult_matrix
 from crystaframe.monomial import MonomialAlgebra
 from crystaframe.nabla import NablaContext, square_zero_frame
 from crystaframe.pdenv import PDPresentation, build_pd_envelope, pd_frame
-from crystaframe.residues import Residues
+from crystaframe.residues import GaloisField, Residues
+from crystaframe.scenario import parse_scenario, validate_scenario
 from crystaframe.windows import (
     ClassTable,
     Window,
@@ -40,6 +41,8 @@ from crystaframe.windows import (
     window_from_psi,
     window_from_raw,
 )
+from crystaframe.witt import WittRing
+from oracles import hom_space_bruteforce
 
 
 def zframe(p=2, m=3):
@@ -257,9 +260,8 @@ def test_witt_rank1_tables_match_lift_frame(p, n):
     assert class_shape(witt) == class_shape(lift)
 
 
-@pytest.mark.slow
 def test_witt_rank2_table_against_lift_frame_z4():
-    """W_2(F_2) against Z/4 at rank 2 (about 35 s).
+    """W_2(F_2) against Z/4 at rank 2 (about 1.5 s, on linear homs).
 
     d = 0 and d = 2 agree.  d = 1 does not: the Witt frame compares
     L-columns exactly one level down, in W_1, while Z/p^m admits existential
@@ -530,7 +532,7 @@ def assert_linear_matches_bruteforce(v, w, mode, p, m):
     A = v.frame.A
     shape = (w.rank, v.rank)
     linear = windows.hom_space(v, w, mode).generators
-    exhaustive = windows._hom_space_bruteforce(v, w, mode, 1 << 16)
+    exhaustive = hom_space_bruteforce(v, w, mode)
     assert hom_span_key(A, p, m, linear, shape) == hom_span_key(A, p, m, exhaustive, shape), (
         mode, v.d, v.psi, w.d, w.psi,
     )
@@ -540,11 +542,11 @@ def class_windows(fr, rank):
     return [Window(fr, c.d, c.t, c.psi) for c in classify_windows(fr, rank).classes]
 
 
-def test_hom_space_over_zpm_is_solved_linearly(monkeypatch):
-    def exhaust(*args):
-        raise AssertionError("Z/p^m homs must not be exhausted")
-
-    monkeypatch.setattr(windows, "_hom_space_bruteforce", exhaust)
+def test_hom_space_has_one_linear_path():
+    # the exhaustive search is a test oracle only (tests/oracles.py), and no
+    # carrier is probed for coordinates
+    assert not hasattr(windows, "_hom_space_bruteforce")
+    assert not hasattr(frames, "has_coords")
     fr = zframe(3, 2)
     hs = hom_space(supersingular(fr), supersingular(fr), "window")
     assert not hs.contains_zero_only()
@@ -575,6 +577,108 @@ def test_linear_hom_space_matches_bruteforce():
                 v, w = rng.choice(buckets[kv]), rng.choice(buckets[kw])
                 for mode in rng.sample(["window", "phi_module"], modes):
                     assert_linear_matches_bruteforce(v, w, mode, p, m)
+
+
+def witt_frames():
+    """The Witt frames of the linear-vs-exhaustive oracle, by name."""
+    F2, F4 = MonomialAlgebra(Residues(2, 1), []), MonomialAlgebra(GaloisField(2, 2), [])
+    return {
+        "W_2(F_2)": witt_frame(F2, 2),
+        "W_2(F_3)": witt_frame(MonomialAlgebra(Residues(3, 1), []), 2),
+        "W_3(F_2)": witt_frame(F2, 3),
+        "W_2(F_4)": witt_frame(F4, 2),
+        "W_2(F_2[e])": witt_frame(MonomialAlgebra(Residues(2, 1), [("e", 0, 2)]), 2),
+        "lift W_2(F_4)": lift_frame(WittRing(F4, 2)),
+    }
+
+
+@pytest.mark.parametrize("name", list(witt_frames()))
+def test_linear_hom_space_matches_bruteforce_on_witt_frames(name):
+    # every ordered pair of rank-1 classes, both modes, on table coordinates
+    fr = witt_frames()[name]
+    rank1 = class_windows(fr, 1)
+    for v, w in iproduct(rank1, repeat=2):
+        for mode in ("window", "phi_module"):
+            assert_linear_matches_bruteforce(v, w, mode, fr.p, fr.A.coord_precision())
+
+
+def seeded_witt_windows(fr, rng, n):
+    """`n` seeded windows of each (rank, d) with rank <= 2 over a finite carrier."""
+    pool = list(fr.A.elements())
+    out = []
+    for rank in (1, 2):
+        for d in range(rank + 1):
+            found = 0
+            while found < n:
+                psi = mat([[rng.choice(pool) for _ in range(rank)] for _ in range(rank)])
+                if is_invertible(fr.A, psi):
+                    out.append(window_from_psi(fr, d, rank - d, psi))
+                    found += 1
+    return out
+
+
+def test_linear_hom_space_matches_bruteforce_on_w2f2_rank2():
+    # seeded rank <= 2 pairs over W_2(F_2), every rank-2 class with d = 1
+    # among them: there L-columns compare one level down, in W_1
+    fr = witt_frames()["W_2(F_2)"]
+    reps = [w for w in class_windows(fr, 2) if w.d == 1] + seeded_witt_windows(fr, random.Random(3), 1)
+    for v, w in iproduct(reps, repeat=2):
+        for mode in ("window", "phi_module"):
+            assert_linear_matches_bruteforce(v, w, mode, 2, 2)
+
+
+def quotient_frame_q():
+    """The quotient frame Q of the bundled witt_frame_f2.scn (4,096 elements)."""
+    from pathlib import Path
+
+    text = (Path(__file__).resolve().parents[1] / "scenarios" / "witt_frame_f2.scn").read_text()
+    return validate_scenario(parse_scenario(text))["frames"]["Q"]
+
+
+def seeded_unit_windows(fr, rng, n):
+    """`n` rank-1 windows with seeded unit Psi, d alternating 1, 0, 1, ..."""
+    pool = [u for u in fr.A.elements() if fr.A.is_unit(u)]
+    return [window_from_psi(fr, 1 - k % 2, k % 2, [[rng.choice(pool)]]) for k in range(n)]
+
+
+def test_linear_hom_space_matches_bruteforce_on_quotient_frame():
+    # window mode from d = 1 to d = 0 over Q: the L-column rows lie in the
+    # sigma1 codomain and the witness in the ideal's own coordinates
+    # (exhausting the 4,096 candidates takes about 1 s)
+    fr = quotient_frame_q()
+    v, w = seeded_unit_windows(fr, random.Random(11), 2)
+    assert_linear_matches_bruteforce(v, w, "window", 2, 2)
+
+
+@pytest.mark.slow
+def test_linear_hom_space_matches_bruteforce_on_quotient_frame_seeded():
+    # every ordered pair of 6 seeded rank-1 windows over Q, both modes (about 50 s)
+    fr = quotient_frame_q()
+    for v, w in iproduct(seeded_unit_windows(fr, random.Random(13), 6), repeat=2):
+        for mode in ("window", "phi_module"):
+            assert_linear_matches_bruteforce(v, w, mode, 2, 2)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", ["W_2(F_4)", "lift W_2(F_4)"])
+def test_linear_hom_space_matches_bruteforce_on_w2f4_rank2(name):
+    # seeded rank <= 2 pairs over W_2(F_4), one mode each (about 1.5 s per
+    # exhausted rank-2 pair)
+    fr = witt_frames()[name]
+    rng = random.Random(17)
+    reps = seeded_witt_windows(fr, rng, 1)
+    for v, w in iproduct(reps, repeat=2):
+        assert_linear_matches_bruteforce(v, w, rng.choice(["window", "phi_module"]), 2, 2)
+
+
+def test_table_carrier_over_the_budget_raises_before_enumerating():
+    # Q has 4,096 elements: a smaller budget stops hom_space before the
+    # table is built
+    fr = quotient_frame_q()
+    v, w = seeded_unit_windows(fr, random.Random(11), 2)
+    with pytest.raises(WindowBudgetError, match="4096 elements"):
+        hom_space(v, w, "window", budget=4095)
+    assert "_table" not in vars(fr.A)
 
 
 @pytest.mark.slow
@@ -677,7 +781,7 @@ def _hom_rows_slack(v, w, mode):
     for e, eq in enumerate(equations):
         block = [[0] * total for _ in range(nc)]
         for sign, s, i, j, op, var in eq:
-            M = (np.array(A.mult_matrix(src[s][i][j]), dtype=object) @ windows._op_matrix(v.frame, op)).tolist()
+            M = (np.array(mult_matrix(A, src[s][i][j]), dtype=object) @ windows._op_matrix(v.frame, op)).tolist()
             for rr in range(nc):
                 for cc in range(nc):
                     block[rr][var * nc + cc] += sign * M[rr][cc]
@@ -814,6 +918,15 @@ def protocol_carriers():
         yield fr.A, fr.sample_elements(6, seed=3)
         sz = square_zero_frame(fr, NablaContext(fr).diff)
         yield sz.A, sz.sample_elements(6, seed=3)
+    # table coordinates: a Witt ring with relations, a quotient carrier, and
+    # a frame's ideal and sigma1 codomain
+    eps = witt_frame(MonomialAlgebra(Residues(2, 1), [("e", 0, 2)]), 2)
+    yield eps.A, eps.sample_elements(8, seed=3)
+    S = MonomialAlgebra(Residues(2, 1), [("Y", 2, 2)])
+    quot = admissible_quotient_frame(AdmissibleSequence.minimal(S, [S.gen("Y")], 2), 2)
+    yield quot.A, quot.sample_elements(8, seed=3)
+    yield quot.ideal_table, quot.ideal_spanning(8)
+    yield eps.codomain_table, list(eps.sigma1_codomain.elements())
 
 
 def test_coordinate_protocol_conformance():
@@ -829,7 +942,7 @@ def test_coordinate_protocol_conformance():
         for a in samples:
             assert len(A.coords(a)) == n
             assert A.from_coords(A.coords(a)) == a, (A, a)
-            M = A.mult_matrix(a)
+            M = mult_matrix(A, a)
             for b in samples:
                 got = [sum(M[i][j] * c for j, c in enumerate(A.coords(b))) for i in range(n)]
                 want = A.coords(A.mul(a, b))
