@@ -44,9 +44,10 @@ print("regular probe: torsion generators =", len(reg.torsion_generators),
       " free rank =", reg.free_rank)
 envT = build_pd_envelope(PDPresentation(2, 2, ("x", "y"), ((2, 0), (1, 1), (0, 2)), 4))
 rep = pd_torsion_probe(envT)
-print("F_2[x,y]/(x,y)^2 presentation: torsion generators =", len(rep.torsion_generators))
-print("each reported t satisfies p*t = 0 with t != 0 --", rep.note)
-print("(at degree one nothing happens: x^2 * y^2 = (xy)^2 is derivable)")
+print("F_2[x,y]/(x,y)^2 presentation at cap 4: torsion generators =", len(rep.torsion_generators),
+      " factor orders =", rep.factor_orders, " free rank =", rep.free_rank, "of", envT.n)
+print("(free at this truncation: the torsion element below has divided degree 4,"
+      " so cap 5 is the first to keep it; at degree one x^2 * y^2 = (xy)^2 is derivable)")
 b1 = envT.mul(envT.divided_generator(0, 1), envT.divided_generator(2, 1))
 print("  g1 g3 = 2 g2^[2]:", b1 == envT.int_mul(2, envT.divided_generator(1, 2)))
 envT5 = build_pd_envelope(PDPresentation(2, 3, ("x", "y"), ((2, 0), (1, 1), (0, 2)), 5))
@@ -55,3 +56,8 @@ g4 = envT5.divided_generator(1, 4)
 diff = envT5.sub(g2, envT5.int_mul(6, g4))
 print("but gamma_2(x^2) gamma_2(y^2) - C(4,2) gamma_4(xy) is honest 2-torsion:",
       diff != envT5.zero and envT5.int_mul(2, diff) == envT5.zero)
+rep5 = pd_torsion_probe(envT5)
+print("cap 5, Z/8: torsion generators =", len(rep5.torsion_generators),
+      " factor orders =", rep5.factor_orders, " free rank =", rep5.free_rank, "of", envT5.n)
+print("each reported t satisfies p*t = 0 with t outside the span of the relations"
+      " and of the p^(m-1) multiples --", rep5.note)

@@ -171,10 +171,10 @@ class SpanNF:
     The stored rows are closed under multiplication by p^{m-e}, which is
     what makes membership-by-reduction complete over Z/p^m.
 
-    `reduce`, `reduced_basis()` and `membership_rows()` are canonical: they
-    depend only on the span.  `basis()` is not: a stored row is never
-    reduced at pivot columns placed after it, so the same span inserted in
-    another order can give other rows.
+    `reduce`, `reduced_basis()`, `smith()`, `membership_rows()` and
+    `p_torsion()` are canonical: they depend only on the span.  `basis()` is
+    not: a stored row is never reduced at pivot columns placed after it, so
+    the same span inserted in another order can give other rows.
     """
 
     def __init__(self, ncols: int, p: int, m: int):
@@ -183,10 +183,10 @@ class SpanNF:
         self.m = m
         self.mod = p ** m
         self.rows: dict[int, tuple[int, list[int]]] = {}  # lead -> (e, row)
-        self._membership = None  # membership_rows(), until the next insert
+        self._smith = None  # smith(), until the next insert
 
     def insert(self, vec) -> None:
-        self._membership = None
+        self._smith = None
         vec = [x % self.mod for x in vec]
         queue = [vec]
         while queue:
@@ -315,56 +315,58 @@ class SpanNF:
     def pivots(self):
         return {lead: e for lead, (e, row) in self.rows.items()}
 
+    def smith(self):
+        """(U, R, V, evals): the Smith form U R V = D of R = `reduced_basis()`.
+
+        One `diagonalize` (Storjohann-Mulders, "Fast algorithms for linear
+        algebra modulo N", 1998); the empty span is one zero row, whose V is
+        the identity.  evals has ncols entries, m past the rank, and the
+        quotient (Z/p^m)^ncols / span is the sum of the Z/p^(e_j).  Cached
+        until the next `insert`.
+        """
+        if self._smith is None:
+            n, m = self.ncols, self.m
+            R = self.reduced_basis() or [(0,) * n]
+            U, _, V, evals = diagonalize(R, self.p, m)
+            self._smith = (U, R, V, evals + [m] * (n - len(evals)))
+        return self._smith
+
     def membership_rows(self):
         """Rows T with x in the span exactly when T*x = 0 mod p^m.
 
-        One `diagonalize` of `reduced_basis()`: U R V = D, so x lies in the
-        row span of R exactly when (x V)_j is divisible by p^(e_j) for every
-        j, that is when p^(m - e_j) (x V)_j = 0.  T holds the nonzero rows
-        p^(m - e_j) V[:, j], those with e_j >= 1 (e_j = m past the rank), so
-        the empty span gives the identity.  The rows depend only on the span
-        (Storjohann-Mulders, "Fast algorithms for linear algebra modulo N",
-        1998).  Cached until the next `insert`.
+        From `smith()`: x lies in the row span of R exactly when (x V)_j is
+        divisible by p^(e_j) for every j, that is when p^(m - e_j) (x V)_j
+        = 0.  T holds the nonzero rows p^(m - e_j) V[:, j], those with
+        e_j >= 1, so the empty span gives the identity.
         """
-        if self._membership is None:
-            n, p, m = self.ncols, self.p, self.m
-            # a zero row spans the empty span: V is the identity there
-            _, _, V, evals = diagonalize(self.reduced_basis() or [[0] * n], p, m)
-            evals += [m] * (n - len(evals))
-            self._membership = tuple(
-                tuple(p ** (m - e) * V[i][j] % self.mod for i in range(n))
-                for j, e in enumerate(evals)
-                if e > 0
-            )
-        return self._membership
+        p, m = self.p, self.m
+        _, _, V, evals = self.smith()
+        return tuple(
+            tuple(p ** (m - e) * row[j] % self.mod for row in V)
+            for j, e in enumerate(evals)
+            if e > 0
+        )
 
+    def p_torsion(self):
+        """Generators of the p-torsion of (Z/p^m)^ncols / span beyond p^(m-1).
 
-def p_torsion_of_quotient(rel_rows, ncols: int, p: int, m: int):
-    """Generators of the p-torsion of (Z/p^m)^ncols / row-span(rel_rows).
-
-    Returns vectors t (reduced to span normal form, nonzero) with p*t in
-    the span.  The whole kernel of multiplication-by-p is generated by the
-    returned vectors together with the span itself.
-    """
-    mod = p ** m
-    k = len(rel_rows)
-    # variables (t, lambda): p*t - lambda*rel = 0
-    mat = np.zeros((ncols, ncols + k), dtype=work_dtype(mod))
-    mat[np.arange(ncols), np.arange(ncols)] = p % mod
-    if k:
-        mat[:, ncols:] = (-_one_system(rel_rows, p, m)[:, :, 0].T) % mod
-    gens = kernel_basis(mat, p, m)
-    nf = SpanNF(ncols, p, m)
-    for row in rel_rows:
-        nf.insert(row)
-    out = []
-    seen = set()
-    if gens:
-        for t in map(tuple, nf.reduce_rows([g[:ncols] for g in gens]).tolist()):
-            if any(t) and t not in seen:
-                seen.add(t)
-                out.append(t)
-    return out, nf
+        From `smith()`: row j of U R is p^(e_j) times row j of V^-1, so
+        t_j = (U R)_j / p has p t_j in the span, and for 1 <= e_j < m it
+        generates the p-torsion of the factor Z/p^(e_j).  A free factor
+        (e_j = m) has only the p^(m-1) multiples, the artifact of working
+        mod p^m.  So these t_j, one per factor, generate the kernel of p
+        modulo span + p^(m-1)(Z/p^m)^ncols, and none of them lies in it.
+        The products are exact (int64, or Python ints past it).  Returned
+        in normal form (`reduce`), in the order of the factors.
+        """
+        p, m, mod = self.p, self.m, self.mod
+        U, R, _, evals = self.smith()
+        rows = [U[j] for j, e in enumerate(evals) if 0 < e < m]
+        if not rows:
+            return []
+        dt = exact_dtype(len(R) * (mod - 1) ** 2)
+        UR = np.array(rows, dtype=dt) @ np.array(R, dtype=dt) % mod
+        return [tuple(t) for t in self.reduce_rows(UR // p).tolist()]
 
 
 # -- the elimination core ----------------------------------------------------

@@ -26,7 +26,7 @@ from itertools import product as iproduct
 import numpy as np
 
 from .intpoly import IntPolyRing
-from .linalg import SpanNF, diagonalize, int_dtype, p_torsion_of_quotient, work_dtype
+from .linalg import SpanNF, int_dtype, work_dtype
 from .residues import Residues, gamma_of_p
 from .frames import Frame
 
@@ -771,31 +771,25 @@ class TorsionReport:
 def pd_torsion_probe(env: PDAlgebra) -> TorsionReport:
     """Certified p-torsion of the truncated module, with independent re-check.
 
-    Reports generators of ker(p) modulo p^{m-1}*D: the p^{m-1} multiples are
-    the unavoidable truncation artifact of working mod p^m (a free module
-    has exactly those), so only torsion beyond them is evidence.  Every
-    reported t satisfies p*t = 0 and t != 0 in normal form; the verification
-    re-reduces p*t against a freshly rebuilt relation span.
+    Reports generators of ker(p) modulo the relation span S plus p^{m-1}*D:
+    the p^{m-1} multiples are the unavoidable truncation artifact of working
+    mod p^m (a free module has exactly those), so only torsion beyond them
+    is evidence.  The generators are read off the Smith form of S
+    (`SpanNF.p_torsion`), one per factor Z/p^e with 0 < e < m, so there are
+    exactly as many as `factor_orders`.  Every reported t is nonzero in
+    normal form, and p*t is re-reduced against a freshly rebuilt relation
+    span.
     """
-    rel_rows = [list(r) for r in env.relations.basis()]
-    tors, _ = p_torsion_of_quotient(rel_rows, env.n, env.p, env.m)
+    nf = env.relations
+    tors = nf.p_torsion()
     fresh = env._build_relations()
-    artifact = env.p ** (env.m - 1)
-    certified = []
     for t in tors:
-        t_norm = env.reduce(list(t))
-        if t_norm == env.zero:
-            continue
-        if all(c % artifact == 0 for c in t_norm):
-            continue  # explained by the p^{m-1} truncation kernel
-        pt = [env.p * c for c in t_norm]
-        if not fresh.contains(pt):
+        if not any(t) or not fresh.contains([env.p * c for c in t]):
             raise AssertionError("torsion candidate failed independent re-reduction")
-        certified.append(t_norm)
-    evals = diagonalize(rel_rows, env.p, env.m)[3]
+    evals = nf.smith()[3]
     free = env.n - sum(1 for e in evals if e < env.m)
     orders = [env.p ** e for e in evals if 0 < e < env.m]
-    return TorsionReport((env.cap, env.m), certified, free, orders)
+    return TorsionReport((env.cap, env.m), tors, free, orders)
 
 
 # -- differentials ---------------------------------------------------------------

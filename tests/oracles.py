@@ -1,7 +1,9 @@
 """Reference implementations that the tests check the fast paths against."""
 
+import copy
 from itertools import product as iproduct
 
+from crystaframe.linalg import SpanNF, kernel_basis
 from crystaframe.matrices import mat, mat_add
 from crystaframe.windows import WindowBudgetError, is_phi_hom, is_window_hom
 
@@ -34,3 +36,49 @@ def hom_space_bruteforce(v, w, mode, budget=1 << 16):
             cur = mat_add(A, cur, s)
         span = new
     return gens
+
+
+def p_torsion_kernel(rel_rows, ncols, p, m):
+    """Generators of the p-torsion of (Z/p^m)^ncols / span(rel_rows), by a kernel.
+
+    Solves p*t - lambda*rel = 0 with one lambda unknown per relation row,
+    the ncols x (ncols + k) system [p*I | -rel^T], and returns the t parts
+    of its kernel generators in span normal form, nonzero and without
+    repeats.  With the span they generate the whole kernel of p, the
+    p^(m-1) multiples of the module included.
+    """
+    k = len(rel_rows)
+    system = [
+        [p * (i == j) for j in range(ncols)] + [-rel_rows[r][i] for r in range(k)]
+        for i in range(ncols)
+    ]
+    nf = SpanNF(ncols, p, m)
+    for row in rel_rows:
+        nf.insert(row)
+    out = []
+    for g in kernel_basis(system, p, m):
+        t = nf.reduce(g[:ncols])
+        if any(t) and t not in out:
+            out.append(t)
+    return out
+
+
+def artifact_span(rel_rows, ncols, p, m):
+    """S + p^(m-1)(Z/p^m)^ncols, S the span of rel_rows: what p-torsion is read modulo."""
+    nf = SpanNF(ncols, p, m)
+    for i in range(ncols):
+        nf.insert([p ** (m - 1) * (i == j) for j in range(ncols)])
+    for row in rel_rows:
+        nf.insert(row)
+    return nf
+
+
+def same_span_modulo(base, a, b):
+    """Whether the vectors a and b span the same subgroup modulo the SpanNF base."""
+    for gens, others in ((a, b), (b, a)):
+        span = copy.deepcopy(base)
+        for t in gens:
+            span.insert(t)
+        if not all(span.contains(t) for t in others):
+            return False
+    return True

@@ -10,11 +10,11 @@ from crystaframe.linalg import (
     batch_kernel,
     diagonalize,
     kernel_basis,
-    p_torsion_of_quotient,
     solve,
     solve_affine,
     work_dtype,
 )
+from oracles import artifact_span, p_torsion_kernel, same_span_modulo
 
 
 # -- the scalar oracle ---------------------------------------------------------
@@ -260,12 +260,43 @@ def test_spannf_membership_exhaustive(p, m):
 
 
 def test_p_torsion_of_quotient():
-    # Z/4^1 / <2> has p-torsion generated by 1 (2*1 = 2 in span)
-    tors, nf = p_torsion_of_quotient([[2]], 1, 2, 2)
-    assert tors and all(t != (0,) and nf.contains([2 * t[0]]) for t in tors)
-    # free module: p-torsion only p^{m-1} * basis
-    tors, nf = p_torsion_of_quotient([], 1, 2, 2)
-    assert tors == [(2,)]
+    # Z/4 / <2> is Z/2: one generator, 1, with 2*1 in the span
+    nf = SpanNF(1, 2, 2)
+    nf.insert([2])
+    assert nf.p_torsion() == [(1,)]
+    # free Z/4: its p-torsion is the p^(m-1) artifact 2*Z/4, so none
+    assert SpanNF(1, 2, 2).p_torsion() == []
+    # Z/27 / <9>, Z/27 / <3> and a unit pivot: one generator per factor Z/p^e, 0 < e < m
+    nf = SpanNF(3, 3, 3)
+    for row in ([9, 0, 0], [0, 3, 0], [0, 0, 1]):
+        nf.insert(row)
+    assert nf.p_torsion() == [(0, 1, 0), (3, 0, 0)]
+    assert nf.smith()[3] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (3, 3), (2, 31), (3, 21), (2, 64)])
+def test_p_torsion_matches_kernel_oracle(p, m):
+    # random spans with non-unit Smith exponents; past int64 the products are
+    # Python ints (at 2^31 the work dtype is int64 but a product sum is not)
+    rng = random.Random(31)
+    mod = p ** m
+    factors = 0
+    for _ in range(40):
+        n = rng.randrange(1, 6)
+        gens = [
+            [rng.randrange(mod) * p ** rng.randrange(m) % mod for _ in range(n)]
+            for _ in range(rng.randrange(1, 4))
+        ]
+        nf = SpanNF(n, p, m)
+        for g in gens:
+            nf.insert(g)
+        artifact = artifact_span(gens, n, p, m)
+        tors = nf.p_torsion()
+        assert len(tors) == sum(0 < e < m for e in nf.smith()[3])
+        assert all(nf.contains([p * c for c in t]) and not artifact.contains(t) for t in tors)
+        assert same_span_modulo(artifact, tors, p_torsion_kernel(gens, n, p, m))
+        factors += len(tors)
+    assert factors > 10
 
 
 def test_spannf_reduced_basis_is_canonical():

@@ -12,6 +12,7 @@ from crystaframe.pdenv import (
     pd_torsion_probe,
 )
 from crystaframe.residues import Residues, divided_power_constant, gamma_of_p
+from oracles import artifact_span, p_torsion_kernel, same_span_modulo
 
 
 def free_env(p=2, m=3, cap=6):
@@ -108,13 +109,24 @@ def test_berthelot_torsion_appears():
 
 def test_torsion_probe_selfconsistent():
     for m in (2, 3):
-        env = xy2_env(2, m, 4)
+        env = xy2_env(2, m, 5)
         rep = pd_torsion_probe(env)
         fresh = env._build_relations()
         for t in rep.torsion_generators:
             assert t != env.zero
             assert fresh.contains([env.p * c for c in t])
         assert rep.torsion_generators, "the (x,y)^2 envelope should show torsion here"
+        assert rep.factor_orders == [2, 2, 2]
+
+
+def test_xy2_cap4_quotient_is_free():
+    # every Smith exponent of the cap-4 relation span is 0 or m
+    for p in (2, 3):
+        for m in (2, 3):
+            env = xy2_env(p, m, 4)
+            rep = pd_torsion_probe(env)
+            assert (env.n, rep.free_rank) == (60, 36)
+            assert rep.factor_orders == [] and rep.torsion_generators == []
 
 
 def test_regular_probe_empty_grid():
@@ -129,6 +141,49 @@ def test_regular_probe_empty_grid():
                     rep = pd_torsion_probe(env)
                     assert rep.torsion_generators == []
                     assert rep.free_rank == env.n
+                    check_probe_against_kernel_oracle(env)
+
+
+def check_probe_against_kernel_oracle(env):
+    """The probe's generators and the kernel oracle's span the same p-torsion
+    modulo S + p^(m-1) D, and no probe generator lies in S + p^(m-1) D."""
+    rep = pd_torsion_probe(env)
+    rel = env.relations.basis()
+    oracle = p_torsion_kernel(rel, env.n, env.p, env.m)
+    artifact = artifact_span(rel, env.n, env.p, env.m)
+    assert len(rep.torsion_generators) == len(rep.factor_orders)
+    assert not any(artifact.contains(t) for t in rep.torsion_generators)
+    assert same_span_modulo(artifact, rep.torsion_generators, oracle)
+    return oracle, artifact
+
+
+@pytest.mark.parametrize(
+    "p,m,cap",
+    [
+        pytest.param(p, m, cap, marks=[pytest.mark.slow] if cap == 7 else [])
+        for p in (2, 3)
+        for m in (2, 3)
+        for cap in (4, 5, 6, 7)
+    ],
+)
+def test_xy2_probe_matches_kernel_oracle(p, m, cap):
+    check_probe_against_kernel_oracle(xy2_env(p, m, cap))
+
+
+@pytest.mark.parametrize("p,m,cap,old_count", [(2, 2, 4, 6), (3, 2, 5, 17)])
+def test_coordinate_filter_reported_artifacts(p, m, cap, old_count):
+    # Negative control: the filter the probe used before kept a kernel
+    # generator unless every normal-form coordinate was divisible by
+    # p^(m-1).  That is no test of membership in S + p^(m-1) D: on these
+    # free quotients it kept generators (e_45 among them on the DT frame of
+    # scenarios/pd_desk.scn), and all of them lie in S + p^(m-1) D.
+    env = xy2_env(p, m, cap)
+    oracle, artifact = check_probe_against_kernel_oracle(env)
+    old = [t for t in oracle if any(c % p ** (m - 1) for c in t)]
+    assert len(old) == old_count
+    assert all(artifact.contains(t) for t in old)
+    if (p, m, cap) == (2, 2, 4):
+        assert tuple(int(i == 45) for i in range(env.n)) in old
 
 
 def test_sigma_is_ring_hom_on_samples():
