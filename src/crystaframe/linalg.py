@@ -4,7 +4,10 @@ Z/p^m is local, so a Smith-style diagonalization only ever needs the entry
 of minimal p-valuation as pivot.  Everything a module computation needs --
 kernels, solving, span membership, quotient structure, unique normal forms
 -- reduces to the elimination core `_eliminate` or to the Howell-style row
-span `SpanNF`.
+span `SpanNF`.  A span that is a direct sum over a grading of the columns is
+a `GradedSpan`, one `SpanNF` per grade: many small blocks, diagonalized in
+one stacked `_eliminate` (`_smith_forms`) and reduced in one stacked pass
+(`reduce_stacked`).
 
 `_eliminate` is the one elimination loop.  It diagonalizes a stack of N
 matrices stored along the last axis of a numpy array.  `batch_kernel` runs
@@ -264,29 +267,13 @@ class SpanNF:
         return tuple(v)
 
     def reduce_rows(self, vecs) -> np.ndarray:
-        """`reduce` of every row of the integer array `vecs`, as a work-dtype array.
-
-        The same steps as `reduce`, one pivot row at a time for all vectors
-        whose entry at its lead is at least the pivot.
-        """
+        """`reduce` of every row of the integer array `vecs`, by `reduce_stacked`."""
         mod = self.mod
-        dt = work_dtype(mod)
-        if dt is object:  # numpy's int64 % would overflow at this modulus
+        if exact_dtype(mod**2) is object:  # numpy's int64 % would overflow at this modulus
             X = np.array([[x % mod for x in v] for v in vecs], dtype=object)
         else:
-            X = (np.asarray(vecs) % mod).astype(dt)
-        reduce = mod_reducer(mod, np.empty_like(X))
-        leads = sorted(self.rows)
-        R = np.array([self.rows[lead][1] for lead in leads], dtype=dt)
-        for row, lead in zip(R, leads):
-            q = X[:, lead] // self.p ** self.rows[lead][0]
-            hit = np.flatnonzero(q)
-            if hit.size:
-                sub = X[hit, lead:]
-                sub -= q[hit, None] * row[lead:]
-                reduce(sub)
-                X[hit, lead:] = sub
-        return X
+            X = np.asarray(vecs) % mod
+        return reduce_stacked([self], np.zeros(len(X), dtype=np.intp), X.reshape(len(X), self.ncols))
 
     def contains(self, vec) -> bool:
         return not any(self.reduce(vec))
@@ -318,17 +305,14 @@ class SpanNF:
     def smith(self):
         """(U, R, V, evals): the Smith form U R V = D of R = `reduced_basis()`.
 
-        One `diagonalize` (Storjohann-Mulders, "Fast algorithms for linear
-        algebra modulo N", 1998); the empty span is one zero row, whose V is
-        the identity.  evals has ncols entries, m past the rank, and the
-        quotient (Z/p^m)^ncols / span is the sum of the Z/p^(e_j).  Cached
-        until the next `insert`.
+        `diagonalize` of R (Storjohann-Mulders, "Fast algorithms for linear
+        algebra modulo N", 1998), through `_smith_forms`; the empty span is
+        one zero row, whose V is the identity.  evals has ncols entries, m
+        past the rank, and the quotient (Z/p^m)^ncols / span is the sum of
+        the Z/p^(e_j).  Cached until the next `insert`.
         """
         if self._smith is None:
-            n, m = self.ncols, self.m
-            R = self.reduced_basis() or [(0,) * n]
-            U, _, V, evals = diagonalize(R, self.p, m)
-            self._smith = (U, R, V, evals + [m] * (n - len(evals)))
+            _smith_forms([self])
         return self._smith
 
     def membership_rows(self):
@@ -367,6 +351,157 @@ class SpanNF:
         dt = exact_dtype(len(R) * (mod - 1) ** 2)
         UR = np.array(rows, dtype=dt) @ np.array(R, dtype=dt) % mod
         return [tuple(t) for t in self.reduce_rows(UR // p).tolist()]
+
+
+class GradedSpan:
+    """A row span over Z/p^m that is the direct sum of its graded pieces.
+
+    Each column has a grade.  A span of homogeneous rows (nonzero entries
+    of one grade) is the direct sum of its grades' spans, kept as one
+    `SpanNF` per grade over that grade's columns in ascending order; a row
+    meeting two grades is refused.  A `SpanNF` keeps a homogeneous row in
+    its grade, so with the same rows in the same order per grade, `reduce`,
+    `basis()`, `reduced_basis()` and `pivots()` are the flat span's, byte
+    for byte.  The Smith form of the sum is the blocks' Smith forms, from
+    one `_smith_forms` pass in place of one ncols x ncols `diagonalize`;
+    `membership_rows()` and `p_torsion()` are the blocks' own, embedded.
+    """
+
+    def __init__(self, grades, p: int, m: int):
+        self.ncols, self.p, self.m, self.mod = len(grades), p, m, p ** m
+        ids: dict = {}
+        self.gid = [ids.setdefault(g, len(ids)) for g in grades]  # block of each column
+        self.grades = list(ids)
+        self.columns: list[list[int]] = [[] for _ in ids]  # global columns of each block
+        self.local = []  # place of each column in its block
+        for i, g in enumerate(self.gid):
+            self.local.append(len(self.columns[g]))
+            self.columns[g].append(i)
+        self.blocks = [SpanNF(len(cols), p, m) for cols in self.columns]
+        self.width = max(map(len, self.columns), default=0)
+
+    def split(self, vec):
+        """(block, row in block coordinates) of a nonzero homogeneous row."""
+        touched = {self.gid[i] for i, x in enumerate(vec) if x % self.mod}
+        if len(touched) != 1:
+            raise ValueError(f"row meets the grades {sorted(self.grades[g] for g in touched)}")
+        g = touched.pop()
+        return g, tuple(vec[i] for i in self.columns[g])
+
+    def insert(self, vec) -> None:
+        if any(x % self.mod for x in vec):
+            g, row = self.split(vec)
+            self.blocks[g].insert(row)
+
+    def reduce(self, vec):
+        v = [x % self.mod for x in vec]
+        for g in {self.gid[i] for i, x in enumerate(v) if x}:
+            if self.blocks[g].rows:
+                cols = self.columns[g]
+                for i, x in zip(cols, self.blocks[g].reduce([v[i] for i in cols])):
+                    v[i] = x
+        return tuple(v)
+
+    def contains(self, vec) -> bool:
+        return not any(self.reduce(vec))
+
+    def _embed(self, g: int, row):
+        v = [0] * self.ncols
+        for i, x in zip(self.columns[g], row):
+            v[i] = x
+        return tuple(v)
+
+    def local_basis(self, rows_of=SpanNF.basis):
+        """(block, row in block coordinates) for every block's rows, by global lead."""
+        rows = [
+            (self.columns[g][next(i for i, x in enumerate(row) if x)], g, row)
+            for g, blk in enumerate(self.blocks)
+            for row in rows_of(blk)
+        ]
+        return [(g, row) for _, g, row in sorted(rows, key=lambda r: r[0])]
+
+    def basis(self):
+        return [self._embed(g, row) for g, row in self.local_basis()]
+
+    def reduced_basis(self):
+        return [self._embed(g, row) for g, row in self.local_basis(SpanNF.reduced_basis)]
+
+    def pivots(self):
+        return {self.columns[g][at]: e for g, b in enumerate(self.blocks) for at, e in b.pivots().items()}
+
+    def smith(self):
+        """Every block's `SpanNF.smith()`; those not cached come from one `_smith_forms`."""
+        todo = [b for b in self.blocks if b._smith is None]
+        if todo:
+            _smith_forms(todo)
+        return [b._smith for b in self.blocks]
+
+    def smith_exponents(self):
+        """The Smith exponents of the whole span, ascending, m past its rank."""
+        return sorted(e for *_, evals in self.smith() for e in evals)
+
+    def membership_rows(self):
+        """Rows T with x in the span exactly when T*x = 0 mod p^m: the blocks' own."""
+        self.smith()
+        return tuple(self._embed(g, t) for g, b in enumerate(self.blocks) for t in b.membership_rows())
+
+    def p_torsion(self):
+        """The blocks' `SpanNF.p_torsion()`, embedded, sorted stably by factor order."""
+        found = [
+            (e, self._embed(g, t))
+            for g, (b, (*_, evals)) in enumerate(zip(self.blocks, self.smith()))
+            for e, t in zip([e for e in evals if 0 < e < self.m], b.p_torsion())
+        ]
+        return [t for _, t in sorted(found, key=lambda f: f[0])]
+
+
+def reduce_stacked(spans, which, X) -> np.ndarray:
+    """`reduce` of each row X[k] modulo the SpanNF spans[which[k]], all at once.
+
+    The spans share p and m (the blocks of a `GradedSpan`, say, with X in
+    block coordinates).  X has entries in [0, p^m) and the widest span's
+    width; a narrower span's rows end in zeros.  Step t applies the t-th
+    pivot row of every span, in lead order, to all rows at once, as
+    `SpanNF.reduce` does to one row; a span with fewer pivots has a zero
+    row there, with divisor p^m.
+    """
+    p, mod = spans[0].p, spans[0].mod
+    shape = (len(spans), max(len(s.rows) for s in spans))
+    lead, div = np.zeros(shape, dtype=np.intp), np.full(shape, mod, dtype=object)
+    R = np.zeros(shape + (X.shape[1],), dtype=object)
+    for g, s in enumerate(spans):
+        for t, at in enumerate(sorted(s.rows)):
+            e, row = s.rows[at]
+            lead[g, t], div[g, t], R[g, t, : len(row)] = at, p**e, row
+    dt = exact_dtype(mod**2)
+    X, div, R = X.astype(dt), div.astype(dt), R.astype(dt)
+    at = np.arange(len(X))
+    for t in range(shape[1]):
+        X -= (X[at, lead[which, t]] // div[which, t])[:, None] * R[which, t]
+        X %= mod
+    return X
+
+
+def _smith_forms(spans) -> None:
+    """Fill the `smith()` cache of every SpanNF in `spans` (same p and m) at once.
+
+    One `_eliminate` runs over the stack of their reduced bases (one zero row
+    for an empty span), each padded with zero rows and columns to the
+    largest.  A zero pad only adds exponent m and never moves a pivot, so
+    each span gets the U, V and exponents `diagonalize` gives its basis.
+    """
+    p, m = spans[0].p, spans[0].m
+    Rs = [s.reduced_basis() or [(0,) * s.ncols] for s in spans]
+    A = np.zeros((len(spans), max(map(len, Rs)), max(s.ncols for s in spans)), dtype=work_dtype(p**m))
+    for k, R in enumerate(Rs):
+        A[k, : len(R), : len(R[0])] = R
+    h = A.shape[1]
+    A = A.transpose(1, 2, 0).copy()
+    U = np.repeat(np.eye(h, dtype=A.dtype)[:, :, None], len(spans), axis=2)
+    V, evals = _eliminate(A, p, m, U=U)
+    for k, (s, R) in enumerate(zip(spans, Rs)):
+        r, c = len(R), s.ncols
+        s._smith = (U[:r, :r, k].tolist(), R, V[:c, :c, k].tolist(), evals[:c, k].tolist())
 
 
 # -- the elimination core ----------------------------------------------------

@@ -10,6 +10,13 @@ to their exact factorial weights.  The relation span is kept in triangular
 canonical form, so normal forms are unique and every quotient computation is
 exact linear algebra over Z/p^m.
 
+The shadow grades the span by N^k: rewrite and phantom rows stay in one
+stratum, both terms of a scalar-family row have shadow n * lcm(g_i, g_j), and
+b_i * b_j has shadow s_i + s_j, because absorption keeps the plain monomial.
+So the span is the direct sum of its strata's spans, and it is kept as a
+`GradedSpan`: one small block per stratum, built, closed, reduced and
+diagonalized block by block.
+
 Divided powers of p itself are scalars gamma_n(p) = p^n/n!, never basis
 symbols.  The divided Frobenius follows sigma1(a) = (p-1)! a^[p] + tau(a)
 and sigma1(a^[n]) = (p^{n-1}/n!) sigma1(a)^n on generators; its consistency
@@ -26,7 +33,7 @@ from itertools import product as iproduct
 import numpy as np
 
 from .intpoly import IntPolyRing
-from .linalg import SpanNF, int_dtype, work_dtype
+from .linalg import GradedSpan, exact_dtype, int_dtype, reduce_stacked, work_dtype
 from .residues import Residues, gamma_of_p
 from .frames import Frame
 
@@ -155,7 +162,7 @@ class PDAlgebra:
             c *= math.factorial(a) // math.factorial(b)
         return c
 
-    def _build_relations(self) -> SpanNF:
+    def _build_relations(self) -> GradedSpan:
         """The derivable identifications of the divided-monomial spanning set.
 
         Seeds: (a) rewrite rows -- two stratum members related through their
@@ -165,18 +172,18 @@ class PDAlgebra:
         monomials.  A phantom partner (divided degree at or above the cap)
         contributes a single-term row.  The seed span is then closed under
         multiplication by basis elements, which makes the quotient a ring.
+        Every row is homogeneous in the shadow grading (module docstring), so
+        the span is a `GradedSpan` with one block per stratum, and the rows
+        are built in block coordinates.
 
         Shadow coincidence alone is NOT an identification: a difference of
         equal-shadow monomials that no derivation connects at full weight is
         genuine p-torsion of the envelope (Berthelot-type).
         """
-        nf = SpanNF(self.n, self.p, self.m)
-        rows = set()
+        nf = GradedSpan([self._shadow(b) for b in self.basis], self.p, self.m)
+        rows = [set() for _ in nf.grades]
         # (a) rewrite/ancestor rows per stratum
-        shadows: dict = {}
-        for b in self.basis:
-            shadows.setdefault(self._shadow(b), None)
-        for shadow in shadows:
+        for g, shadow in enumerate(nf.grades):
             members = self._stratum_members(shadow)
             if len(members) < 2:
                 continue
@@ -184,7 +191,7 @@ class PDAlgebra:
                 mu_a, nv_a = members[a]
                 if sum(nv_a) >= self.cap:
                     continue
-                ia = self.index[(mu_a, nv_a)]
+                ia = nf.local[self.index[(mu_a, nv_a)]]
                 for b in range(len(members)):
                     if b == a:
                         continue
@@ -193,14 +200,14 @@ class PDAlgebra:
                     if b_live and b < a:
                         continue
                     n0 = tuple(min(x, y) for x, y in zip(nv_a, nv_b))
-                    vec = [0] * self.n
+                    vec = [0] * len(nf.columns[g])
                     vec[ia] = self._ancestor_coeff(nv_a, n0) % self.mod
                     if b_live:
-                        ib = self.index[(mu_b, nv_b)]
+                        ib = nf.local[self.index[(mu_b, nv_b)]]
                         vec[ib] = (vec[ib] - self._ancestor_coeff(nv_b, n0)) % self.mod
                     if any(vec):
-                        rows.add(tuple(vec))
-        # (b) scalar-family rows at generator-pair lcms
+                        rows[g].add(tuple(vec))
+        # (b) scalar-family rows at generator-pair lcms: both terms have shadow n * lcm
         for i in range(self.s):
             for j in range(i + 1, self.s):
                 gi, gj = self.gens[i], self.gens[j]
@@ -221,20 +228,22 @@ class PDAlgebra:
                         vec[idx] = (vec[idx] + sign * coeff) % self.mod
                         nonzero = True
                     if nonzero and any(vec):
-                        rows.add(tuple(vec))
-        for vec in sorted(rows):
-            nf.insert(list(vec))
+                        g, row = nf.split(vec)
+                        rows[g].add(row)
+        for g, block_rows in enumerate(rows):
+            for vec in sorted(block_rows):
+                nf.blocks[g].insert(vec)
         self._close_under_multiplication(nf)
         return nf
 
-    def _close_under_multiplication(self, nf: SpanNF) -> None:
+    def _close_under_multiplication(self, nf: GradedSpan) -> None:
         """Grow the row span until it is an ideal (stable under basis products).
 
         A pass visits the products row * b_j for every row of the span as it
         stood at the start of the pass, in the order (row, j), and inserts
         each one the span does not contain yet.  All products of a pass come
-        from that snapshot, so numpy forms them a block of rows at a time and
-        reduces them together against the snapshot span.  The span only grows
+        from that snapshot, so numpy forms them all at once and reduces them
+        together against the snapshot span.  The span only grows
         during a pass, so a product the snapshot span contains would fail the
         sequential `contains` check at its turn too: dropping it changes
         nothing.  The sequential `contains`/`insert` runs on the rest in the
@@ -243,47 +252,46 @@ class PDAlgebra:
         """
         for _ in range(64):
             changed = False
-            for prod in self._products_outside(nf):
-                if not nf.contains(prod):
-                    nf.insert(prod)
+            for g, prod in self._products_outside(nf):
+                if not nf.blocks[g].contains(prod):
+                    nf.blocks[g].insert(prod)
                     changed = True
             if not changed:
                 return
         raise PDError("relation closure failed to stabilize")
 
-    _PRODUCT_BLOCK = 1 << 18  # entries of one block of products
+    def _products_outside(self, nf: GradedSpan) -> list:
+        """The nonzero products row * b_j outside nf, as (block, row in block coordinates).
 
-    def _products_outside(self, nf: SpanNF) -> list:
-        """The nonzero products row * b_j outside nf, in the order (row of nf.basis(), j).
-
-        A row's term c * b_i times every b_j is c times row i of the
-        multiplication table.  Rows go in blocks of about _PRODUCT_BLOCK / n
-        terms; the distinct products (row, j) of a block, in sorted order,
-        are summed densely _PRODUCT_BLOCK / n at a time and reduced together.
+        In the order (row of nf.basis(), j).  b_i * b_j has shadow s_i + s_j,
+        so row * b_j lies in the block of s_row + s_j.  Rows have few terms
+        and most b_i * b_j cross the cap, so each term c * b_i runs over the
+        nonzero entries of row i of the multiplication table only; the
+        pieces are summed per product in block coordinates, and all products
+        are reduced at once against their blocks (`reduce_stacked`).
         """
-        n, mod = self.n, self.mod
-        acc = object if self._coef.dtype == object else np.int64
-        rows = np.array(nf.basis(), dtype=acc).reshape(-1, n)
-        per_block = max(1, self._PRODUCT_BLOCK // n)
-        terms_through = (rows != 0).sum(axis=1).cumsum()
-        out = []
-        start = 0
-        while start < len(rows):
-            stop = max(start + 1, int(np.searchsorted(terms_through, terms_through[start] + per_block)))
-            r, i = np.nonzero(rows[start:stop])
-            vals = self._coef[i].astype(acc) * rows[start + r, i][:, None] % mod
-            t, j = np.nonzero(vals)
-            keys, which = np.unique(r[t] * n + j, return_inverse=True)
-            for k0 in range(0, len(keys), per_block):
-                sel = np.flatnonzero((which >= k0) & (which < k0 + per_block))
-                prods = np.zeros((min(per_block, len(keys) - k0), n), dtype=acc)
-                np.add.at(prods, (which[sel] - k0, self._target[i[t[sel]], j[sel]]), vals[t[sel], j[sel]])
-                prods %= mod
-                prods = prods[(prods != 0).any(axis=1)]
-                if len(prods):
-                    out += prods[(nf.reduce_rows(prods) != 0).any(axis=1)].tolist()
-            start = stop
-        return out
+        rows = nf.local_basis()
+        if not rows:
+            return []
+        r, c, v = zip(*[
+            (k, col, x) for k, (g, row) in enumerate(rows) for col, x in zip(nf.columns[g], row) if x
+        ])
+        r, c = np.array(r), np.array(c)
+        dt = exact_dtype(nf.width * (self.mod - 1) ** 2)
+        i, j = np.nonzero(self._coef)  # the table's entries, row by row
+        count = np.bincount(i, minlength=self.n)[c]  # pieces of each term
+        t = np.repeat(np.arange(len(c)), count)  # the term of each piece
+        # piece k of term t is table entry searchsorted(i, c[t]) + k
+        e = np.repeat(np.searchsorted(i, c) - np.cumsum(count) + count, count) + np.arange(count.sum())
+        target = self._target[i[e], j[e]]
+        keys, which = np.unique(r[t] * self.n + j[e], return_inverse=True)
+        X = np.zeros((len(keys), nf.width), dtype=dt)
+        np.add.at(X, (which, np.array(nf.local)[target]), np.array(v, dtype=dt)[t] * self._coef[i[e], j[e]])
+        X %= self.mod
+        g = np.zeros(len(keys), dtype=np.intp)
+        g[which] = np.array(nf.gid)[target]
+        keep = (reduce_stacked(nf.blocks, g, X) != 0).any(axis=1)
+        return [(b, x[: len(nf.columns[b])]) for b, x in zip(g[keep].tolist(), X[keep].tolist())]
 
     # -- canonical elements ----------------------------------------------------
 
@@ -335,25 +343,34 @@ class PDAlgebra:
         coef[i, j] = 0 when the product crosses the cap or vanishes mod p^m.
         No relation reduction happens here, so the table serves while the
         relation span is still being built.  Narrow dtypes keep it at a few
-        bytes per pair.
+        bytes per pair.  The absorption depends on the pair only through
+        (mu_i + mu_j, n_i + n_j), so it runs once per distinct sum, and the
+        binomial weight prod_l C(n_il + n_jl, n_il) comes from a Pascal table.
         """
-        n = self.n
-        coef = np.zeros((n, n), dtype=work_dtype(self.mod))
+        n, k, mod = self.n, self.nvars, self.mod
+        coef = np.zeros((n, n), dtype=work_dtype(mod))
         target = np.zeros((n, n), dtype=int_dtype(n))
-        degree = [sum(nv) for _, nv in self.basis]
-        for i, (mu1, n1) in enumerate(self.basis):
-            for j in range(i, n):
-                if degree[i] + degree[j] >= self.cap:
-                    continue
-                mu2, n2 = self.basis[j]
-                c = 1
-                for a, b in zip(n1, n2):
-                    c *= math.comb(a + b, a)
-                exps = [x + y for x, y in zip(mu1, mu2)]
-                c, mu, nv = self._absorb(c, exps, [a + b for a, b in zip(n1, n2)])
-                if c is not None and c % self.mod:
-                    coef[i, j] = coef[j, i] = c % self.mod
-                    target[i, j] = target[j, i] = self.index[(mu, tuple(nv))]
+        B = np.array([mu + nv for mu, nv in self.basis]).reshape(n, k + self.s)
+        degree = B[:, k:].sum(axis=1)
+        i, j = np.nonzero(np.triu(degree[:, None] + degree[None, :] < self.cap))
+        sums = B[i] + B[j]
+        _, first, which = np.unique(
+            np.ravel_multi_index(sums.T, 2 * B.max(axis=0) + 1), return_index=True, return_inverse=True
+        )
+        dt = exact_dtype(mod**2)
+        factor, place = np.zeros(len(first), dtype=dt), np.zeros(len(first), dtype=np.intp)
+        for key, exps in enumerate(sums[first].tolist()):
+            f, mu, nv = self._absorb(1, exps[:k], exps[k:])
+            if f is not None:
+                factor[key], place[key] = f, self.index[(mu, tuple(nv))]
+        pascal = np.array([[math.comb(a, b) % mod for b in range(self.cap)] for a in range(self.cap)], dtype=dt)
+        c = factor[which.reshape(-1)]
+        for l in range(k, k + self.s):
+            c = c * pascal[B[i, l] + B[j, l], B[i, l]] % mod
+        hit = c != 0
+        i, j, c, t = i[hit], j[hit], c[hit], place[which.reshape(-1)[hit]]
+        coef[i, j] = coef[j, i] = c
+        target[i, j] = target[j, i] = t
         return coef, target
 
     def _basis_product_raw(self, i: int, j: int):
@@ -774,21 +791,34 @@ def pd_torsion_probe(env: PDAlgebra) -> TorsionReport:
     Reports generators of ker(p) modulo the relation span S plus p^{m-1}*D:
     the p^{m-1} multiples are the unavoidable truncation artifact of working
     mod p^m (a free module has exactly those), so only torsion beyond them
-    is evidence.  The generators are read off the Smith form of S
-    (`SpanNF.p_torsion`), one per factor Z/p^e with 0 < e < m, so there are
-    exactly as many as `factor_orders`.  Every reported t is nonzero in
-    normal form, and p*t is re-reduced against a freshly rebuilt relation
-    span.
+    is evidence.  The generators are read off the block Smith forms of S
+    (`GradedSpan.p_torsion`), one per factor Z/p^e with 0 < e < m, so there
+    are exactly as many as `factor_orders`.
+
+    The certificate rebuilds S from scratch and does not read the Smith form
+    it checks: every t is nonzero with p*t in the fresh S, and, inserted one
+    at a time into the fresh S + p^{m-1}*D, every t enlarges it.  So no t
+    lies in S + p^{m-1}*D and the t are independent modulo it.
     """
     nf = env.relations
     tors = nf.p_torsion()
+    evals = nf.smith_exponents()
+    free = env.n - sum(1 for e in evals if e < env.m)
+    orders = [env.p ** e for e in evals if 0 < e < env.m]
     fresh = env._build_relations()
     for t in tors:
         if not any(t) or not fresh.contains([env.p * c for c in t]):
             raise AssertionError("torsion candidate failed independent re-reduction")
-    evals = nf.smith()[3]
-    free = env.n - sum(1 for e in evals if e < env.m)
-    orders = [env.p ** e for e in evals if 0 < e < env.m]
+    pm1 = env.p ** (env.m - 1)
+    for g, cols in enumerate(fresh.columns):
+        for k in range(len(cols)):
+            fresh.blocks[g].insert([pm1 * (i == k) for i in range(len(cols))])
+    for t in tors:
+        if fresh.contains(t):
+            raise AssertionError("torsion candidate lies in S + p^(m-1) D plus the candidates before it")
+        fresh.insert(t)
+    if len(tors) != len(orders):
+        raise AssertionError("one torsion generator per cyclic factor expected")
     return TorsionReport((env.cap, env.m), tors, free, orders)
 
 

@@ -205,18 +205,24 @@ def test_criterion_7_pd_consistency():
                     rep = pd_torsion_probe(env)
                     ok = ok and rep.torsion_generators == [] and rep.free_rank == env.n
                     tested += 1
-    # the (x,y)^2 non-example: findings are self-consistent under re-reduction
-    for p in (2, 3):
+    # the (x,y)^2 non-example: free at cap 4, torsion from cap 5 (p = 2) and
+    # cap 7 (p = 3); findings are self-consistent under re-reduction
+    torsion_sets = 0
+    for p, cap, orders in ((2, 4, []), (3, 4, []), (2, 5, [2, 2, 2]), (3, 7, [3, 3, 3])):
         for m in (2, 3):
             env = build_pd_envelope(
-                PDPresentation(p, m, ("x", "y"), ((2, 0), (1, 1), (0, 2)), 4)
+                PDPresentation(p, m, ("x", "y"), ((2, 0), (1, 1), (0, 2)), cap)
             )
             rep = pd_torsion_probe(env)
+            ok = ok and rep.factor_orders == orders
+            ok = ok and len(rep.torsion_generators) == len(orders)
             fresh = env._build_relations()
             for t in rep.torsion_generators:
                 ok = ok and t != env.zero
                 ok = ok and fresh.contains([env.p * c for c in t])
-    _line(7, ok, time.time() - t0, f"{tested} regular probes")
+            torsion_sets += bool(rep.torsion_generators)
+    ok = ok and torsion_sets == 4
+    _line(7, ok, time.time() - t0, f"{tested} regular probes, {torsion_sets} torsion sets")
 
 
 def test_criterion_8_integrability():

@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 from crystaframe.linalg import (
+    GradedSpan,
     SpanNF,
+    _smith_forms,
     _val,
     batch_kernel,
     diagonalize,
     kernel_basis,
+    reduce_stacked,
     solve,
     solve_affine,
     work_dtype,
@@ -373,6 +376,90 @@ def test_spannf_reduce_rows_matches_reduce(p, m):
         # small entries make an int64 array even when p^m is past int64
         small = [[rng.randrange(-9, 10) * p ** rng.randrange(2) for _ in range(n)] for _ in range(6)]
         assert nf.reduce_rows(small).tolist() == [list(nf.reduce(v)) for v in small]
+
+
+def random_graded_rows(rng, grades, p, m, count):
+    """Homogeneous rows over the graded columns, with non-unit pivots."""
+    mod = p ** m
+    rows = []
+    for _ in range(count):
+        g = rng.choice(grades)
+        rows.append([rng.randrange(mod) * p ** rng.randrange(m) % mod if h == g else 0 for h in grades])
+    return rows
+
+
+@pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (3, 3), (2, 64)])
+def test_graded_span_matches_flat_spannf(p, m):
+    # the same homogeneous rows, in the same order, into one SpanNF over all
+    # columns and into one per grade: the same rows, normal forms, pivots,
+    # Smith exponents, membership and p-torsion
+    rng = random.Random(37)
+    mod = p ** m
+    factors = 0
+    for _ in range(30):
+        n = rng.randrange(1, 9)
+        grades = [rng.randrange(3) for _ in range(n)]
+        rows = random_graded_rows(rng, grades, p, m, rng.randrange(0, 7))
+        graded, flat = GradedSpan(grades, p, m), SpanNF(n, p, m)
+        for row in rows:
+            graded.insert(row)
+            flat.insert(row)
+        assert graded.basis() == flat.basis()
+        assert graded.reduced_basis() == flat.reduced_basis()
+        assert graded.pivots() == flat.pivots()
+        assert graded.smith_exponents() == flat.smith()[3]
+        vecs = [[rng.randrange(-mod, 2 * mod) for _ in range(n)] for _ in range(8)]
+        for _ in range(8):
+            x = [sum(rng.randrange(mod) * r[i] for r in rows) % mod for i in range(n)]
+            vecs.append(x)
+            y = list(x)
+            y[rng.randrange(n)] += p ** rng.randrange(m)
+            vecs.append(y)
+        assert [graded.reduce(v) for v in vecs] == [flat.reduce(v) for v in vecs]
+        assert_membership_rows(graded, vecs)
+        tors = graded.p_torsion()
+        assert len(tors) == len(flat.p_torsion()) == sum(0 < e < m for e in flat.smith()[3])
+        assert same_span_modulo(artifact_span(rows, n, p, m), tors, flat.p_torsion())
+        factors += len(tors)
+        # the stacked reduction of block coordinates is each block's `reduce`
+        local = []
+        for v in vecs:
+            g = graded.gid[rng.randrange(n)]
+            local.append((g, [v[c] % mod for c in graded.columns[g]]))
+        X = np.array([row + [0] * (graded.width - len(row)) for _, row in local], dtype=object)
+        got = reduce_stacked(graded.blocks, np.array([g for g, _ in local]), X).tolist()
+        assert [r[: len(row)] for r, (_, row) in zip(got, local)] == [
+            list(graded.blocks[g].reduce(row)) for g, row in local
+        ]
+    assert factors > 5
+
+
+def test_graded_span_refuses_a_row_across_grades():
+    # negative control: a row with entries of two grades is not split
+    span = GradedSpan(["a", "b", "a"], 2, 3)
+    span.insert([2, 0, 4])
+    span.insert([0, 0, 0])
+    with pytest.raises(ValueError, match="grades"):
+        span.insert([1, 1, 0])
+    assert span.basis() == [(2, 0, 4)]
+
+
+@pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (3, 21)])
+def test_stacked_smith_forms_match_diagonalize(p, m):
+    # spans of different shapes, one of them empty, diagonalized in one
+    # padded stack: each gets the U, V and exponents of its own diagonalize
+    rng = random.Random(41)
+    mod = p ** m
+    for _ in range(10):
+        spans = [SpanNF(rng.randrange(1, 7), p, m) for _ in range(rng.randrange(1, 6))]
+        for s in spans[1:]:
+            for _ in range(rng.randrange(1, 6)):
+                s.insert([rng.randrange(mod) * p ** rng.randrange(m) for _ in range(s.ncols)])
+        _smith_forms(spans)
+        for s in spans:
+            R = s.reduced_basis() or [(0,) * s.ncols]
+            U, _, V, evals = diagonalize(R, p, m)
+            assert s.smith() == (U, R, V, evals + [m] * (s.ncols - len(evals)))
 
 
 # every system shape of the window-hom sweep, plus two non-square shapes

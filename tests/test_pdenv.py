@@ -1,8 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+from crystaframe.linalg import SpanNF
 from crystaframe.pdenv import (
     PDDifferential,
     PDError,
@@ -186,6 +188,85 @@ def test_coordinate_filter_reported_artifacts(p, m, cap, old_count):
         assert tuple(int(i == 45) for i in range(env.n)) in old
 
 
+def check_graded_relations_against_flat(env):
+    """The relation span, one block per shadow, against one SpanNF of its rows.
+
+    Reduced basis, pivots, normal forms, membership rows, free rank, factor
+    orders and torsion (modulo S + p^(m-1) D) must agree with the flat span.
+    """
+    p, m, n, mod = env.p, env.m, env.n, env.mod
+    rel = env.relations
+    flat = SpanNF(n, p, m)
+    for row in rel.basis():
+        flat.insert(row)
+    R = flat.reduced_basis()
+    assert rel.reduced_basis() == R
+    assert rel.pivots() == flat.pivots()
+    rng = random.Random(43)
+    vecs = [[rng.randrange(mod) for _ in range(n)] for _ in range(10)]
+    for _ in range(10):
+        x = [0] * n
+        for r in rng.sample(R, min(len(R), 6)):
+            c = rng.randrange(mod)
+            x = [(a + c * b) % mod for a, b in zip(x, r)]
+        y = list(x)
+        y[rng.randrange(n)] += p ** rng.randrange(m)
+        vecs += [x, y]
+    assert [rel.reduce(v) for v in vecs] == [flat.reduce(v) for v in vecs]
+    T = rel.membership_rows()
+    for x in vecs:
+        assert all(sum(a * b for a, b in zip(t, x)) % mod == 0 for t in T) == flat.contains(x)
+    assert sum(map(flat.contains, vecs)) >= 10
+    rep = pd_torsion_probe(env)
+    evals = flat.smith()[3]
+    assert rep.free_rank == n - sum(e < m for e in evals)
+    assert rep.factor_orders == [p ** e for e in evals if 0 < e < m]
+    assert same_span_modulo(artifact_span(R, n, p, m), rep.torsion_generators, flat.p_torsion())
+
+
+@pytest.mark.parametrize(
+    "p,m,cap",
+    [
+        pytest.param(p, m, cap, marks=[pytest.mark.slow] if cap == 7 else [])
+        for p in (2, 3)
+        for m in (2, 3)
+        for cap in (4, 5, 6, 7)
+    ]
+    + [(2, 40, 5)],  # past int64: the arrays hold Python ints
+)
+def test_graded_relations_match_flat_span(p, m, cap):
+    check_graded_relations_against_flat(xy2_env(p, m, cap))
+
+
+def test_relation_span_refuses_a_row_across_shadows():
+    # negative control: the span keeps one block per shadow and never splits
+    # a row; e_i + e_j with b_i, b_j of different shadows is refused
+    env = xy2_env(2, 2, 4)
+    span = env._build_relations()
+    i, j = span.columns[0][0], span.columns[1][0]
+    assert env._shadow(env.basis[i]) != env._shadow(env.basis[j])
+    with pytest.raises(ValueError, match="grades"):
+        span.insert([int(k in (i, j)) for k in range(env.n)])
+    assert span.basis() == env.relations.basis()
+
+
+def test_probe_certificate_rejects_coordinate_filter(monkeypatch):
+    # Negative control: the coordinate filter the probe once used (kernel
+    # generators with a coordinate not divisible by p^(m-1)) reports six
+    # elements of S + p^(m-1) D on this free quotient; the certificate,
+    # built from a fresh S and the rows p^(m-1) e_i, must refuse them
+    env = xy2_env(2, 2, 4)
+
+    def coordinate_filter(span):
+        p, m = span.p, span.m
+        kernel = p_torsion_kernel(span.basis(), span.ncols, p, m)
+        return [t for t in kernel if any(c % p ** (m - 1) for c in t)]
+
+    monkeypatch.setattr(type(env.relations), "p_torsion", coordinate_filter)
+    with pytest.raises(AssertionError, match="lies in S"):
+        pd_torsion_probe(env)
+
+
 def test_sigma_is_ring_hom_on_samples():
     env = free_env(2, 3, 6)
     rng = random.Random(3)
@@ -349,3 +430,35 @@ def test_batched_closure_matches_scalar_past_int64(monkeypatch, p, m):
     # at 3^40 and 2^64 the modulus itself does too
     variables, gens = CLOSURE_PRESENTATIONS[2]
     check_closure_against_scalar(monkeypatch, PDPresentation(p, m, variables, gens, 4))
+
+
+def per_pair_multiplication_table(env):
+    """The multiplication table with one absorption per pair of basis elements."""
+    n = env.n
+    coef = np.zeros_like(env._coef)
+    target = np.zeros_like(env._target)
+    for i, (mu1, n1) in enumerate(env.basis):
+        for j in range(i, n):
+            mu2, n2 = env.basis[j]
+            if sum(n1) + sum(n2) >= env.cap:
+                continue
+            c = 1
+            for a, b in zip(n1, n2):
+                c *= math.comb(a + b, a)
+            exps = [x + y for x, y in zip(mu1, mu2)]
+            c, mu, nv = env._absorb(c, exps, [a + b for a, b in zip(n1, n2)])
+            if c is not None and c % env.mod:
+                coef[i, j] = coef[j, i] = c % env.mod
+                target[i, j] = target[j, i] = env.index[(mu, tuple(nv))]
+    return coef, target
+
+
+@pytest.mark.parametrize("variables,gens", CLOSURE_PRESENTATIONS, ids=["x", "x,y", "(x,y)^2"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_multiplication_table_matches_per_pair_build(variables, gens, p):
+    for m in (2, 3):
+        for cap in (4, 5, 6):
+            env = build_pd_envelope(PDPresentation(p, m, variables, gens, cap))
+            coef, target = per_pair_multiplication_table(env)
+            assert env._coef.dtype == coef.dtype and env._target.dtype == target.dtype
+            assert np.array_equal(env._coef, coef) and np.array_equal(env._target, target)
