@@ -16,6 +16,7 @@ import sys
 from .report import Report
 from .runner import run_scenario
 from .scenario import (
+    VERIFY_TAGS,
     BudgetExceeded,
     ScenarioParseError,
     ScenarioSemanticError,
@@ -25,7 +26,6 @@ from .scenario import (
     parse_verify_value,
     validate_scenario,
 )
-from .verify import TAGS, battery_parameters, verify
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     ver_p = sub.add_parser("verify", help="run a named lemma battery")
-    ver_p.add_argument("tag", choices=TAGS)
+    ver_p.add_argument("tag", choices=VERIFY_TAGS)
     ver_p.add_argument("--p", type=int, default=None)
     ver_p.add_argument("--precision", type=int, default=None)
     ver_p.add_argument(
@@ -110,6 +110,8 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     """The flags become key=value tokens, checked as `command verify` is:
     --grid values first, then --p under the battery's prime keyword."""
+    from .verify import battery_parameters, verify
+
     tokens = args.grid.split(",") if args.grid else []
     given = {tok.split("=", 1)[0] for tok in tokens}
     flags = {"precision": args.precision}

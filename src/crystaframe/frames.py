@@ -11,6 +11,9 @@ level down, and every comparison is made in the declared codomain.
 sigma1 well-definedness is the delicate point mod p^m: values on certified
 decompositions (p*a with witness a, or v(y) with witness y) are exact, while
 the canonical total map may cost one digit.  Frames expose both routes.
+Finite carriers (Witt rings, quotient carriers, a frame's ideal) get their
+Z/p^m coordinates from one table here (`TableCoords`); the Witt module is
+loaded only by the frames that build Witt vectors.
 """
 
 from __future__ import annotations
@@ -18,10 +21,84 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-from .monomial import MonomialAlgebra
-from .residues import Residues
-from .witt import TableCarrier, TableCoords, WittRing
+from .linalg import SpanNF, diagonalize
+from .residues import PrecisionLedger, Residues
+
+if TYPE_CHECKING:
+    from .monomial import MonomialAlgebra
+
+
+class TableCoords:
+    """Additive coordinates over Z/p^m of a finite carrier, from one table.
+
+    The carrier (p, n, zero, add, mul, elements()) is an abelian group
+    killed by p^n, so m = n.  On first use one pass over `elements()`
+    makes each element not yet reached a generator and adds its multiples
+    to everything reached: a discrete log, and one relation per generator.
+    The basis that diagonalizes the relations gives coordinate j the
+    cyclic factor Z/p^(e_j), e_j >= 1, and the relation span the p^(e_j)
+    e_j alone (none on a free group).  Every coordinate is of mu type.
+    """
+
+    def coord_precision(self) -> int:
+        return self.n
+
+    @cached_property
+    def _table(self):
+        p, m = self.p, self.coord_precision()
+        log, rels = {self.zero: ()}, []
+        for x in self.elements():
+            if x in log:
+                continue
+            multiples = [x]
+            while (y := self.add(multiples[-1], x)) not in log:
+                multiples.append(y)
+            rels.append([-c for c in log[y]] + [0] * (len(rels) - len(log[y])) + [len(multiples) + 1])
+            for s, c in list(log.items()):
+                for i, mx in enumerate(multiples, 1):
+                    log[self.add(s, mx)] = c + (0,) * (len(rels) - 1 - len(c)) + (i,)
+        _, _, V, evals = diagonalize([r + [0] * (len(rels) - len(r)) for r in rels], p, m)
+        keep = [(j, p ** e) for j, e in enumerate(evals) if e > 0]
+        coords = {
+            x: tuple(sum(a * V[i][j] for i, a in enumerate(c)) % q for j, q in keep) for x, c in log.items()
+        }
+        elements = {c: x for x, c in coords.items()}
+        if len(elements) != len(coords):
+            raise AssertionError("table coordinates are not a bijection")
+        relations = SpanNF(len(keep), p, m)
+        for k, (_, q) in enumerate(keep):
+            relations.insert([q * (i == k) for i in range(len(keep))])
+        return coords, elements, [q for _, q in keep], relations
+
+    def coords(self, x):
+        return self._table[0][x]
+
+    def from_coords(self, cs):
+        return self._table[1][tuple(int(c) % q for c, q in zip(cs, self._table[2]))]
+
+    def coord_count(self) -> int:
+        return len(self._table[2])
+
+    @property
+    def relations(self) -> SpanNF:
+        return self._table[3]
+
+    def mu_indices(self):
+        return list(range(self.coord_count()))
+
+    def t_indices(self):
+        return []
+
+
+class TableCarrier(TableCoords):
+    """The elements of `ring` that the callable `elements` lists, with table
+    coordinates at precision n (a frame's ideal or sigma1 codomain)."""
+
+    def __init__(self, ring, elements, n: int):
+        self.p, self.zero, self.add, self.mul = ring.p, ring.zero, ring.add, ring.mul
+        self.elements, self.n = elements, n
 
 
 class FrameError(ValueError):
@@ -38,8 +115,6 @@ class Frame:
     kind = "abstract"
 
     def __init__(self, carrier, p: int, depth: int):
-        from .residues import PrecisionLedger
-
         self.A = carrier
         self.p = p
         self.depth = depth  # certified applications of sigma1 before exhaustion
@@ -137,12 +212,15 @@ class LiftFrame(Frame):
             self._style = "residue"
             self.sigma_fn = sigma_fn or (lambda x: x)
             self.residue_ring = Residues(p, 1)
-        elif isinstance(carrier, WittRing):
+        else:
+            from .monomial import frobenius_kernel_nilpotency
+            from .witt import WittRing
+
+            if not isinstance(carrier, WittRing):
+                raise FrameError("unsupported lift carrier")
             base = carrier.base
             if not base.char_is_p:
                 raise FrameError("Witt lift carrier needs a char-p base")
-            from .monomial import frobenius_kernel_nilpotency
-
             nil, idx = frobenius_kernel_nilpotency(base)
             if not (nil and idx == 1):
                 raise FrameError("carrier has p-torsion: base is not perfect")
@@ -150,8 +228,6 @@ class LiftFrame(Frame):
             self._style = "witt"
             self.sigma_fn = sigma_fn or carrier.frobenius_charp
             self.residue_ring = base
-        else:
-            raise FrameError("unsupported lift carrier")
         self.name = name or f"lift({carrier!r})"
         self.p_elt = self.A.embed_int(self.p)
 
@@ -235,6 +311,8 @@ class WittFrame(Frame):
     kind = "witt"
 
     def __init__(self, R: MonomialAlgebra, n: int):
+        from .witt import WittRing
+
         if not R.char_is_p:
             raise FrameError("Witt frame needs a characteristic-p base")
         if n < 2:
@@ -362,6 +440,8 @@ class QuotientCarrier(TableCoords):
     """
 
     def __init__(self, seq: AdmissibleSequence, n: int):
+        from .witt import WittRing
+
         self.seq = seq
         self.n = n
         self.S = seq.S
@@ -644,8 +724,6 @@ class ModuleSpan:
     """
 
     def __init__(self, carrier, gens):
-        from .linalg import SpanNF
-
         self.carrier = carrier
         n = carrier.coord_count()
         p, m = carrier.p, carrier.coord_precision()

@@ -2,26 +2,22 @@
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .frames import BudgetError, FrameError, frame_axiom_failures
-from .nabla import (
-    Connection,
-    NablaContext,
-    horizontality_check,
-    integrability_and_qnilpotence,
-    produced_connections,
-    solve_connection,
-)
-from .pdenv import PDAlgebra, PDPresentation, pd_frame, pd_torsion_probe
 from .report import Report
 from .scenario import BudgetExceeded, Scenario, parse_verify_value
-from .verify import verify
 from .windows import (
     WindowError,
     base_change,
     classify_windows,
     hom_space,
     lift_window_along,
+    window_from_psi,
 )
+
+if TYPE_CHECKING:
+    from .pdenv import PDAlgebra
 
 
 def run_scenario(sc: Scenario, objects: dict, internal_precision: int | None = None, threads: int = 1) -> Report:
@@ -129,6 +125,8 @@ def _cmd_lift(cmd, sc, frames, homs, windows, report, m_int):
 
 
 def _cmd_solve_connection(cmd, sc, frames, homs, windows, report, m_int):
+    from .nabla import NablaContext, integrability_and_qnilpotence, produced_connections, solve_connection
+
     frame = frames[cmd[1]]
     w = windows[cmd[2]]
     if w.frame is not frame:
@@ -160,8 +158,8 @@ def _cmd_solve_connection(cmd, sc, frames, homs, windows, report, m_int):
 def _ledger_stability(ctx, w, m_int, budget) -> bool:
     """Re-solve a solvable window at higher internal precision: the solution
     set must stay non-empty and its particular reduce to a solution."""
-    from .pdenv import build_pd_envelope
-    from .windows import window_from_psi
+    from .nabla import Connection, NablaContext, horizontality_check, solve_connection
+    from .pdenv import PDPresentation, build_pd_envelope, pd_frame
 
     frame = ctx.frame
     pres = frame.env.pres
@@ -202,6 +200,8 @@ def _reduce_coords(env_big: PDAlgebra, env_small: PDAlgebra, x):
 
 
 def _cmd_torsion_probe(cmd, sc, frames, homs, windows, report, m_int):
+    from .pdenv import pd_torsion_probe
+
     frame = frames[cmd[1]]
     rep = pd_torsion_probe(frame.env)
     data = {
@@ -217,6 +217,8 @@ def _cmd_torsion_probe(cmd, sc, frames, homs, windows, report, m_int):
 
 
 def _cmd_verify(cmd, sc, frames, homs, windows, report, m_int):
+    from .verify import verify
+
     tag = cmd[1]
     params = {}
     for tok in cmd[2:]:

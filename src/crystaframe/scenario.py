@@ -220,14 +220,18 @@ def validate_scenario(sc: Scenario):
     an enumeration budget overrun while building one is a budget error.
     """
     from .frames import BudgetError, FrameError
-    from .pdenv import PDError
     from .windows import WindowError
 
+    rejected = (WindowError, FrameError)
+    if any(kv["kind"] == "pd" for kv in sc.frames.values()):
+        from .pdenv import PDError  # only pd frames load the envelope module
+
+        rejected += (PDError,)
     try:
         return _build_objects(sc)
     except BudgetError as exc:
         raise BudgetExceeded(str(exc)) from exc
-    except (WindowError, FrameError, PDError) as exc:
+    except rejected as exc:
         raise ScenarioSemanticError(str(exc)) from exc
 
 
@@ -239,8 +243,6 @@ def _build_objects(sc: Scenario):
         lift_frame,
         witt_frame,
     )
-    from .monomial import MonomialAlgebra
-    from .pdenv import PDPresentation, build_pd_envelope, pd_frame
     from .residues import GaloisField, Residues, is_prime
     from .windows import window_from_psi
 
@@ -259,6 +261,8 @@ def _build_objects(sc: Scenario):
 
     rings = {}
     for name, spec in sc.rings.items():
+        from .monomial import MonomialAlgebra
+
         fld = spec["field"]
         if fld == "Fp":
             cf = Residues(sc.prime, 1)
@@ -320,6 +324,8 @@ def _build_objects(sc: Scenario):
             seq = AdmissibleSequence.minimal(S, gens, n)
             fr = admissible_quotient_frame(seq, n)
         elif kind == "pd":
+            from .pdenv import PDPresentation, build_pd_envelope, pd_frame
+
             variables = tuple(kv["vars"].split(","))
             cap = kv["cap"]
             if cap > max_cap:
@@ -436,8 +442,6 @@ def _check_form(cmd):
 
 
 def _validate_command(cmd, frames, homs, windows):
-    from .verify import TAGS, battery_parameters
-
     if not cmd:
         raise ScenarioSemanticError("empty command")
     _check_form(cmd)
@@ -473,8 +477,10 @@ def _validate_command(cmd, frames, homs, windows):
         if fr.kind != "pd":
             raise ScenarioSemanticError("torsion-probe needs a pd frame")
     elif op == "verify":
-        if cmd[1] not in TAGS:
+        if cmd[1] not in VERIFY_TAGS:
             raise ScenarioSemanticError(f"unknown verify tag {cmd[1]!r}")
+        from .verify import battery_parameters
+
         defaults = battery_parameters(cmd[1])
         for tok in cmd[2:]:
             if "=" not in tok:
@@ -510,6 +516,18 @@ def _is_prime(n: int) -> bool:
 
     return is_prime(n)
 
+
+# The tags of the batteries behind `command verify` and `crystaframe verify`,
+# kept here so that checking a tag does not load the batteries.
+VERIFY_TAGS = (
+    "sigma1-formula",
+    "win-phi-mod",
+    "deform-win",
+    "integrability",
+    "pd-axioms",
+    "gamma-vp",
+    "f-nilpotent-sequence",
+)
 
 # The values each verify keyword's ints must take, by keyword or by (tag,
 # keyword): outside them the batteries raise (a non-prime, precision 0, a

@@ -25,6 +25,7 @@ from .nabla import (
 )
 from .pdenv import PDPresentation, build_pd_envelope, pd_frame
 from .residues import Residues, divided_power_constant
+from .scenario import VERIFY_TAGS
 from .windows import (
     Window,
     are_isomorphic,
@@ -55,17 +56,6 @@ class VerifyResult:
                 self.counterexamples.append(witness)
 
 
-TAGS = (
-    "sigma1-formula",
-    "win-phi-mod",
-    "deform-win",
-    "integrability",
-    "pd-axioms",
-    "gamma-vp",
-    "f-nilpotent-sequence",
-)
-
-
 def battery_parameters(tag: str) -> dict:
     """The keyword parameters the battery behind `tag` accepts, with defaults."""
     return {k: v.default for k, v in inspect.signature(_DISPATCH[tag]).parameters.items()}
@@ -75,7 +65,7 @@ def verify(tag: str, **params) -> VerifyResult:
     try:
         fn = _DISPATCH[tag]
     except KeyError:
-        raise ValueError(f"unknown tag {tag!r}; known: {', '.join(TAGS)}")
+        raise ValueError(f"unknown tag {tag!r}; known: {', '.join(VERIFY_TAGS)}")
     for key in ("primes", "p_list"):
         if key in params and isinstance(params[key], int):
             params[key] = (params[key],)

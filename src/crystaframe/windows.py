@@ -11,7 +11,7 @@ commutation identities exact.  Linear solvers introduce the witnesses as
 extra unknowns, so every reported hom is certified at full precision; the
 truncation ambiguity of sigma1 never enters silently.  Every hom group is
 solved linearly, never exhausted, over carrier coordinates (table ones,
-`witt.TableCoords`, on Witt and quotient carriers).  Where sigma1 leaves
+`frames.TableCoords`, on Witt and quotient carriers).  Where sigma1 leaves
 the carrier, the witnesses have the ideal's coordinates and the L-column
 rows the sigma1 codomain's, the comparison `is_window_hom` makes there.  A
 coordinate identity holds modulo the carrier relations, so each block of
@@ -41,7 +41,7 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .frames import BudgetError, Frame, FrameHom
+from .frames import BudgetError, Frame, FrameHom, TableCoords
 from .linalg import SpanNF, exact_dtype, int_dtype, kernel_basis, mod_reducer, solve, solve_affine
 from .matrices import (
     diag,
@@ -59,7 +59,6 @@ from .matrices import (
     mult_matrix,
 )
 from .residues import Residues
-from .witt import TableCoords
 
 
 class WindowError(ValueError):

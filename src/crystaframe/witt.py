@@ -21,79 +21,8 @@ from __future__ import annotations
 
 from functools import cached_property
 
+from .frames import TableCarrier, TableCoords  # noqa: F401  (re-exported)
 from .intpoly import IntPolyRing
-from .linalg import SpanNF, diagonalize
-
-
-class TableCoords:
-    """Additive coordinates over Z/p^m of a finite carrier, from one table.
-
-    The carrier (p, n, zero, add, mul, elements()) is an abelian group
-    killed by p^n, so m = n.  On first use one pass over `elements()`
-    makes each element not yet reached a generator and adds its multiples
-    to everything reached: a discrete log, and one relation per generator.
-    The basis that diagonalizes the relations gives coordinate j the
-    cyclic factor Z/p^(e_j), e_j >= 1, and the relation span the p^(e_j)
-    e_j alone (none on a free group).  Every coordinate is of mu type.
-    """
-
-    def coord_precision(self) -> int:
-        return self.n
-
-    @cached_property
-    def _table(self):
-        p, m = self.p, self.coord_precision()
-        log, rels = {self.zero: ()}, []
-        for x in self.elements():
-            if x in log:
-                continue
-            multiples = [x]
-            while (y := self.add(multiples[-1], x)) not in log:
-                multiples.append(y)
-            rels.append([-c for c in log[y]] + [0] * (len(rels) - len(log[y])) + [len(multiples) + 1])
-            for s, c in list(log.items()):
-                for i, mx in enumerate(multiples, 1):
-                    log[self.add(s, mx)] = c + (0,) * (len(rels) - 1 - len(c)) + (i,)
-        _, _, V, evals = diagonalize([r + [0] * (len(rels) - len(r)) for r in rels], p, m)
-        keep = [(j, p ** e) for j, e in enumerate(evals) if e > 0]
-        coords = {
-            x: tuple(sum(a * V[i][j] for i, a in enumerate(c)) % q for j, q in keep) for x, c in log.items()
-        }
-        elements = {c: x for x, c in coords.items()}
-        if len(elements) != len(coords):
-            raise AssertionError("table coordinates are not a bijection")
-        relations = SpanNF(len(keep), p, m)
-        for k, (_, q) in enumerate(keep):
-            relations.insert([q * (i == k) for i in range(len(keep))])
-        return coords, elements, [q for _, q in keep], relations
-
-    def coords(self, x):
-        return self._table[0][x]
-
-    def from_coords(self, cs):
-        return self._table[1][tuple(int(c) % q for c, q in zip(cs, self._table[2]))]
-
-    def coord_count(self) -> int:
-        return len(self._table[2])
-
-    @property
-    def relations(self) -> SpanNF:
-        return self._table[3]
-
-    def mu_indices(self):
-        return list(range(self.coord_count()))
-
-    def t_indices(self):
-        return []
-
-
-class TableCarrier(TableCoords):
-    """The elements of `ring` that the callable `elements` lists, with table
-    coordinates at precision n (a frame's ideal or sigma1 codomain)."""
-
-    def __init__(self, ring, elements, n: int):
-        self.p, self.zero, self.add, self.mul = ring.p, ring.zero, ring.add, ring.mul
-        self.elements, self.n = elements, n
 
 
 class WittPolynomialCache:

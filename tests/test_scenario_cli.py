@@ -370,6 +370,40 @@ def test_console_entrypoint():
     assert "PASS" in proc.stdout
 
 
+def test_verify_tags_are_the_batteries():
+    from crystaframe.scenario import VERIFY_TAGS
+    from crystaframe.verify import _DISPATCH
+
+    assert VERIFY_TAGS == tuple(_DISPATCH)
+
+
+# Fresh processes: the lazily loaded verify and pdenv modules are loaded
+# inside the run, not by earlier tests.
+@pytest.mark.parametrize(
+    "args,checks",
+    [
+        (["win-phi-mod", "--p", "2", "--precision", "2", "--grid", "rank=1"], 16),
+        (["f-nilpotent-sequence", "--p", "2"], 12),
+    ],
+)
+def test_cli_runs_the_batteries(args, checks):
+    proc = subprocess.run(
+        [sys.executable, "-m", "crystaframe.cli", "verify", *args], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(f"[PASS] verify {args[0]}: {checks} checks\n")
+
+
+def test_cli_pd_semantic_error_in_a_fresh_process(tmp_path):
+    scn = tmp_path / "pd.scn"
+    scn.write_text(MINIMAL + "frame D kind pd vars x gens x^0 cap 3\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "crystaframe.cli", "run", str(scn)], capture_output=True, text=True
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == "semantic error: non-monomial or trivial generator\n"
+
+
 # -- exit-code fuzz: one-token mutations of the bundled scenarios -------------
 
 # Replacements sit at the edges of the range checks or are not values at all.
