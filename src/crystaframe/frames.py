@@ -644,7 +644,7 @@ class FrameHom:
     `cod_fn` (when sigma1 codomains differ from the carriers) maps the
     source sigma1-codomain to the target one for the sigma1 square;
     `section` (for a surjection) maps target-carrier elements back to
-    preimages, which window and hom lifting need.
+    preimages, which window lifting needs.
     """
 
     source: Frame

@@ -14,14 +14,16 @@ between the two pullbacks (Berthelot-Ogus, Notes on Crystalline
 Cohomology, section 4); both directions of that dictionary are implemented
 and certified through the generic window machinery.  The solver uses it:
 `solve_connection` is the hom system of `windows.hom_affine` between the
-pullbacks with the D-part of eps pinned to the identity, and the residuals
-stay the independent check of its output.
+pullbacks with side rows pinning the D-part of eps to the identity, and
+the residuals stay the independent check of its output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+
+import numpy as np
 
 from .frames import Frame, FrameHom
 from .linalg import SpanNF
@@ -187,10 +189,10 @@ def solve_connection(ctx: NablaContext, w: Window, budget: int = 1 << 16):
 
     A connection is the isomorphism eps = 1 + nabla from pbar0^* w to
     pbar1^* w over D(1)_2: D-part the identity, K-part the N_i.  So this is
-    the hom system of `windows.hom_affine` with the D-coordinates of eps
-    pinned to the identity; the unknowns are its K-coordinates and the
-    divided-Frobenius witnesses.  The budget bounds the square of the
-    K-coordinate count (WindowBudgetError).
+    the hom system of `windows.hom_affine` with side rows that pin the
+    D-coordinates of eps to the identity; the free unknowns are its
+    K-coordinates and the divided-Frobenius witnesses.  The budget bounds
+    the square of the K-coordinate count (WindowBudgetError).
 
     Returns (particular, homogeneous_generators) or None when empty.  The
     generators are the decoded `SpanNF.reduced_basis()` of the homogeneous
@@ -204,8 +206,8 @@ def solve_connection(ctx: NablaContext, w: Window, budget: int = 1 << 16):
     nc, n1 = sz.A.coord_count(), env1.n
     # entry e = a*r + b of eps is diagonal iff e is a multiple of r + 1
     ones = [env.coords(env.zero if e % (r + 1) else env.one) for e in range(r * r)]
-    pinned = {e * nc + c: x for e, cs in enumerate(ones) for c, x in enumerate(cs)}
-    sol = hom_affine(w0, w1, pinned, budget=budget)
+    select = np.eye(r * r * nc, dtype=np.int64)[[e * nc + c for e in range(r * r) for c in range(env.n)]]
+    sol = hom_affine(w0, w1, select, [x for cs in ones for x in cs], budget=budget)
     if sol is None:
         return None
     # the K-coordinates of eps, N_i[a][b] in the order (i, a, b)

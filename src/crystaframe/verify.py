@@ -24,7 +24,7 @@ from .nabla import (
     solve_connection,
 )
 from .pdenv import PDPresentation, build_pd_envelope, pd_frame
-from .residues import Residues, divided_power_constant
+from .residues import GaloisField, Residues, divided_power_constant
 from .scenario import VERIFY_TAGS
 from .windows import (
     Window,
@@ -198,12 +198,10 @@ def verify_win_phi_mod(p=2, precision=3, rank=2, chunk=120_000) -> VerifyResult:
     return out
 
 
-def _eps_deformation():
-    """The F_2[eps]/(eps^2) Witt-frame surjection with its section."""
-    Re = MonomialAlgebra(Residues(2, 1), [("e", 0, 2)])
-    R0 = MonomialAlgebra(Residues(2, 1), [])
-    src = witt_frame(Re, 2)
-    tgt = witt_frame(R0, 2)
+def _eps_deformation(k, n):
+    """The W_n(k[eps]) -> W_n(k) Witt-frame surjection eps -> 0, with its section."""
+    src = witt_frame(MonomialAlgebra(k, [("e", 0, 2)]), n)
+    tgt = witt_frame(MonomialAlgebra(k, []), n)
 
     def proj_comp(c):
         return tuple(((), v) for exps, v in c if not any(exps))
@@ -214,26 +212,30 @@ def _eps_deformation():
     def sect(x):
         return tuple(tuple(((0,), v) for _, v in c) for c in x)
 
-    hom = FrameHom(
-        src, tgt, fn=proj, cod_fn=lambda y: tuple(proj_comp(c) for c in y), name="eps->0", section=sect
-    )
+    hom = FrameHom(src, tgt, fn=proj, cod_fn=proj, name=f"W_{n}(eps->0)", section=sect)
     return src, tgt, hom
 
 
 def verify_deform_win() -> VerifyResult:
-    """Deformation desk check on the F_2[eps] Witt-frame surjection.
+    """Deformation desk check on the eps -> 0 Witt-frame surjections.
 
-    Rank-1 class tables over source and target are in bijection under base
-    change, and every hom between lifted windows lifts uniquely.
+    Over W_2(F_2[eps]), W_3(F_2[eps]) and W_2(F_4[eps]): rank-1 class tables
+    over source and target are in bijection under base change, and every
+    hom between lifted windows lifts uniquely.
     """
     out = VerifyResult("deform-win", True, 0)
-    src, tgt, hom = _eps_deformation()
+    for k, n in ((Residues(2, 1), 2), (Residues(2, 1), 3), (GaloisField(2, 2), 2)):
+        _deform_win_rank1(out, *_eps_deformation(k, n))
+    return out
+
+
+def _deform_win_rank1(out: VerifyResult, src, tgt, hom) -> None:
     t_src = classify_windows(src, 1, budget=1 << 16)
     t_tgt = classify_windows(tgt, 1, budget=1 << 12)
     for d in (0, 1):
         n_src = sum(1 for c in t_src.classes if c.d == d)
         n_tgt = sum(1 for c in t_tgt.classes if c.d == d)
-        out.record(n_src == n_tgt, ("counts", d, n_src, n_tgt))
+        out.record(n_src == n_tgt, ("counts", hom.name, d, n_src, n_tgt))
         reps_t = [c.psi for c in t_tgt.classes if c.d == d]
         matched = set()
         for c in t_src.classes:
@@ -245,10 +247,10 @@ def verify_deform_win() -> VerifyResult:
                 for k, psi in enumerate(reps_t)
                 if are_isomorphic(img, Window(tgt, d, 1 - d, psi))
             ]
-            out.record(len(hits) == 1, ("image-class", d, c.psi))
+            out.record(len(hits) == 1, ("image-class", hom.name, d, c.psi))
             if hits:
                 matched.add(hits[0])
-        out.record(matched == set(range(len(reps_t))), ("surjectivity", d))
+        out.record(matched == set(range(len(reps_t))), ("surjectivity", hom.name, d))
     # unique hom lifting across all ordered pairs of target classes
     for cv in t_tgt.classes:
         for cw in t_tgt.classes:
@@ -258,17 +260,16 @@ def verify_deform_win() -> VerifyResult:
             w_s = lift_window_along(hom, w_t)
             for G in hom_space(v_t, w_t, "window", budget=1 << 12).elements():
                 rep = lift_hom_along(hom, v_s, w_s, G)
-                out.record(rep.unique, ("unique-lift", cv.psi, cw.psi))
+                out.record(rep.unique, ("unique-lift", hom.name, cv.psi, cw.psi))
                 out.record(
-                    is_window_hom(v_s, w_s, rep.lifted), ("lift-is-hom", cv.psi, cw.psi)
+                    is_window_hom(v_s, w_s, rep.lifted), ("lift-is-hom", hom.name, cv.psi, cw.psi)
                 )
     # lift then base change is the identity on source iso classes
     for c in t_src.classes:
         w_src = Window(src, c.d, c.t, c.psi)
         down = base_change(hom, w_src)
         up = lift_window_along(hom, down)
-        out.record(are_isomorphic(up, w_src, budget=1 << 12), ("round-trip-class", c.psi))
-    return out
+        out.record(are_isomorphic(up, w_src, budget=1 << 12), ("round-trip-class", hom.name, c.psi))
 
 
 def desk_connection_cases(p_list=(2, 3)):

@@ -17,8 +17,13 @@ rows the sigma1 codomain's, the comparison `is_window_hom` makes there.  A
 coordinate identity holds modulo the carrier relations, so each block of
 rows is multiplied by the relation span's `SpanNF.membership_rows()`: the
 unknowns are G and the witnesses, nothing else.  `hom_affine` solves the
-same system with some coordinates of G fixed (the connection solver of
-`nabla`).
+same system with side rows P*G = b on the coordinates of G: coordinate
+selections pin the D-part of a connection (`nabla`), and deformation
+lifting is one such affine system.  The lifts of a hom G_target along a
+frame surjection alpha are the homs G with alpha(G) = G_target, rows
+alpha's coordinate matrix, so the filtration enters through the witness
+rows; the lift is unique exactly when every homogeneous solution decodes
+to the zero matrix.
 
 Isomorphism testing is by solving for an invertible hom (unit scan on the
 hom space mod p), never by invariants.  Over Z/p^m carriers classification
@@ -445,38 +450,28 @@ def _hom_space_linear(v: Window, w: Window, mode: str):
     return gens
 
 
-def hom_affine(v: Window, w: Window, pinned: dict, budget: int = 1 << 16):
-    """The window homs G whose coordinates at `pinned` take the given values.
+def hom_affine(v: Window, w: Window, rows, rhs, budget: int = 1 << 16):
+    """The window homs G whose coordinates satisfy the side rows P*G = b.
 
-    `pinned` maps G coordinates, in the column layout of `_hom_rows`, to
-    values.  Their columns move to the right-hand side and `solve_affine`
-    solves the rest of the same system, witnesses included.  Returns
-    (particular, kernel) as G-coordinate vectors -- the pinned coordinates
-    at their values in the particular solution and 0 in the kernel
-    generators -- or None when no hom takes those values.  The budget bounds
-    the square of the free G coordinates, as in `hom_space`.
+    `rows` are P, over the G coordinates in the column layout of
+    `_hom_rows`, and `rhs` is b.  They are appended to the hom system with
+    zero witness columns, and one `solve_affine` solves the whole.  Returns
+    (particular, kernel) as G-coordinate vectors, or None when no hom
+    satisfies the rows.  The budget bounds the square of the G coordinates
+    the rows leave free, as in `hom_space`.
     """
     p, m = v.frame.p, v.frame.A.coord_precision()
-    mod = p ** m
     nG = w.rank * v.rank * v.frame.A.coord_count()
-    n_free = nG - len(pinned)
+    n_free = max(nG - len(rows), 0)
     if n_free * n_free > budget:
         raise WindowBudgetError(f"hom system too large for the budget ({n_free} unknowns)")
-    rows, ncols = _hom_rows(v, w, "window")
-    cols = np.array(list(pinned), dtype=np.intp)
-    free = np.setdiff1d(np.arange(ncols), cols)
-    rhs = -(rows[:, cols] @ np.array(list(pinned.values()), dtype=rows.dtype)) % mod
-    part, kernel = solve_affine(rows[:, free], rhs.tolist(), p, m)
+    hom_rows, ncols = _hom_rows(v, w, "window")
+    side = np.zeros((len(rows), ncols), dtype=hom_rows.dtype)
+    side[:, :nG] = np.array(rows, dtype=object).reshape(len(rows), nG) % p ** m
+    part, kernel = solve_affine(np.concatenate([hom_rows, side]), [0] * len(hom_rows) + list(rhs), p, m)
     if part is None:
         return None
-
-    def to_G(vec, fixed):  # the free G columns come first in `free`
-        out = [fixed.get(c, 0) for c in range(nG)]
-        for c, x in zip(free[:n_free].tolist(), vec):
-            out[c] = x
-        return out
-
-    return to_G(part, pinned), [to_G(g, {}) for g in kernel]
+    return list(part[:nG]), [list(g[:nG]) for g in kernel]
 
 
 def _decode_G(A, flat, r_w, r_v, nc):
@@ -605,100 +600,58 @@ def f_nilpotence(w: Window, bound: int | None = None):
 @dataclass
 class LiftReport:
     lifted: object
-    steps: int
-    unique: bool
-    note: str = ""
+    kernel: list  # the nonzero homogeneous solutions' generators, decoded
+
+    @property
+    def unique(self) -> bool:
+        return not self.kernel
 
 
-def lift_window_along(alpha: FrameHom, w: Window, section=None) -> Window:
+def lift_window_along(alpha: FrameHom, w: Window) -> Window:
     """Lift a target window through a surjection: any invertible entry lift."""
-    sect = section or alpha.section
-    if sect is None:
+    if alpha.section is None:
         raise WindowError("lifting needs a section of the carrier surjection")
-    psi0 = mat_map(sect, w.psi)
-    lifted = window_from_psi(alpha.source, w.d, w.t, psi0)
-    back = base_change(alpha, lifted)
-    if back.psi != w.psi:
+    lifted = window_from_psi(alpha.source, w.d, w.t, mat_map(alpha.section, w.psi))
+    if base_change(alpha, lifted).psi != w.psi:
         raise AssertionError("section failed to lift the structure matrix")
     return lifted
 
 
-def lift_hom_along(
-    alpha: FrameHom,
-    v_src: Window,
-    w_src: Window,
-    G_target,
-    section=None,
-    kernel_elements=None,
-    budget: int = 1 << 14,
-) -> LiftReport:
-    """Lift a window hom along a frame surjection with nilpotent-kernel data.
+def lift_hom_along(alpha: FrameHom, v_src: Window, w_src: Window, G_target, budget: int = 1 << 16) -> LiftReport:
+    """Lift a window hom along a frame surjection: one affine hom system.
 
-    Start from an entrywise section adjusted to preserve the filtration,
-    then cancel the commutation defect by corrections with entries in the
-    kernel N; the search is exhaustive over N-matrices at desk scale, which
-    simultaneously certifies uniqueness (exactly one zero-defect lift).
+    alpha is additive, so on carrier coordinates it is the matrix M whose
+    columns are the target coordinates of alpha on the source's unit
+    coordinate vectors.  The lifts are the source homs G with
+    alpha(G) = G_target, an identity modulo the target's relations: the
+    side rows of `hom_affine` are T @ M on each entry of G and the
+    right-hand side is T @ coords(G_target[i][j]), T the target's
+    `membership_rows()`.  The particular solution is the lift; it is unique
+    when every homogeneous generator decodes to the zero matrix (coordinates
+    alone would not say so where the source has relations).  The budget is
+    that of `hom_affine`.
     """
-    src = alpha.source
-    A = src.A
-    sect = section or alpha.section
-    if sect is None:
-        raise WindowError("lifting needs a section of the carrier surjection")
-    if kernel_elements is None:
-        kernel_elements = _kernel_elements(alpha, budget)
+    A, B = alpha.source.A, alpha.target.A
+    mod = alpha.source.p ** A.coord_precision()
+    nc, nB = A.coord_count(), B.coord_count()
     r_w, r_v = w_src.rank, v_src.rank
-    G0 = mat_map(sect, G_target)
-    G0 = _adjust_filtration(src, v_src, w_src, G0, kernel_elements)
-    n_entries = r_w * r_v
-    if len(kernel_elements) ** n_entries > budget:
-        raise WindowBudgetError("kernel too large for the exhaustive correction search")
-    solutions = []
-    steps = 0
-    for combo in iproduct(kernel_elements, repeat=n_entries):
-        steps += 1
-        H = mat([combo[i * r_v : (i + 1) * r_v] for i in range(r_w)])
-        cand = mat_add(A, G0, H)
-        if not filtration_ok(v_src, w_src, cand):
-            continue
-        if is_window_hom(v_src, w_src, cand):
-            solutions.append(cand)
-    if not solutions:
+    units = (A.from_coords([int(i == j) for i in range(nc)]) for j in range(nc))
+    M = np.array([B.coords(alpha.fn(x)) for x in units], dtype=object).reshape(nc, nB).T
+    T = _membership(alpha.target, B, object)
+    rows = np.kron(np.eye(r_w * r_v, dtype=object), T @ M % mod)
+    targets = np.array([B.coords(x) for row in G_target for x in row], dtype=object).reshape(r_w * r_v, nB)
+    rhs = (targets @ T.T % mod).ravel().tolist()
+    sol = hom_affine(v_src, w_src, rows, rhs, budget)
+    if sol is None:
         raise WindowError("no lift found: no correction makes a window hom")
-    unique = len(solutions) == 1
-    lifted = solutions[0]
+    lifted = _decode_G(A, sol[0], r_w, r_v, nc)
+    zero = mat([[A.zero] * r_v for _ in range(r_w)])
+    kernel = [H for H in (_decode_G(A, g, r_w, r_v, nc) for g in sol[1]) if H != zero]
+    if not is_window_hom(v_src, w_src, lifted):
+        raise AssertionError("hom solver produced a non-hom; solver defect")
     if mat_map(alpha.fn, lifted) != mat(G_target):
         raise AssertionError("lift does not reduce to the input hom")
-    return LiftReport(lifted, steps, unique)
-
-
-def _kernel_elements(alpha: FrameHom, budget: int):
-    tgt_zero = alpha.target.A.zero
-    out = []
-    for i, x in enumerate(alpha.source.A.elements()):
-        if i > budget:
-            raise WindowBudgetError("kernel enumeration exceeded budget")
-        if alpha.fn(x) == tgt_zero:
-            out.append(x)
-    return out
-
-
-def _adjust_filtration(src: Frame, v: Window, w: Window, G, kernel_elements):
-    """Push bottom-left entries into I by a kernel correction when possible."""
-    G = [list(row) for row in G]
-    A = src.A
-    for i in range(w.d, w.rank):
-        for j in range(v.d):
-            if not src.ideal_contains(G[i][j]):
-                fixed = None
-                for k in kernel_elements:
-                    cand = A.add(G[i][j], k)
-                    if src.ideal_contains(cand):
-                        fixed = cand
-                        break
-                if fixed is None:
-                    raise WindowError("cannot adjust filtration: entry not liftable into I")
-                G[i][j] = fixed
-    return mat(G)
+    return LiftReport(lifted, kernel)
 
 
 # -- classification ------------------------------------------------------------------

@@ -4,7 +4,7 @@ import copy
 from itertools import product as iproduct
 
 from crystaframe.linalg import SpanNF, kernel_basis
-from crystaframe.matrices import mat, mat_add
+from crystaframe.matrices import mat, mat_add, mat_map
 from crystaframe.windows import WindowBudgetError, is_phi_hom, is_window_hom
 
 
@@ -82,3 +82,24 @@ def same_span_modulo(base, a, b):
         if not all(span.contains(t) for t in others):
             return False
     return True
+
+
+def lift_hom_exhaustive(alpha, v_src, w_src, G_target, budget=1 << 14):
+    """Every lift of G_target along alpha, by exhausting the corrections.
+
+    A lift is section(G_target) + H with the entries of H in the kernel N
+    of alpha; each of the |N|^(r_w r_v) candidates is tested with
+    `is_window_hom`, which checks the filtration too.
+    """
+    A, zero = alpha.source.A, alpha.target.A.zero
+    r_w, r_v = w_src.rank, v_src.rank
+    N = [x for x in A.elements() if alpha.fn(x) == zero]
+    if len(N) ** (r_w * r_v) > budget:
+        raise WindowBudgetError(f"kernel too large for the exhaustive correction search ({len(N)} elements)")
+    G0 = mat_map(alpha.section, G_target)
+    out = []
+    for combo in iproduct(N, repeat=r_w * r_v):
+        cand = mat_add(A, G0, mat([combo[i * r_v : (i + 1) * r_v] for i in range(r_w)]))
+        if is_window_hom(v_src, w_src, cand):
+            out.append(cand)
+    return out

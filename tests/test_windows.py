@@ -21,6 +21,7 @@ from crystaframe.nabla import NablaContext, square_zero_frame
 from crystaframe.pdenv import PDPresentation, build_pd_envelope, pd_frame
 from crystaframe.residues import GaloisField, Residues
 from crystaframe.scenario import parse_scenario, validate_scenario
+from crystaframe.verify import _eps_deformation
 from crystaframe.windows import (
     ClassTable,
     Window,
@@ -42,7 +43,7 @@ from crystaframe.windows import (
     window_from_raw,
 )
 from crystaframe.witt import WittRing
-from oracles import hom_space_bruteforce
+from oracles import hom_space_bruteforce, lift_hom_exhaustive
 
 
 def zframe(p=2, m=3):
@@ -290,29 +291,8 @@ def test_witt_rank2_table_against_lift_frame_z4():
         assert len(sizes) == 2 and sum(sizes) == c.orbit_size
 
 
-def eps_frames():
-    Re = MonomialAlgebra(Residues(2, 1), [("e", 0, 2)])
-    R0 = MonomialAlgebra(Residues(2, 1), [])
-    src = witt_frame(Re, 2)
-    tgt = witt_frame(R0, 2)
-
-    def proj_comp(c):
-        return tuple(((), v) for exps, v in c if not any(exps))
-
-    def proj(x):
-        return tuple(proj_comp(c) for c in x)
-
-    def sect(x):
-        return tuple(tuple(((0,), v) for _, v in c) for c in x)
-
-    hom = FrameHom(
-        src, tgt, fn=proj, cod_fn=lambda y: tuple(proj_comp(c) for c in y), name="eps->0", section=sect
-    )
-    return src, tgt, hom
-
-
 def test_lift_window_along_eps():
-    src, tgt, hom = eps_frames()
+    src, tgt, hom = _eps_deformation(Residues(2, 1), 2)
     w = window_from_psi(tgt, 1, 0, [[tgt.A.one]])
     lifted = lift_window_along(hom, w)
     assert lifted.frame is src
@@ -320,13 +300,116 @@ def test_lift_window_along_eps():
 
 
 def test_lift_hom_along_eps_identity():
-    src, tgt, hom = eps_frames()
+    src, tgt, hom = _eps_deformation(Residues(2, 1), 2)
     w_t = window_from_psi(tgt, 1, 0, [[tgt.A.one]])
     v_s = lift_window_along(hom, w_t)
     G = mat([[tgt.A.one]])
     rep = lift_hom_along(hom, v_s, v_s, G)
     assert rep.unique
     assert is_window_hom(v_s, v_s, rep.lifted)
+
+
+def test_lift_hom_rejects_a_target_that_is_no_hom():
+    # negative control: over W_2(F_2) = Z/4 the etale windows Psi = 1 and
+    # Psi = -1 have the homs G = -G, so G = 1 is none and cannot lift; nor
+    # can G = 1 from the multiplicative to the etale window, which leaves
+    # the filtration
+    src, tgt, hom = _eps_deformation(Residues(2, 1), 2)
+    B = tgt.A
+    one, minus_one = mat([[B.one]]), mat([[B.neg(B.one)]])
+    cases = [(window_from_psi(tgt, 0, 1, one), window_from_psi(tgt, 0, 1, minus_one))]
+    cases.append((window_from_psi(tgt, 1, 0, one), window_from_psi(tgt, 0, 1, one)))
+    for v_t, w_t in cases:
+        assert not is_window_hom(v_t, w_t, one)
+        v_s, w_s = lift_window_along(hom, v_t), lift_window_along(hom, w_t)
+        with pytest.raises(WindowError, match="no lift found"):
+            lift_hom_along(hom, v_s, w_s, one)
+
+
+def lift_solution_sets(hom, v_t, w_t):
+    """(linear, exhaustive, unique) per hom G of v_t -> w_t: the solution
+    set of `lift_hom_along` (its lift plus the span of its homogeneous
+    generators), the oracle's, and the linear uniqueness verdict."""
+    v_s, w_s = lift_window_along(hom, v_t), lift_window_along(hom, w_t)
+    out = []
+    for G in hom_space(v_t, w_t, budget=1 << 12).elements():
+        rep = lift_hom_along(hom, v_s, w_s, G)
+        span = windows.HomSpace(v_s, w_s, "window", rep.kernel).elements()
+        linear = {mat_add(v_s.frame.A, rep.lifted, H) for H in span}
+        out.append((linear, lift_hom_exhaustive(hom, v_s, w_s, G), rep.unique))
+    return out
+
+
+@pytest.mark.parametrize(
+    "k, n, count",
+    [(Residues(2, 1), 2, 32), (Residues(2, 1), 3, 160), (GaloisField(2, 2), 2, 32)],
+    ids=["W_2(F_2[e])", "W_3(F_2[e])", "W_2(F_4[e])"],
+)
+def test_linear_lift_matches_exhaustive_at_rank1(k, n, count):
+    # every hom between every ordered pair of rank-1 target classes: the
+    # same solution set, and the unique lift `deform-win` counts on
+    src, tgt, hom = _eps_deformation(k, n)
+    classes = classify_windows(tgt, 1, budget=1 << 12).classes
+    lifts = 0
+    for cv, cw in iproduct(classes, repeat=2):
+        v_t, w_t = Window(tgt, cv.d, cv.t, cv.psi), Window(tgt, cw.d, cw.t, cw.psi)
+        for linear, exhaustive, unique in lift_solution_sets(hom, v_t, w_t):
+            assert linear == set(exhaustive) and unique and len(exhaustive) == 1
+            lifts += 1
+    assert lifts == count
+
+
+def seeded_rank2_pairs(tgt, seed, per_sector):
+    """`per_sector` random pairs of rank-2 target windows for each (d_v, d_w)."""
+    rng = random.Random(seed)
+    pool = list(tgt.A.elements())
+
+    def window(d):
+        while True:
+            psi = mat([rng.choices(pool, k=2), rng.choices(pool, k=2)])
+            if is_invertible(tgt.A, psi):
+                return Window(tgt, d, 2 - d, psi)
+
+    return [(window(dv), window(dw)) for dv, dw in iproduct(range(3), repeat=2) for _ in range(per_sector)]
+
+
+def test_rank2_lifts_over_w2_f2_eps_are_not_unique():
+    # ROADMAP item 3: over W_2(F_2[eps]) at rank 2 the linear lifter
+    # and the exhaustive oracle agree, and both find lifts that are not
+    # unique, where v has L-columns and w has T-columns.  The extra homs
+    # have entries such as V(eps) = (0, eps), which vanishes in W_1, the
+    # sigma1 codomain `is_window_hom` compares the L-columns in.
+    src, tgt, hom = _eps_deformation(Residues(2, 1), 2)
+    A = src.A
+    v_eps = A.verschiebung((src.base.monomial((1,), 1),))
+    assert src.reduce_to_codomain(v_eps) == src.sigma1_codomain.zero
+    pairs = seeded_rank2_pairs(tgt, 0, 3)
+    not_unique = set()
+    for v_t, w_t in pairs:
+        for linear, exhaustive, unique in lift_solution_sets(hom, v_t, w_t):
+            assert linear == set(exhaustive) and unique == (len(exhaustive) == 1)
+            if not unique:
+                assert v_t.d > 0 and w_t.t > 0
+                not_unique.add((v_t.d, w_t.d))
+    assert not_unique == {(2, 1), (1, 1), (1, 0)}
+    # the extra hom [[0, V(eps)], [0, 0]], from the (2, 1) sector
+    v_t, w_t = next((v, w) for v, w in pairs if (v.d, w.d) == (2, 1))
+    v_s, w_s = lift_window_along(hom, v_t), lift_window_along(hom, w_t)
+    extra = mat([[A.zero, v_eps], [A.zero, A.zero]])
+    assert is_window_hom(v_s, w_s, extra) and mat_map(hom.fn, extra) == mat([[tgt.A.zero] * 2] * 2)
+
+
+@pytest.mark.slow
+def test_linear_lift_matches_exhaustive_on_w3_f2_eps_rank2():
+    # 8^4 = 4,096 candidates per lift for the oracle; one seeded pair per
+    # (d_v, d_w), whose hom groups hold 19 homs in all
+    src, tgt, hom = _eps_deformation(Residues(2, 1), 3)
+    lifts = 0
+    for v_t, w_t in seeded_rank2_pairs(tgt, 1, 1):
+        for linear, exhaustive, unique in lift_solution_sets(hom, v_t, w_t):
+            assert linear == set(exhaustive) and unique == (len(exhaustive) == 1)
+            lifts += 1
+    assert lifts == 19
 
 
 def test_orbit_bfs_matches_bruteforce_iso_on_z4_rank2():
@@ -378,7 +461,7 @@ def test_window_from_raw_rejects_indivisible_phi():
 
 
 def test_rank1_class_counts_match_across_eps():
-    src, tgt, hom = eps_frames()
+    src, tgt, hom = _eps_deformation(Residues(2, 1), 2)
     t_src = classify_windows(src, 1, budget=1 << 16)
     t_tgt = classify_windows(tgt, 1, budget=1 << 12)
     # per (d, t), class counts agree under base change (rank-1 rigidity)
@@ -869,11 +952,11 @@ def test_membership_rows_of_carrier_relation_spans():
 
 
 def test_hom_affine_pins_coordinates():
-    # `hom_affine` solves the system of `hom_space` with the pinned columns on
-    # the right-hand side: pinned nowhere it spans the hom group; pinned to a
-    # hom's coordinates at entry (0, 0) its particular is a hom taking them
-    # and its kernel the homs vanishing there; pinned to a unit where the
-    # group is zero it has no solution
+    # `hom_affine` with coordinate-selection side rows solves the system of
+    # `hom_space` with those coordinates pinned: pinned nowhere it spans the
+    # hom group; pinned to a hom's coordinates at entry (0, 0) its particular
+    # is a hom taking them and its kernel the homs vanishing there; pinned to
+    # a unit where the group is zero it has no solution
     pairs = list(iproduct(unit_windows(pd_x_frame(2, 2, 2)), repeat=2))
     z8 = zframe(2, 3)
     pairs.append((supersingular(z8), supersingular(z8)))
@@ -889,12 +972,16 @@ def test_hom_affine_pins_coordinates():
         def key(gens):
             return hom_span_key(A, p, m, gens, shape)
 
+        def pinned(values):
+            select = np.eye(w.rank * v.rank * nc, dtype=np.int64)[list(values)]
+            return windows.hom_affine(v, w, select, list(values.values()))
+
         gens = hom_space(v, w).generators
-        part, kernel = windows.hom_affine(v, w, {})
+        part, kernel = pinned({})
         assert key([as_G(g) for g in kernel] + [as_G(part)]) == key(gens)
         for G in gens:
             flat = [c for row in G for x in row for c in A.coords(x)]
-            part, kernel = windows.hom_affine(v, w, {c: flat[c] for c in range(nc)})
+            part, kernel = pinned({c: flat[c] for c in range(nc)})
             P = as_G(part)
             assert part[:nc] == flat[:nc] and is_window_hom(v, w, P)
             assert all(not any(g[:nc]) for g in kernel)
@@ -902,7 +989,7 @@ def test_hom_affine_pins_coordinates():
             assert key(vanishing + [mat_add(A, P, mat_map(A.neg, G))]) == key(vanishing)
             pinned_homs += 1
         if not gens:
-            assert windows.hom_affine(v, w, {0: 1}) is None
+            assert pinned({0: 1}) is None
             empty += 1
     assert pinned_homs >= 100 and empty >= 100, (pinned_homs, empty)
 
