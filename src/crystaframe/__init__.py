@@ -32,7 +32,7 @@ _EXPORTS = {
         integrability_and_qnilpotence pbar0 pbar1 produced_connections solve_connection
         square_zero_frame stratification_to_connection zero_connection""",
     "scenario": "VERIFY_TAGS",
-    "verify": "verify",
+    "batteries": "verify",
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = sorted(_OWNER)
@@ -40,7 +40,7 @@ __all__ = sorted(_OWNER)
 # Modules that no lift-frame scenario runs.  Each is registered in
 # sys.modules now, so tools that look it up there find it, and its body
 # runs on its first attribute access or import (importlib.util.LazyLoader).
-for _name in ("intpoly", "monomial", "witt", "pdenv", "nabla", "verify"):
+for _name in ("intpoly", "monomial", "witt", "pdenv", "nabla", "batteries"):
     if f"{__name__}.{_name}" not in sys.modules:  # not on a reload
         _spec = importlib.util.find_spec(f"{__name__}.{_name}")
         _spec.loader = importlib.util.LazyLoader(_spec.loader)

@@ -110,7 +110,7 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     """The flags become key=value tokens, checked as `command verify` is:
     --grid values first, then --p under the battery's prime keyword."""
-    from .verify import battery_parameters, verify
+    from .batteries import battery_parameters, verify
 
     tokens = args.grid.split(",") if args.grid else []
     given = {tok.split("=", 1)[0] for tok in tokens}

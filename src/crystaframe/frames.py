@@ -4,16 +4,20 @@ A frame couples a carrier ring A, an ideal I with R = A/I, a Frobenius lift
 sigma, and a divided Frobenius sigma1 on I with p*sigma1 = sigma.  Four
 sealed kinds are provided: the Witt frame of a characteristic-p algebra, the
 torsion-free lift frame, the admissible-quotient frame A(K_*), and (from the
-pdenv module) the divided-power frame.  Truncation is honest: where sigma1
-cannot stay at full length (Witt and quotient frames) its values live one
-level down, and every comparison is made in the declared codomain.
+pdenv module) the divided-power frame.
+
+Truncation is honest.  On Witt and quotient frames sigma1 = V^{-1} is
+exact only one level down, and the frame axioms and frame homs compare it
+in that declared codomain.  Window homs need it at full length, and every
+kind supplies that through witnesses (`wit`, `s1`; derivation in
+`windows`): h in A witnesses g = wit(h) and fixes sigma1(g) = s1(h) in A.
 
 sigma1 well-definedness is the delicate point mod p^m: values on certified
 decompositions (p*a with witness a, or v(y) with witness y) are exact, while
 the canonical total map may cost one digit.  Frames expose both routes.
-Finite carriers (Witt rings, quotient carriers, a frame's ideal) get their
-Z/p^m coordinates from one table here (`TableCoords`); the Witt module is
-loaded only by the frames that build Witt vectors.
+Finite carriers (Witt rings, quotient carriers) get their Z/p^m coordinates
+from one table here (`TableCoords`); the Witt module is loaded only by the
+frames that build Witt vectors.
 """
 
 from __future__ import annotations
@@ -92,15 +96,6 @@ class TableCoords:
         return []
 
 
-class TableCarrier(TableCoords):
-    """The elements of `ring` that the callable `elements` lists, with table
-    coordinates at precision n (a frame's ideal or sigma1 codomain)."""
-
-    def __init__(self, ring, elements, n: int):
-        self.p, self.zero, self.add, self.mul = ring.p, ring.zero, ring.add, ring.mul
-        self.elements, self.n = elements, n
-
-
 class FrameError(ValueError):
     pass
 
@@ -120,20 +115,30 @@ class Frame:
         self.depth = depth  # certified applications of sigma1 before exhaustion
         self.ledger = PrecisionLedger(depth + 1)
 
-    # every kind implements: name, p_elt, sigma, sigma1, sigma1_codomain,
-    # reduce_to_codomain, ideal_contains, ideal_spanning, sample_elements and
-    # eq_mod_p.  Only lift frames add the residue map (residue_ring, residue,
-    # section) that normal decompositions need, and sigma1_witnessed.
+    # every kind implements: name, p_elt, sigma, sigma1, ideal_contains,
+    # ideal_spanning, sample_elements and eq_mod_p.  Only lift frames add the
+    # residue map (residue_ring, residue, section) that normal decompositions
+    # need, and sigma1_witnessed.
 
-    @cached_property
-    def ideal_table(self) -> TableCarrier:
-        """The ideal of a finite carrier with table coordinates at its precision."""
-        A = self.A
-        return TableCarrier(A, lambda: filter(self.ideal_contains, A.elements()), A.coord_precision())
+    @property
+    def sigma1_codomain(self):
+        """Where sigma1 is exact: A, but W_{n-1} on Witt and quotient frames."""
+        return self.A
 
-    @cached_property
-    def codomain_table(self) -> TableCarrier:
-        return TableCarrier(self.sigma1_codomain, self.sigma1_codomain.elements, self.A.coord_precision())
+    def reduce_to_codomain(self, x):
+        return x
+
+    # sigma1 at full length through a witness h on the mu-coordinates of A:
+    # additive, with p*s1(h) = sigma(wit(h)); Witt and quotient frames override.
+    def wit(self, h):
+        """The ideal element g that h witnesses: p*h."""
+        return self.A.int_mul(self.p, h)
+
+    def s1(self, h):
+        """sigma1(wit(h)) at full length: sigma(h)."""
+        return self.sigma(h)
+
+    wit_slack = ()  # what the zero witness also witnesses; `wit` is modulo its span
 
     def sigma_linear_defect(self, a, i):
         """sigma1(a*i) - sigma(a)*sigma1(i) in the sigma1 codomain."""
@@ -245,13 +250,6 @@ class LiftFrame(Frame):
     def sigma(self, x):
         return self.sigma_fn(x)
 
-    @property
-    def sigma1_codomain(self):
-        return self.A
-
-    def reduce_to_codomain(self, x):
-        return x
-
     def ideal_contains(self, x) -> bool:
         if self._style == "residue":
             return x % self.p == 0
@@ -304,8 +302,11 @@ class WittFrame(Frame):
 
     sigma is the componentwise Frobenius (the canonical full-length form of
     the truncated F over a char-p base); sigma1 = v^{-1} lands in W_{n-1},
-    so the frame carries a depth budget of n-1 and all comparisons against
-    sigma1 values happen after restriction.
+    so the frame carries a depth budget of n-1 and the frame axioms compare
+    sigma1 values after restriction.  A witness h in W_n witnesses
+    wit(h) = v(h|W_{n-1}), and s1(h) = h is sigma1 = V^{-1} : I_{n+1} -> W_n
+    on its lift v(h).  Over a perfect field this is the lift frame on W_n(k):
+    p = VF, so v(h) = p*F^{-1}(h) with s1(h) = sigma(F^{-1}(h)).
     """
 
     kind = "witt"
@@ -343,6 +344,12 @@ class WittFrame(Frame):
         if not self.ideal_contains(i):
             raise FrameError("sigma1 is only defined on the ideal")
         return tuple(i[1:])
+
+    def wit(self, h):
+        return self.A.verschiebung(self.A.restrict(h, self.n - 1))
+
+    def s1(self, h):
+        return h
 
     def ideal_spanning(self, budget: int = 4096):
         Wm1 = self.A.shorter(self.n - 1)
@@ -548,6 +555,13 @@ class QuotientFrame(Frame):
     the shifted sequence, so distinct witnesses agree in the codomain.  As
     for the Witt frame, S must have characteristic p: otherwise the
     componentwise Frobenius is not a ring map.
+
+    The full-length witnesses are the Witt frame's, taken on canonical
+    representatives: wit(h) = v(h|W_{n-1}) and s1(h) = h.  v does not
+    descend to A(K_*) in general, since K_i need not lie in K_{i+1}; two
+    representatives of h differ by some k in W_n(K_*), and their wit values
+    by v(k|W_{n-1}).  So wit is defined modulo `wit_slack`, the span of
+    those values, and s1(h) does not depend on the representative.
     """
 
     kind = "quotient"
@@ -598,6 +612,28 @@ class QuotientFrame(Frame):
         if i[0] != ():
             raise FrameError("sigma1 is only defined on the ideal")
         return self._codomain.reduce(tuple(i[1:]))
+
+    def wit(self, h):
+        W = self.A.W
+        return self.A.reduce(W.verschiebung(W.restrict(h, self.n - 1)))
+
+    def s1(self, h):
+        return h
+
+    @cached_property
+    def wit_slack(self):
+        """v(y) for y in W_{n-1}(K_0..K_{n-2}), generated by the V^(i+1)[c*m],
+        c a nonzero scalar and m a monomial of K_i (K_i^p <= K_{i+1} makes
+        the Teichmueller sums of such terms differ by higher terms)."""
+        S, A, n = self.seq.S, self.A, self.n
+        out = []
+        for i in range(n - 1):
+            for e in (e for e in S.basis() if self.seq.monomial_in_ideal(e, i)):
+                for c in S.cf.elements():
+                    x = A.reduce(tuple(S.monomial(e, c) if j == i + 1 else S.zero for j in range(n)))
+                    if x != A.zero:
+                        out.append(x)
+        return tuple(out)
 
     def ideal_spanning(self, budget: int = 4096):
         out = []
@@ -790,9 +826,7 @@ def sigma1_nilpotence_index(frame: Frame, N_gens, bound: int | None = None) -> N
 
 
 def _default_bound(frame: Frame) -> int:
-    if hasattr(frame.A, "size"):
-        return max(8, min(frame.A.size(), 4096))
-    return 64
+    return max(8, min(frame.A.size(), 4096))
 
 
 # -- shared sampling helpers -------------------------------------------------
@@ -809,7 +843,7 @@ def _sample(iterable, budget: int):
 
 def _deterministic_sample(carrier, k: int, seed: int):
     """k deterministic elements: the first few plus seeded random picks."""
-    if hasattr(carrier, "size") and carrier.size() <= max(64, k):
+    if carrier.size() <= max(64, k):
         return list(carrier.elements())
     pool = _sample(carrier.elements(), 4 * k + 16)
     rng = random.Random(seed)

@@ -408,6 +408,9 @@ class SquareZeroCarrier:
     def coord_precision(self):
         return self.m
 
+    def size(self) -> int:
+        return self.env.size() * self.env1.size() ** self.k
+
     def _unit_vec(self, i, c=1):
         v = [0] * self.n
         v[i] = c % self.mod
@@ -464,13 +467,6 @@ class SquareZeroFrame(Frame):
     def sigma(self, x):
         a, w = x
         return (self.base_frame.sigma(a), tuple(self.diff.dsigma(tuple(w))))
-
-    @property
-    def sigma1_codomain(self):
-        return self.A
-
-    def reduce_to_codomain(self, x):
-        return x
 
     def ideal_contains(self, x):
         return self.base_frame.ideal_contains(x[0])

@@ -217,7 +217,7 @@ def _cmd_torsion_probe(cmd, sc, frames, homs, windows, report, m_int):
 
 
 def _cmd_verify(cmd, sc, frames, homs, windows, report, m_int):
-    from .verify import verify
+    from .batteries import verify
 
     tag = cmd[1]
     params = {}

@@ -479,7 +479,7 @@ def _validate_command(cmd, frames, homs, windows):
     elif op == "verify":
         if cmd[1] not in VERIFY_TAGS:
             raise ScenarioSemanticError(f"unknown verify tag {cmd[1]!r}")
-        from .verify import battery_parameters
+        from .batteries import battery_parameters
 
         defaults = battery_parameters(cmd[1])
         for tok in cmd[2:]:

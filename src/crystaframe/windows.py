@@ -5,25 +5,42 @@ invertible structure matrix Psi over the frame carrier, with
 Phi = Psi * diag(p 1_d, 1_t) as a sigma-semilinear operator and Phi_1 given
 by Psi on L and by sigma1(a) Phi(x) on I*T.
 
-Window homs mod p^m use existential witness semantics: a matrix G is a hom
-when its ideal-valued entries admit divided-Frobenius witnesses making the
-commutation identities exact.  Linear solvers introduce the witnesses as
-extra unknowns, so every reported hom is certified at full precision; the
-truncation ambiguity of sigma1 never enters silently.  Every hom group is
-solved linearly, never exhausted, over carrier coordinates (table ones,
-`frames.TableCoords`, on Witt and quotient carriers).  Where sigma1 leaves
-the carrier, the witnesses have the ideal's coordinates and the L-column
-rows the sigma1 codomain's, the comparison `is_window_hom` makes there.  A
-coordinate identity holds modulo the carrier relations, so each block of
-rows is multiplied by the relation span's `SpanNF.membership_rows()`: the
-unknowns are G and the witnesses, nothing else.  `hom_affine` solves the
-same system with side rows P*G = b on the coordinates of G: coordinate
-selections pin the D-part of a connection (`nabla`), and deformation
-lifting is one such affine system.  The lifts of a hom G_target along a
-frame surjection alpha are the homs G with alpha(G) = G_target, rows
-alpha's coordinate matrix, so the filtration enters through the witness
-rows; the lift is unique exactly when every homogeneous solution decodes
-to the zero matrix.
+Window homs.  As for Zink's windows ("Windows for displays of p-divisible
+groups", 2001) and Lau's frames ("Frames and finite group schemes over
+complete regular local rings", Doc. Math. 15, 2010), a hom is a matrix G
+that maps M_1 into M_1 (bottom-left entries in I) and commutes with Phi
+and Phi_1.  On T-columns this is the Phi identity; on an L-column j it is
+
+    (G Psi_v)_j = Psi_w (sigma(G_kj) for k < d_w, sigma1(G_kj) for k >= d_w),
+
+an identity in A itself, where Phi_1 takes its values.  It needs sigma1 at
+full length, which a truncated frame lacks: sigma1 = V^{-1} on Witt and
+quotient frames is exact only in W_{n-1}, and dividing by p on lift frames
+is ambiguous modulo p^(m-1).  Lau's truncated displays ("Smoothness of the
+truncated display functor", J. AMS 26, 2013) take sigma1 = V^{-1} :
+I_{n+1} -> W_n on the ideal one level up, at full length: a lift of g in
+I_n to I_{n+1} is a choice of sigma1(g) in W_n.  So a hom must satisfy the
+L-column identity for some choice, made per bottom-left entry g by a
+witness h in A with g = wit(h) and sigma1(g) = s1(h) (`Frame.wit`,
+`Frame.s1`): on Witt and quotient frames g = V(h|W_{n-1}) and s1(h) = h,
+h being the lift; on lift, PD and D(1)_2 frames g = p*h on the
+mu-coordinates and s1(h) = sigma(h), while T-coordinates have an exact
+sigma1 (`sigma1_cert`) and take no witness.  The two agree where the frames
+do: W_2(F_2) is Z/4 with sigma = id, V(h)|W_2 = 2h and sigma1(2h) = h.
+
+Every hom group is solved linearly, never exhausted, over carrier
+coordinates (table ones, `frames.TableCoords`, on Witt and quotient
+carriers), with the witnesses as extra unknowns in A, so every reported hom
+is certified at full length.  A coordinate identity holds modulo the
+carrier relations, so each block of rows is multiplied by the relation
+span's `SpanNF.membership_rows()`: the unknowns are G and the witnesses,
+nothing else.  `hom_affine` solves the same system with side rows P*G = b
+on the coordinates of G: coordinate selections pin the D-part of a
+connection (`nabla`), and deformation lifting is one such affine system.
+The lifts of a hom G_target along a frame surjection alpha are the homs G
+with alpha(G) = G_target, rows alpha's coordinate matrix, so the filtration
+enters through the witness rows; the lift is unique exactly when every
+homogeneous solution decodes to the zero matrix.
 
 Isomorphism testing is by solving for an invertible hom (unit scan on the
 hom space mod p), never by invariants.  Over Z/p^m carriers classification
@@ -41,7 +58,7 @@ it splits M/M_1 with.  Other kinds raise WindowError there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as iproduct
 
 import numpy as np
@@ -90,7 +107,11 @@ class Window:
         return diag(self.frame.A, [self.frame.p_elt] * self.d + [self.frame.A.one] * self.t)
 
     def phi_matrix(self):
-        """Columns Phi(e_j): Psi * diag(p 1_d, 1_t)."""
+        """Columns Phi(e_j): Psi * diag(p 1_d, 1_t), computed once."""
+        return self._phi
+
+    @cached_property
+    def _phi(self):
         return mat_mul(self.frame.A, self.psi, self.delta())
 
 
@@ -104,11 +125,11 @@ def window_from_psi(frame: Frame, d: int, t: int, psi) -> Window:
 
 
 def validate_window(w: Window, n_samples: int = 8, seed: int = 0) -> bool:
-    """Direct check of the window laws at ledger precision.
+    """Direct check of the window laws at full length.
 
-    p*Phi_1 = Phi on the L-basis, Phi_1(a x) = sigma1(a) Phi(x) on sampled
-    ideal elements and basis vectors (compared in the sigma1 codomain), and
-    the spanning condition through invertibility of Psi.
+    p*Phi_1 = Phi on the L-basis; on the T-basis, p*Phi_1(g x) = Phi(g x)
+    for g = wit(h) on sampled witnesses h, that is p*s1(h) Phi(x) =
+    sigma(g) Phi(x); and the spanning condition through invertibility of Psi.
     """
     fr = w.frame
     A = fr.A
@@ -122,18 +143,10 @@ def validate_window(w: Window, n_samples: int = 8, seed: int = 0) -> bool:
         got = tuple(A.int_mul(fr.p, x) for x in mat_col(w.psi, l))
         if got != mat_col(phi, l):
             return False
-    # Phi_1(a e_t) = sigma1(a) Phi(e_t) vs p sigma1 = sigma consistency:
-    # evaluated in the sigma1 codomain on ideal spanning samples
-    cod = fr.sigma1_codomain
-    red = fr.reduce_to_codomain
-    gens = fr.ideal_spanning(64)
-    for k in range(min(n_samples, len(gens))):
-        a = gens[k]
-        s1 = fr.sigma1(a)
+    for h in fr.sample_elements(n_samples, seed):
+        ps1, sg = A.int_mul(fr.p, fr.s1(h)), fr.sigma(fr.wit(h))
         for t in range(w.d, w.rank):
-            lhs = tuple(cod.int_mul(fr.p, cod.mul(s1, red(x))) for x in mat_col(phi, t))
-            rhs = tuple(cod.mul(red(fr.sigma(a)), red(x)) for x in mat_col(phi, t))
-            if lhs != rhs:
+            if any(A.mul(ps1, x) != A.mul(sg, x) for x in mat_col(phi, t)):
                 return False
     return True
 
@@ -166,12 +179,11 @@ def filtration_ok(v: Window, w: Window, G) -> bool:
 def is_window_hom(v: Window, w: Window, G) -> bool:
     """Existential-witness check of the window-hom identities.
 
-    T-columns use the Phi identity at full length; L-columns need
-    divided-Frobenius values on the bottom entries.  Where sigma1 stays in
-    the carrier (lift, PD and D(1)_2 frames) the witnesses are solved for,
-    so a hom is never rejected for carrying a non-minimal witness; Witt and
-    quotient frames have an exact sigma1 one level down, and there the
-    L-columns are compared directly in its codomain.
+    T-columns use the Phi identity at full length, as do the L-columns when
+    w has no T-columns.  Otherwise the L-columns need sigma1 of the bottom
+    entries at full length, and the witnesses that fix it are solved for on
+    every frame kind (`_l_columns_witnessed`), so a hom is never rejected
+    for carrying a non-minimal witness.
     """
     fr = v.frame
     A = fr.A
@@ -184,77 +196,20 @@ def is_window_hom(v: Window, w: Window, G) -> bool:
         rhs = mat_vec(A, phi_w if j >= v.d else w.psi, mat_col(sG, j))
         if mat_vec(A, G, mat_col(v.psi, j)) != rhs:
             return False
-    if v.d == 0 or w.t == 0:
-        return True
-    if fr.sigma1_codomain is A:
-        return _l_columns_witnessed(v, w, G)
-    # exact sigma1 (Witt / quotient): compare in the codomain
-    cod = fr.sigma1_codomain
-    red = fr.reduce_to_codomain
-    psi_w_cod = mat_map(red, w.psi)
-    for j in range(v.d):
-        lhs = tuple(red(x) for x in mat_vec(A, G, mat_col(v.psi, j)))
-        twisted = tuple(
-            red(fr.sigma(G[i][j])) if i < w.d else fr.sigma1(G[i][j])
-            for i in range(w.rank)
-        )
-        rhs = mat_vec(cod, psi_w_cod, twisted)
-        if lhs != rhs:
-            return False
-    return True
+    return v.d == 0 or w.t == 0 or _l_columns_witnessed(v, w, G)
 
 
 def _l_columns_witnessed(v: Window, w: Window, G) -> bool:
-    """Solve for divided-Frobenius witnesses of the fixed matrix G.
-
-    The L-column identities are linear in the witnesses h of the bottom
-    entries (entry mu-coords = p*h); consistency of that system is exactly
-    the existential hom condition.  Each identity holds modulo the carrier
-    relations, so its block of rows is multiplied by `membership_rows()`.
-    """
-    fr = v.frame
-    A = fr.A
-    p, m = fr.p, A.coord_precision()
-    mod = p ** m
-    nc = A.coord_count()
-    mu = np.array(A.mu_indices(), dtype=np.intp)
-    bl = [(i, j) for i in range(w.d, w.rank) for j in range(v.d)]
-    nH = len(bl) * nc
-    dt = exact_dtype(max(nH, nc) * mod * mod)
-    T = _membership(fr, A, dt)
-    s_mu = _op_matrix(fr, "sigma_mu", dt)
-    s1T = _op_matrix(fr, "sigma1_T", dt)
-
-    rows = []
-    rhs = []
-    for j in range(v.d):
-        for irow in range(w.rank):
-            # constant part: (G Psi_j)_irow - sum_k Psi_w[irow][k]*(sigma/sigma1_T part)
-            const = np.array(A.coords(mat_vec(A, G, mat_col(v.psi, j))[irow]), dtype=dt)
-            # unknown part: sum_{k >= d_w} Psi_w[irow][k] * (h_{k,j} . sigma_mu)
-            coeff = np.zeros((nc, nH), dtype=dt)
-            for k in range(w.rank):
-                entry = G[k][j]
-                if k < w.d:
-                    val = A.mul(w.psi[irow][k], fr.sigma(entry))
-                else:
-                    # T-part of sigma1(entry) is linear and known
-                    tpart = s1T @ np.array(A.coords(entry), dtype=dt) % mod
-                    val = A.mul(w.psi[irow][k], A.from_coords(tpart.tolist()))
-                    kk = bl.index((k, j))
-                    Mk = _mult_matrix(fr, A, w.psi[irow][k], dt)
-                    coeff[:, kk * nc : (kk + 1) * nc] = Mk @ s_mu % mod
-                const -= np.array(A.coords(val), dtype=dt)
-            rows.append(T @ coeff % mod)
-            rhs += (T @ const % mod).tolist()
-    # witness parametrization: p * h = mu-part of the entry, coordinatewise
-    for kk, (i, j) in enumerate(bl):
-        ec = A.coords(G[i][j])
-        block = np.zeros((len(mu), nH), dtype=dt)
-        block[np.arange(len(mu)), kk * nc + mu] = p
-        rows.append(block)
-        rhs += [ec[c] % mod for c in mu]
-    return solve(np.concatenate(rows), rhs, p, m) is not None
+    """Whether witnesses exist that make the fixed matrix G solve the hom
+    system of `_hom_rows`: with G's coordinates known the system is linear
+    in the witnesses alone, and its consistency is exactly the existential
+    hom condition."""
+    A = v.frame.A
+    p, m = v.frame.p, A.coord_precision()
+    rows, _ = _hom_rows(v, w, "window")
+    nG = w.rank * v.rank * A.coord_count()
+    g = np.array([c for row in G for x in row for c in A.coords(x)], dtype=rows.dtype)
+    return solve(rows[:, nG:], (-(rows[:, :nG] @ g) % p ** m).tolist(), p, m) is not None
 
 
 # -- hom spaces ----------------------------------------------------------------
@@ -370,11 +325,11 @@ def _hom_rows(v: Window, w: Window, mode: str):
     relations, so its block of rows is the sum of its terms times the
     relation span's `membership_rows()` (the identity on Z/p^m, which has
     none).  Columns: the coordinates of G (entry (i, j), coordinate c at
-    (i*r_v + j)*nc + c), then the witness coordinates.  Where sigma1 leaves
-    the carrier, a witness h has the ideal's coordinates, g = iota(h), and
-    if w has T-columns the L-column rows are mult_C(red a) @ red @ op on G
-    and mult_C(red a) @ sigma1 on h in the sigma1 codomain C.  Returns
-    (rows, column count), rows in `exact_dtype(columns * p^2m)`.
+    (i*r_v + j)*nc + c), then those of the witnesses, in A as G's are.  The
+    last rows tie each bottom-left entry to its witness (`_witness_rows`);
+    rank-1 systems between windows of one shape have no bottom-left entry
+    and build no witness rows.  Returns (rows, column count), rows in
+    `exact_dtype(columns * p^2m)`.
     """
     fr = v.frame
     A = fr.A
@@ -382,46 +337,29 @@ def _hom_rows(v: Window, w: Window, mode: str):
     mod = p ** m
     nc = A.coord_count()
     r_v, r_w = v.rank, w.rank
-    nvar, nG = r_w * r_v, r_w * r_v * nc
+    nG = r_w * r_v * nc
     equations, bl = _hom_equations(r_v, v.d, r_w, w.d, mode)
     src = {"phi_v": v.phi_matrix(), "phi_w": w.phi_matrix(), "psi_v": v.psi, "psi_w": w.psi}
-    level = fr.sigma1_codomain is A
-    C = A if level or w.t == 0 else fr.codomain_table
-    nh = nc if level else fr.ideal_table.coord_count()
-    ncols = nG + len(bl) * nh
+    ncols = nG + len(bl) * nc
     dt = exact_dtype(ncols * mod * mod)
-    T = _membership(fr, A, dt)
-    TC = T if C is A else _membership(fr, C, dt)
-    in_C = [C is not A and eq[0][1] == "psi_v" for eq in equations]
-    starts = np.cumsum([0] + [len(TC) if c else len(T) for c in in_C])
-    # parametrisation of a bottom-left entry g by its witness h: PG g + Ph h = 0
-    if level:  # mu-coords of g = p * those of h
-        PG = np.eye(nc, dtype=dt)[A.mu_indices()]
-        Ph = (-p * PG) % mod
-    else:  # g = iota(h)
-        PG, Ph = T, -(T @ _op_matrix(fr, "iota", dt)) % mod
-    rows = np.zeros((starts[-1] + len(bl) * len(PG), ncols), dtype=dt)
+    T = _membership(fr, dt)
+    PG, Ph = _witness_rows(fr, dt) if bl else (T[:0], T[:0])
+    n_eq = len(equations) * len(T)
+    rows = np.zeros((n_eq + len(bl) * len(PG), ncols), dtype=dt)
     ops = {op: _op_matrix(fr, op, dt) for op in {t[4] for eq in equations for t in eq}}
-    if C is not A:
-        red = _op_matrix(fr, "red", dt)
-        ops_C = {op: red @ M % mod for op, M in ops.items()}
-        ops_C["sigma_mu"] = _op_matrix(fr, "sigma1", dt)
     blocks = {}
     for e, eq in enumerate(equations):
-        out = rows[starts[e] : starts[e + 1]]
+        out = rows[e * len(T) : (e + 1) * len(T)]
         for sign, s, i, j, op, var in eq:
             a = src[s][i][j]
-            key = (in_C[e], a, op)
-            if key not in blocks:  # an L-column row in C multiplies by red(a)
-                Tx, X, x, opx = (TC, C, fr.reduce_to_codomain(a), ops_C) if in_C[e] else (T, A, a, ops)
-                blocks[key] = Tx @ _mult_matrix(fr, X, x, dt) % mod @ opx[op] % mod
-            at = var * nc if var < nvar else nG + (var - nvar) * nh
-            out[:, at : at + blocks[key].shape[1]] += sign * blocks[key]
+            if (a, op) not in blocks:
+                blocks[a, op] = T @ _mult_matrix(fr, a, dt) % mod @ ops[op] % mod
+            out[:, var * nc : (var + 1) * nc] += sign * blocks[a, op]
     rows %= mod
     for kk, (i, j) in enumerate(bl):
-        out = rows[starts[-1] + kk * len(PG) : starts[-1] + (kk + 1) * len(PG)]
+        out = rows[n_eq + kk * len(PG) : n_eq + (kk + 1) * len(PG)]
         out[:, (i * r_v + j) * nc : (i * r_v + j + 1) * nc] = PG
-        out[:, nG + kk * nh : nG + (kk + 1) * nh] = Ph
+        out[:, nG + kk * nc : nG + (kk + 1) * nc] = Ph
     return rows, ncols
 
 
@@ -480,44 +418,67 @@ def _decode_G(A, flat, r_w, r_v, nc):
 
 
 def _op_matrix(fr: Frame, op: str, dt=object):
-    """Coordinate matrix of an operator, as a read-only array in dtype `dt`
-    (Python ints by default), built once per frame, operator and dtype.
+    """Coordinate matrix of an operator on A, as a read-only array in dtype
+    `dt` (Python ints by default), built once per frame, operator and dtype.
 
-    The `_hom_equations` operators act on the carrier A.  Between the table
-    coordinates of A, its ideal I and its sigma1 codomain C there are also
-    "iota" (the inclusion I -> A), "red" (A -> C) and "sigma1" (I -> C).
+    The `_hom_equations` operators are "id", "sigma", "sigma1_T" (the exact
+    sigma1 of the T-coordinates, `sigma1_cert`) and "sigma_mu", the frame's
+    `s1` on the mu-coordinates of a witness: sigma on lift, PD and D(1)_2
+    frames, the identity on Witt and quotient frames.  "wit" maps the
+    mu-coordinates of a witness to the element it witnesses.
     """
     return _frame_array(fr, op, dt, lambda: _op_columns(fr, op))
 
 
 def _op_columns(fr: Frame, op: str):
     A = fr.A
+    n = A.coord_count()
     if op == "id":
-        return np.eye(A.coord_count(), dtype=object)
-    source = fr.ideal_table if op in ("iota", "sigma1") else A
-    target = fr.codomain_table if op in ("red", "sigma1") else A
-    fn = {"iota": lambda x: x, "red": fr.reduce_to_codomain, "sigma1": fr.sigma1}.get(op, fr.sigma)
-    n = source.coord_count()
-    out = np.zeros((target.coord_count(), n), dtype=object)
+        return np.eye(n, dtype=object)
+    out = np.zeros((n, n), dtype=object)
     if op == "sigma1_T":  # Z/p^m has no T coordinates, and no sigma1_cert
         for j in A.t_indices():
             out[:, j] = A.sigma1_cert(j)
         return out
-    for j in A.mu_indices() if op == "sigma_mu" else range(n):
-        out[:, j] = target.coords(fn(source.from_coords([int(i == j) for i in range(n)])))
+    fn = {"sigma": fr.sigma, "sigma_mu": fr.s1, "wit": fr.wit}[op]
+    for j in range(n) if op == "sigma" else A.mu_indices():
+        out[:, j] = A.coords(fn(A.from_coords([int(i == j) for i in range(n)])))
     return out
 
 
-def _mult_matrix(fr: Frame, carrier, a, dt):
-    """mult_matrix(carrier, a), kept per frame as `_op_matrix` keeps operators."""
-    return _frame_array(fr, ("mult", id(carrier), a), dt, lambda: mult_matrix(carrier, a))
+def _witness_rows(fr: Frame, dt):
+    """(PG, PH): the rows PG g + PH h = 0 saying that h witnesses g.
+
+    The mu-coordinates of g and of wit(h) must agree modulo the mu-parts of
+    the carrier relations and of `Frame.wit_slack`, so PG is the membership
+    rows T of their span on the mu-coordinates of g and PH = -T wit.  On
+    Z/p^m this is g - p*h = 0.
+    """
+
+    def build():
+        A = fr.A
+        mu = A.mu_indices()
+        span = SpanNF(len(mu), fr.p, A.coord_precision())
+        for r in list(A.relations.basis()) + [A.coords(x) for x in fr.wit_slack]:
+            span.insert([r[c] for c in mu])
+        T = np.array(span.membership_rows(), dtype=object).reshape(-1, len(mu))
+        PG = T @ np.eye(A.coord_count(), dtype=object)[mu]
+        return np.concatenate([PG, -(PG @ _op_matrix(fr, "wit")) % span.mod], axis=1)
+
+    rows = _frame_array(fr, "witness", dt, build)
+    return np.split(rows, 2, axis=1)
 
 
-def _membership(fr: Frame, carrier, dt):
+def _mult_matrix(fr: Frame, a, dt):
+    """mult_matrix(fr.A, a), kept per frame as `_op_matrix` keeps operators."""
+    return _frame_array(fr, ("mult", a), dt, lambda: mult_matrix(fr.A, a))
+
+
+def _membership(fr: Frame, dt):
     """The carrier's `membership_rows()`, kept as `_mult_matrix` keeps products."""
-    T = carrier.relations.membership_rows
-    n = carrier.coord_count()
-    return _frame_array(fr, ("T", id(carrier)), dt, lambda: np.array(T(), dtype=object).reshape(-1, n))
+    A = fr.A
+    T = A.relations.membership_rows
+    return _frame_array(fr, "T", dt, lambda: np.array(T(), dtype=object).reshape(-1, A.coord_count()))
 
 
 def _frame_array(fr: Frame, key, dt, build):
@@ -637,7 +598,7 @@ def lift_hom_along(alpha: FrameHom, v_src: Window, w_src: Window, G_target, budg
     r_w, r_v = w_src.rank, v_src.rank
     units = (A.from_coords([int(i == j) for i in range(nc)]) for j in range(nc))
     M = np.array([B.coords(alpha.fn(x)) for x in units], dtype=object).reshape(nc, nB).T
-    T = _membership(alpha.target, B, object)
+    T = _membership(alpha.target, object)
     rows = np.kron(np.eye(r_w * r_v, dtype=object), T @ M % mod)
     targets = np.array([B.coords(x) for row in G_target for x in row], dtype=object).reshape(r_w * r_v, nB)
     rhs = (targets @ T.T % mod).ravel().tolist()
@@ -694,7 +655,7 @@ def classify_windows(frame: Frame, rank: int, budget: int = 1 << 21) -> ClassTab
         return table
     # finite carriers: enumerate invertible Psi, test isomorphism by hom scan
     A = frame.A
-    if not hasattr(A, "size") or A.size() ** (rank * rank) > budget:
+    if A.size() ** (rank * rank) > budget:
         raise WindowBudgetError("budget exceeded: carrier too large for classification")
     pool = list(A.elements())
     for d in range(rank, -1, -1):

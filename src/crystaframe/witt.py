@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .frames import TableCarrier, TableCoords  # noqa: F401  (re-exported)
+from .frames import TableCoords
 from .intpoly import IntPolyRing
 
 

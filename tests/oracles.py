@@ -1,10 +1,12 @@
 """Reference implementations that the tests check the fast paths against."""
 
 import copy
+from collections import defaultdict
+from functools import lru_cache
 from itertools import product as iproduct
 
 from crystaframe.linalg import SpanNF, kernel_basis
-from crystaframe.matrices import mat, mat_add, mat_map
+from crystaframe.matrices import mat, mat_add, mat_col, mat_map, mat_vec
 from crystaframe.windows import WindowBudgetError, is_phi_hom, is_window_hom
 
 
@@ -103,3 +105,78 @@ def lift_hom_exhaustive(alpha, v_src, w_src, G_target, budget=1 << 14):
         if is_window_hom(v_src, w_src, cand):
             out.append(cand)
     return out
+
+
+@lru_cache(maxsize=None)
+def witness_sets(fr):
+    """{g: every value of sigma1(g) at full length}, by exhausting the witnesses.
+
+    A witness is the choice of a lift of g one level up.  On a lift frame g =
+    p*h with sigma1(g) = sigma(h), for every h in A.  On a Witt frame g =
+    V(h|W_{n-1}) with sigma1(g) = h.  On a quotient frame A(K_*) the same
+    holds for every Witt vector h' of W_n(S), read in A(K_*): h' is a
+    representative h of A(K_*) plus some k in W_n(K_*), and V(k|W_{n-1})
+    runs over the V(y), y in W_{n-1}(K_0..K_{n-2}), which are enumerated.
+    """
+    A = fr.A
+    by_wit = defaultdict(list)
+    zero_wits = [A.zero]
+    if fr.kind == "lift":
+        for h in A.elements():
+            by_wit[A.int_mul(fr.p, h)].append(fr.sigma(h))
+    elif fr.kind == "witt":
+        for h in A.elements():
+            by_wit[A.verschiebung(A.restrict(h, fr.n - 1))].append(h)
+    else:
+        S, W, seq = fr.seq.S, A.W, fr.seq
+        for h in A.elements():
+            by_wit[A.reduce(W.verschiebung(W.restrict(h, fr.n - 1)))].append(h)
+        ideals = [
+            [x for x in S.elements() if all(seq.monomial_in_ideal(e, i) for e, _ in x)] for i in range(fr.n - 1)
+        ]
+        zero_wits = {A.reduce(W.verschiebung(y)) for y in iproduct(*ideals)}
+    out = defaultdict(set)
+    for g, values in by_wit.items():
+        for z in zero_wits:
+            out[A.add(g, z)].update(values)
+    return out
+
+
+def window_hom_exhaustive(v, w, G):
+    """Whether G is a window hom, with every witness of its entries tried.
+
+    G must map M_1 into M_1 (bottom-left entries in I), commute with Phi on
+    the T-columns, and satisfy G Psi_v = Psi_w (sigma(G_kj) for k < d_w,
+    sigma1(G_kj) for k >= d_w) on each L-column j at full length, for some
+    choice of the sigma1 values among those `witness_sets` lists.
+    """
+    fr = v.frame
+    A = fr.A
+    if any(not fr.ideal_contains(G[i][j]) for i in range(w.d, w.rank) for j in range(v.d)):
+        return False
+    sG = mat_map(fr.sigma, G)
+    phi_w = w.phi_matrix()
+    for j in range(v.d, v.rank):
+        if mat_vec(A, G, mat_col(v.psi, j)) != mat_vec(A, phi_w, mat_col(sG, j)):
+            return False
+    wits = witness_sets(fr)
+    for j in range(v.d):
+        # every value of the right-hand side, one row of Psi_w at a time
+        sums = {(A.zero,) * w.rank}
+        for k in range(w.rank):
+            values = [sG[k][j]] if k < w.d else wits.get(G[k][j], ())
+            terms = {tuple(_mul(A, w.psi[i][k], s) for i in range(w.rank)) for s in values}
+            sums = {tuple(_add(A, x, y) for x, y in zip(a, b)) for a in sums for b in terms}
+        if mat_vec(A, G, mat_col(v.psi, j)) not in sums:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _mul(A, a, b):
+    return A.mul(a, b)
+
+
+@lru_cache(maxsize=None)
+def _add(A, a, b):
+    return A.add(a, b)

@@ -41,7 +41,7 @@ from crystaframe.pdenv import (
     pd_torsion_probe,
 )
 from crystaframe.residues import GaloisField, Residues
-from crystaframe.verify import (
+from crystaframe.batteries import (
     verify_deform_win,
     verify_gamma_vp,
     verify_integrability,

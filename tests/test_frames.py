@@ -16,6 +16,7 @@ from crystaframe.frames import (
     validate_frame_hom,
     witt_frame,
 )
+from crystaframe.linalg import SpanNF
 from crystaframe.monomial import MonomialAlgebra
 from crystaframe.pdenv import PDPresentation, build_pd_envelope, pd_frame
 from crystaframe.residues import GaloisField, Residues
@@ -169,6 +170,41 @@ def test_kernel_of_projection_is_sigma1_stable():
         # but v of a K_1 element is
     k1 = S.zero  # J^2 = 0 here
     assert fr.A.reduce(W.verschiebung((k1,))) == fr.A.zero
+
+
+def test_witness_pair_divides_sigma_by_p():
+    # p*s1(h) = sigma(wit(h)) at full length, on every kind with witnesses
+    S = truncated_semiperfect()
+    pd = pd_frame(build_pd_envelope(PDPresentation(2, 3, ("x",), ((1,),), 6)))
+    for fr in (
+        lift_frame(Residues(2, 3)),
+        lift_frame(WittRing(F4(), 2)),
+        witt_frame(MonomialAlgebra(Residues(2, 1), [("e", 0, 2)]), 2),
+        witt_frame(F2(), 3),
+        admissible_quotient_frame(AdmissibleSequence.minimal(S, [S.gen("Y")], 2), 2),
+        pd,
+    ):
+        A = fr.A
+        for h in fr.sample_elements(12, seed=5):
+            assert fr.ideal_contains(fr.wit(h)), (fr.name, h)
+            assert A.int_mul(fr.p, fr.s1(h)) == fr.sigma(fr.wit(h)), (fr.name, h)
+
+
+def test_quotient_wit_is_defined_modulo_its_slack():
+    # v does not descend to A(K_*): some Witt vectors k of W_2(K_*), which
+    # represent zero, have wit(k) = v(k_0) != 0, as K_0 = (Y) is not inside
+    # K_1 = (Y^2) = 0.  Every such value lies in the span of `wit_slack`.
+    S = truncated_semiperfect()
+    seq = AdmissibleSequence.minimal(S, [S.gen("Y")], 2)
+    fr = admissible_quotient_frame(seq, 2)
+    A = fr.A
+    span = SpanNF(A.coord_count(), fr.p, A.coord_precision())
+    for r in list(A.relations.basis()) + [A.coords(x) for x in fr.wit_slack]:
+        span.insert(r)
+    ideal = [[x for x in S.elements() if all(seq.monomial_in_ideal(e, i) for e, _ in x)] for i in range(2)]
+    values = [fr.wit((k0, k1)) for k0 in ideal[0] for k1 in ideal[1]]
+    assert len(values) == 16 and sum(x != A.zero for x in values) == 15
+    assert all(span.contains(A.coords(x)) for x in values)
 
 
 def test_frame_hom_projection_witt_to_quotient():

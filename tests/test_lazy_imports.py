@@ -47,11 +47,11 @@ EXPORTS = {
         "produced_connections", "solve_connection", "square_zero_frame",
         "stratification_to_connection", "zero_connection",
     ],
-    "verify": ["verify"],
+    "batteries": ["verify"],
 }
 
 # The modules a lift-frame scenario never needs.
-OPTIONAL = {"pdenv", "nabla", "verify", "homsweep", "witt", "monomial", "intpoly"}
+OPTIONAL = {"pdenv", "nabla", "batteries", "homsweep", "witt", "monomial", "intpoly"}
 
 # Runs `crystaframe run <file>` (or, with no file, only imports the package)
 # and prints the crystaframe modules in sys.modules and those whose body ran.

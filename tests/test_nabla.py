@@ -22,7 +22,7 @@ from crystaframe.nabla import (
     zero_connection,
 )
 from crystaframe.pdenv import PDPresentation, build_pd_envelope, pd_frame
-from crystaframe.verify import desk_connection_cases
+from crystaframe.batteries import desk_connection_cases
 from crystaframe.windows import WindowBudgetError, WindowError, window_from_psi
 
 

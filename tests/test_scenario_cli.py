@@ -372,7 +372,7 @@ def test_console_entrypoint():
 
 def test_verify_tags_are_the_batteries():
     from crystaframe.scenario import VERIFY_TAGS
-    from crystaframe.verify import _DISPATCH
+    from crystaframe.batteries import _DISPATCH
 
     assert VERIFY_TAGS == tuple(_DISPATCH)
 

@@ -21,7 +21,7 @@ from crystaframe.nabla import NablaContext, square_zero_frame
 from crystaframe.pdenv import PDPresentation, build_pd_envelope, pd_frame
 from crystaframe.residues import GaloisField, Residues
 from crystaframe.scenario import parse_scenario, validate_scenario
-from crystaframe.verify import _eps_deformation
+from crystaframe.batteries import _eps_deformation
 from crystaframe.windows import (
     ClassTable,
     Window,
@@ -43,7 +43,7 @@ from crystaframe.windows import (
     window_from_raw,
 )
 from crystaframe.witt import WittRing
-from oracles import hom_space_bruteforce, lift_hom_exhaustive
+from oracles import hom_space_bruteforce, lift_hom_exhaustive, window_hom_exhaustive
 
 
 def zframe(p=2, m=3):
@@ -261,34 +261,77 @@ def test_witt_rank1_tables_match_lift_frame(p, n):
     assert class_shape(witt) == class_shape(lift)
 
 
-def test_witt_rank2_table_against_lift_frame_z4():
-    """W_2(F_2) against Z/4 at rank 2 (about 1.5 s, on linear homs).
+def assert_tables_carried(fr_a, table_a, fr_b, table_b, fn):
+    """The ring isomorphism fn: A -> B carries the classes of table_a onto
+    those of table_b bijectively, each onto one of equal orbit size."""
+    assert len(table_a.classes) == len(table_b.classes)
+    hit = set()
+    for c in table_a.classes:
+        img = Window(fr_b, c.d, c.t, mat_map(fn, c.psi))
+        hits = [
+            k
+            for k, r in enumerate(table_b.classes)
+            if (r.d, r.t) == (c.d, c.t) and are_isomorphic(img, Window(fr_b, r.d, r.t, r.psi))
+        ]
+        assert len(hits) == 1, (c.d, c.psi)
+        assert table_b.classes[hits[0]].orbit_size == c.orbit_size
+        hit.add(hits[0])
+    assert hit == set(range(len(table_b.classes)))
 
-    d = 0 and d = 2 agree.  d = 1 does not: the Witt frame compares
-    L-columns exactly one level down, in W_1, while Z/p^m admits existential
-    sigma1 witnesses at full length.  Each Witt class of d = 1 holds two lift
-    classes (the FOUND line on d = 1 rank-2 tables in CHANGES.md).
+
+def assert_witt_tables_match_lift_frame(p, n, rank):
+    """W_n(F_p) and Z/p^n give one class table, carried both ways along k -> k*1."""
+    wf, lf = witt_prime_frame(p, n), zframe(p, n)
+    witt = classify_windows(wf, rank, budget=1 << 22)
+    lift = classify_windows(lf, rank)
+    to_witt = {k: wf.A.embed_int(k) for k in range(p ** n)}
+    to_int = {x: k for k, x in to_witt.items()}
+    assert len(to_int) == p ** n
+    assert_tables_carried(lf, lift, wf, witt, to_witt.__getitem__)
+    assert_tables_carried(wf, witt, lf, lift, to_int.__getitem__)
+    return witt
+
+
+def test_witt_rank2_table_against_lift_frame_z4():
+    """W_2(F_2) against Z/4 at rank <= 2 (about 3 s, on linear homs).
+
+    With sigma1 taken at full length through witnesses on both frames, the
+    identity W_2(F_2) = Z/4 is a frame isomorphism, and the tables agree on
+    every d.  At d = 1 there are 8 classes, where comparing the L-columns in
+    W_1 used to merge them in pairs into 4.
     """
-    wf = witt_prime_frame(2, 2)
-    witt = classify_windows(wf, 2, budget=1 << 22)
-    lift = classify_windows(zframe(2, 2), 2)
-    for d in (0, 2):
-        assert class_shape(witt, d) == class_shape(lift, d)
-        assert len(class_shape(witt, d)) == 14
-    assert class_shape(witt, 1) == [(1, 16), (1, 16), (1, 32), (1, 32)]
-    assert class_shape(lift, 1) == [(1, 8)] * 4 + [(1, 16)] * 4
-    # carry each lift class along the ring isomorphism Z/4 -> W_2(F_2)
-    witt1 = [c for c in witt.classes if c.d == 1]
-    merged = [[] for _ in witt1]
-    for c in lift.classes:
-        if c.d != 1:
-            continue
-        img = Window(wf, c.d, c.t, mat_map(wf.A.embed_int, c.psi))
-        hits = [k for k, r in enumerate(witt1) if are_isomorphic(img, Window(wf, r.d, r.t, r.psi))]
-        assert len(hits) == 1
-        merged[hits[0]].append(c.orbit_size)
-    for c, sizes in zip(witt1, merged):
-        assert len(sizes) == 2 and sum(sizes) == c.orbit_size
+    assert_witt_tables_match_lift_frame(2, 2, 1)
+    witt = assert_witt_tables_match_lift_frame(2, 2, 2)
+    assert class_shape(witt, 1) == [(1, 8)] * 4 + [(1, 16)] * 4
+    assert [len(class_shape(witt, d)) for d in (0, 2)] == [14, 14]
+
+
+def test_witt_rank1_table_against_lift_frame_z8():
+    assert_witt_tables_match_lift_frame(2, 3, 1)
+
+
+@pytest.mark.slow
+def test_witt_rank2_table_against_lift_frame_z8():
+    assert_witt_tables_match_lift_frame(2, 3, 2)
+
+
+def test_lift_frame_over_w2_f4_classifies_as_the_witt_frame():
+    # over a perfect field p = VF, so the identity of W_2(F_4) carries the
+    # full-length witnesses of the Witt frame onto those of the lift frame:
+    # a frame isomorphism, with one class table at rank 1 and one hom group
+    # per seeded rank-2 pair
+    wf, lf = witt_frames()["W_2(F_4)"], witt_frames()["lift W_2(F_4)"]
+    witt, lift = classify_windows(wf, 1), classify_windows(lf, 1)
+    assert_tables_carried(lf, lift, wf, witt, lambda x: x)
+    assert_tables_carried(wf, witt, lf, lift, lambda x: x)
+    rng = random.Random(29)
+    pairs = 0
+    for v, w in iproduct(seeded_witt_windows(wf, rng, 1), repeat=2):
+        if v.rank + w.rank == 4 or rng.random() < 0.3:
+            v_l, w_l = Window(lf, v.d, v.t, v.psi), Window(lf, w.d, w.t, w.psi)
+            assert len(hom_space(v, w).elements()) == len(hom_space(v_l, w_l).elements())
+            pairs += 1
+    assert pairs == 13  # the 9 rank-2 pairs among them
 
 
 def test_lift_window_along_eps():
@@ -374,15 +417,16 @@ def seeded_rank2_pairs(tgt, seed, per_sector):
 
 
 def test_rank2_lifts_over_w2_f2_eps_are_not_unique():
-    # ROADMAP item 3: over W_2(F_2[eps]) at rank 2 the linear lifter
-    # and the exhaustive oracle agree, and both find lifts that are not
-    # unique, where v has L-columns and w has T-columns.  The extra homs
-    # have entries such as V(eps) = (0, eps), which vanishes in W_1, the
-    # sigma1 codomain `is_window_hom` compares the L-columns in.
+    # over W_2(F_2[eps]) at rank 2 the linear lifter and the exhaustive
+    # oracle agree, and both find lifts that are not unique, where v has
+    # L-columns and w has T-columns.  The extra homs are genuine at full
+    # length: a zero bottom-left entry has the witness h = V(eps) = (0, eps),
+    # since wit(h) = V(h|W_1) = 0, and sigma1(0) = s1(h) = V(eps) then feeds
+    # the L-column identity, which a unit of Psi_w carries into a top entry.
     src, tgt, hom = _eps_deformation(Residues(2, 1), 2)
     A = src.A
     v_eps = A.verschiebung((src.base.monomial((1,), 1),))
-    assert src.reduce_to_codomain(v_eps) == src.sigma1_codomain.zero
+    assert src.wit(v_eps) == A.zero and src.s1(v_eps) == v_eps
     pairs = seeded_rank2_pairs(tgt, 0, 3)
     not_unique = set()
     for v_t, w_t in pairs:
@@ -396,20 +440,22 @@ def test_rank2_lifts_over_w2_f2_eps_are_not_unique():
     v_t, w_t = next((v, w) for v, w in pairs if (v.d, w.d) == (2, 1))
     v_s, w_s = lift_window_along(hom, v_t), lift_window_along(hom, w_t)
     extra = mat([[A.zero, v_eps], [A.zero, A.zero]])
-    assert is_window_hom(v_s, w_s, extra) and mat_map(hom.fn, extra) == mat([[tgt.A.zero] * 2] * 2)
+    assert is_window_hom(v_s, w_s, extra) and window_hom_exhaustive(v_s, w_s, extra)
+    assert mat_map(hom.fn, extra) == mat([[tgt.A.zero] * 2] * 2)
 
 
 @pytest.mark.slow
 def test_linear_lift_matches_exhaustive_on_w3_f2_eps_rank2():
     # 8^4 = 4,096 candidates per lift for the oracle; one seeded pair per
-    # (d_v, d_w), whose hom groups hold 19 homs in all
+    # (d_v, d_w), whose hom groups hold 15 homs in all (as many as
+    # `window_hom_exhaustive` accepts)
     src, tgt, hom = _eps_deformation(Residues(2, 1), 3)
     lifts = 0
     for v_t, w_t in seeded_rank2_pairs(tgt, 1, 1):
         for linear, exhaustive, unique in lift_solution_sets(hom, v_t, w_t):
             assert linear == set(exhaustive) and unique == (len(exhaustive) == 1)
             lifts += 1
-    assert lifts == 19
+    assert lifts == 15
 
 
 def test_orbit_bfs_matches_bruteforce_iso_on_z4_rank2():
@@ -630,6 +676,10 @@ def test_hom_space_has_one_linear_path():
     # carrier is probed for coordinates
     assert not hasattr(windows, "_hom_space_bruteforce")
     assert not hasattr(frames, "has_coords")
+    # one window-hom notion: no second set of coordinates for the ideal or
+    # the sigma1 codomain
+    assert not hasattr(frames, "TableCarrier")
+    assert not any(hasattr(frames.Frame, a) for a in ("ideal_table", "codomain_table"))
     fr = zframe(3, 2)
     hs = hom_space(supersingular(fr), supersingular(fr), "window")
     assert not hs.contains_zero_only()
@@ -702,7 +752,7 @@ def seeded_witt_windows(fr, rng, n):
 
 def test_linear_hom_space_matches_bruteforce_on_w2f2_rank2():
     # seeded rank <= 2 pairs over W_2(F_2), every rank-2 class with d = 1
-    # among them: there L-columns compare one level down, in W_1
+    # among them: there L-columns take full-length witnesses
     fr = witt_frames()["W_2(F_2)"]
     reps = [w for w in class_windows(fr, 2) if w.d == 1] + seeded_witt_windows(fr, random.Random(3), 1)
     for v, w in iproduct(reps, repeat=2):
@@ -725,9 +775,8 @@ def seeded_unit_windows(fr, rng, n):
 
 
 def test_linear_hom_space_matches_bruteforce_on_quotient_frame():
-    # window mode from d = 1 to d = 0 over Q: the L-column rows lie in the
-    # sigma1 codomain and the witness in the ideal's own coordinates
-    # (exhausting the 4,096 candidates takes about 1 s)
+    # window mode from d = 1 to d = 0 over Q, where the witness rows hold
+    # modulo `wit_slack` (exhausting the 4,096 candidates takes about 1 s)
     fr = quotient_frame_q()
     v, w = seeded_unit_windows(fr, random.Random(11), 2)
     assert_linear_matches_bruteforce(v, w, "window", 2, 2)
@@ -752,6 +801,75 @@ def test_linear_hom_space_matches_bruteforce_on_w2f4_rank2(name):
     reps = seeded_witt_windows(fr, rng, 1)
     for v, w in iproduct(reps, repeat=2):
         assert_linear_matches_bruteforce(v, w, rng.choice(["window", "phi_module"]), 2, 2)
+
+
+def oracle_frames():
+    """The frames of the full-length witness oracle, by name."""
+    S = MonomialAlgebra(Residues(2, 1), [("Y", 2, 2)])
+    return {
+        "Z/4": zframe(2, 2),
+        "W_2(F_2)": witt_frames()["W_2(F_2)"],
+        "W_2(F_2[e])": witt_frames()["W_2(F_2[e])"],
+        "lift W_2(F_4)": witt_frames()["lift W_2(F_4)"],
+        "Q": admissible_quotient_frame(AdmissibleSequence.minimal(S, [S.gen("Y")], 2), 2),
+    }
+
+
+def assert_oracle_matches_linear_homs(v, w):
+    """Over every candidate G, `is_window_hom` agrees with the exhaustive
+    witness oracle, and the homs it accepts are the group `hom_space` spans."""
+    A = v.frame.A
+    homs = set()
+    for combo in iproduct(list(A.elements()), repeat=w.rank * v.rank):
+        G = mat([combo[i * v.rank : (i + 1) * v.rank] for i in range(w.rank)])
+        verdict = window_hom_exhaustive(v, w, G)
+        assert is_window_hom(v, w, G) == verdict, (v.d, v.psi, w.d, w.psi, G)
+        if verdict:
+            homs.add(G)
+    assert set(hom_space(v, w).elements()) == homs, (v.d, v.psi, w.d, w.psi)
+    return len(homs)
+
+
+def oracle_pairs(fr, rng, big):
+    """Seeded pairs of rank <= 2 windows: all of them over a 4-element
+    carrier; over a larger one (16 elements), those with a rank-1 side, or
+    (big) both sides of rank 2."""
+    ws = seeded_witt_windows(fr, rng, 1)
+    if fr.A.size() <= 4:
+        return list(iproduct(ws, repeat=2))
+    return [(v, w) for v, w in iproduct(ws, repeat=2) if (v.rank + w.rank == 4) == big and v.rank + w.rank > 2]
+
+
+@pytest.mark.parametrize("name", ["Z/4", "W_2(F_2)", "W_2(F_2[e])", "lift W_2(F_4)"])
+def test_window_hom_oracle_matches_linear_homs(name):
+    # the one full-length notion, exhausted: seeded rank <= 2 pairs
+    fr = oracle_frames()[name]
+    homs = 0
+    for v, w in oracle_pairs(fr, random.Random(31), big=False):
+        homs += assert_oracle_matches_linear_homs(v, w)
+    assert homs > 0
+
+
+def test_window_hom_oracle_matches_linear_homs_on_quotient_frame():
+    # d = 1 to d = 0 over Q: the one rank-1 shape with a bottom-left entry,
+    # whose witnesses run over W_2(S), not only over A(K_*) (about 4 s)
+    fr = oracle_frames()["Q"]
+    v, w = seeded_unit_windows(fr, random.Random(11), 2)
+    assert assert_oracle_matches_linear_homs(v, w) > 1
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", ["W_2(F_2[e])", "lift W_2(F_4)", "Q"])
+def test_window_hom_oracle_matches_linear_homs_slow(name):
+    # rank-2 pairs over the 16-element carriers (65,536 candidates each) and
+    # every ordered pair of 4 seeded rank-1 windows over Q
+    fr = oracle_frames()[name]
+    if name == "Q":
+        pairs = iproduct(seeded_unit_windows(fr, random.Random(13), 4), repeat=2)
+    else:
+        pairs = oracle_pairs(fr, random.Random(37), big=True)[:4]
+    for v, w in pairs:
+        assert_oracle_matches_linear_homs(v, w)
 
 
 def test_table_carrier_over_the_budget_raises_before_enumerating():
@@ -1005,15 +1123,12 @@ def protocol_carriers():
         yield fr.A, fr.sample_elements(6, seed=3)
         sz = square_zero_frame(fr, NablaContext(fr).diff)
         yield sz.A, sz.sample_elements(6, seed=3)
-    # table coordinates: a Witt ring with relations, a quotient carrier, and
-    # a frame's ideal and sigma1 codomain
+    # table coordinates: a Witt ring with relations and a quotient carrier
     eps = witt_frame(MonomialAlgebra(Residues(2, 1), [("e", 0, 2)]), 2)
     yield eps.A, eps.sample_elements(8, seed=3)
     S = MonomialAlgebra(Residues(2, 1), [("Y", 2, 2)])
     quot = admissible_quotient_frame(AdmissibleSequence.minimal(S, [S.gen("Y")], 2), 2)
     yield quot.A, quot.sample_elements(8, seed=3)
-    yield quot.ideal_table, quot.ideal_spanning(8)
-    yield eps.codomain_table, list(eps.sigma1_codomain.elements())
 
 
 def test_coordinate_protocol_conformance():
@@ -1026,6 +1141,8 @@ def test_coordinate_protocol_conformance():
         rels = SpanNF(n, p, m)
         for r in A.relations.basis():
             rels.insert(r)
+        # size() counts the elements: p^e for each cyclic factor Z/p^e
+        assert A.size() == np.prod([p ** e for e in rels.smith()[3]], dtype=object), A
         for a in samples:
             assert len(A.coords(a)) == n
             assert A.from_coords(A.coords(a)) == a, (A, a)
