@@ -647,10 +647,8 @@ def classify_windows(frame: Frame, rank: int, budget: int = 1 << 21) -> ClassTab
         table.classes.append(WindowClass(0, 0, mat([]), 1))
         return table
     if isinstance(frame.A, Residues):
-        for d in range(rank, -1, -1):
-            t = rank - d
-            for psi, orbit in _orbits_zpm(frame, d, t, rank, budget):
-                table.classes.append(WindowClass(d, t, psi, orbit))
+        for d, orbits in enumerate(_orbits_zpm(frame, rank, budget)):
+            table.classes += [WindowClass(d, rank - d, psi, orbit) for psi, orbit in orbits]
         table.classes.sort(key=lambda c: (-c.d, c.psi))
         return table
     # finite carriers: enumerate invertible Psi, test isomorphism by hom scan
@@ -881,12 +879,16 @@ def _primitive_root(p: int):
 
 
 def _orbit_steps(frame: Frame, d: int, rank: int):
-    """Steps (G, W^{-1}) of the twisted action Psi -> G Psi W^{-1} over Z/p^m.
+    """A generating set of steps (G, W^{-1}) of the twisted action Psi -> G Psi W^{-1} over Z/p^m.
 
-    G runs over a generating set of the filtration-preserving invertibles
-    and their inverses, with W = W(G) applying sigma/sigma1 to the columns
-    per the normal decomposition; then come witness twists (G = 1) that
-    absorb the sigma1 ambiguity of the minimal-witness choice.
+    G runs over generators of the filtration-preserving invertibles (unit
+    diagonals, and elementary matrices with p in the bottom-left block),
+    with W = W(G) applying sigma/sigma1 to the columns per the normal
+    decomposition; then come witness twists (G = 1) that absorb the sigma1
+    ambiguity of the minimal-witness choice.  (Over Z/p^m a twist is also
+    redundant: the p^(m-1)-th power of the step of G = 1 + p E_il is the
+    inverse twist.)  Generators only, no inverses: each step permutes the
+    invertible Psi, and `_components` walks every step both ways.
     """
     A = frame.A
     p, m = A.p, A.m
@@ -905,84 +907,51 @@ def _orbit_steps(frame: Frame, d: int, rank: int):
             cols.append(col)
         return from_cols(cols)
 
-    # generating set of the filtration-preserving invertibles
-    gens = []
-    for u in _unit_group_generators(p, m):
-        for pos in range(rank):
-            D = [[A.one if i == j else A.zero for j in range(rank)] for i in range(rank)]
-            D[pos][pos] = u % mod
-            gens.append(mat(D))
-    for i in range(rank):
-        for j in range(rank):
-            if i == j:
-                continue
-            val = 1 if not (i >= d and j < d) else p % mod
-            if val == 0:
-                continue
-            E = [[A.one if a == b else A.zero for b in range(rank)] for a in range(rank)]
-            E[i][j] = val
-            gens.append(mat(E))
-            E2 = [[A.one if a == b else A.zero for b in range(rank)] for a in range(rank)]
-            E2[i][j] = (-val) % mod
-            gens.append(mat(E2))
-    steps = []
-    for G in gens:
-        W = w_of(G)
-        Winv = mat_inverse(A, W)
-        Ginv = mat_inverse(A, G)
-        if Winv is None or Ginv is None:
-            continue
-        steps.append((G, Winv))
-        Wg_inv = mat_inverse(A, w_of(Ginv))
-        if Wg_inv is not None:
-            steps.append((Ginv, Wg_inv))
-    # witness twists: right-multiply by (1 +/- p^{m-1} E_{il}) for T-rows i, L-cols l
-    tw = p ** (m - 1)
     eye = identity(A, rank)
-    for i in range(d, rank):
-        for l in range(d):
-            for s in (tw, (-tw) % mod):
-                T = [list(row) for row in eye]
-                T[i][l] = s
-                steps.append((eye, mat(T)))
+
+    def elementary(i, j, val):
+        E = [list(row) for row in eye]
+        E[i][j] = val
+        return mat(E)
+
+    gens = [elementary(pos, pos, u % mod) for u in _unit_group_generators(p, m) for pos in range(rank)]
+    gens += [elementary(i, j, p if i >= d > j else 1) for i in range(rank) for j in range(rank) if i != j]
+    # W(G) of a unit diagonal or an elementary matrix is diagonal or unipotent
+    steps = [(G, mat_inverse(A, w_of(G))) for G in gens]
+    # witness twists: right-multiply by 1 + p^{m-1} E_{il} for T-rows i, L-cols l
+    steps += [(eye, elementary(i, l, p ** (m - 1))) for i in range(d, rank) for l in range(d)]
     return steps
 
 
-def _orbits_zpm(frame: Frame, d: int, t: int, rank: int, budget: int):
-    """Orbits of the twisted action on invertible Psi over Z/p^m.
+def _orbits_zpm(frame: Frame, rank: int, budget: int):
+    """Orbits of the twisted action on invertible Psi over Z/p^m, per sector d.
 
-    The steps are those of `_orbit_steps`.  Each Psi is the integer whose
-    base-p^m digits are its entries in row-major order, first entry most
+    One candidate set per call: the invertible Psi are built once and
+    shared by the rank + 1 sectors.  Each Psi is the integer whose base-p^m
+    digits are its entries in row-major order, first entry most
     significant, so index order is the lexicographic order of matrices.  A
-    step is linear in the entries of Psi, so it becomes one vectorised map
-    from the indices of all invertible Psi to the indices of their images;
-    an image that is not invertible raises.  G and W^{-1} are invertible, so
-    every step is a bijection of the finite set of invertible Psi, some
-    power of it is its inverse, and the orbits (the sets reachable by steps)
-    are the connected components of the graph with an edge from each Psi to
-    each of its images.  They are found by min-label propagation with
-    pointer jumping (Shiloach-Vishkin): each Psi pulls the smallest label of
-    its images and then the label of its label, until nothing changes, so
-    each orbit ends up labelled by its smallest index.  Returns
-    (representative, orbit size) pairs, the representative being the
-    orbit's least matrix, in increasing order.
+    step of `_orbit_steps` is linear in the entries of Psi, so it becomes
+    one vectorised map from the indices of all invertible Psi to the
+    indices of their images; an image that is not invertible raises.  G and
+    W^{-1} are invertible, so every map permutes the candidates, and the
+    orbits are the connected components `_components` finds from the
+    generators alone.  Sectors with the same steps share their orbits.
+    Returns, for d = 0..rank, the (representative, orbit size) pairs, the
+    representative being the orbit's least matrix, in increasing order.
     """
     p, mod = frame.A.p, frame.A.modulus
     n2 = rank * rank
-    if mod ** n2 > budget:
+    size = mod ** n2
+    if size > budget:
         raise WindowBudgetError("budget exceeded for orbit enumeration")
-    steps = _orbit_steps(frame, d, rank)
 
     # candidates: the invertible Psi, as the entry columns of their indices
-    size = mod ** n2
     dt = int_dtype(n2 * (mod - 1) ** 2)
     digits = np.indices((mod,) * n2, dtype=dt).reshape(n2, size)
-    if rank == 1:
-        dets = digits[0]
-    else:
-        dets = digits[0] * digits[3] - digits[1] * digits[2]
+    dets = digits[0] if rank == 1 else digits[0] * digits[3] - digits[1] * digits[2]
     index = np.flatnonzero(dets % p)
     entries = digits[:, index]
+    del digits, dets
     n = index.size
     idx = int_dtype(size)
     position = np.full(size, -1, dtype=idx)
@@ -993,8 +962,8 @@ def _orbits_zpm(frame: Frame, d: int, t: int, rank: int, budget: int):
     term = np.empty(n, dtype=dt)
     reduce = mod_reducer(mod, term)  # clobbers term
     cells = [(i, j) for i in range(rank) for j in range(rank)]
-    maps = []
-    for G, Winv in steps:
+
+    def index_map(G, Winv):
         image = np.zeros(n, dtype=idx)
         for i, j in cells:
             acc.fill(0)
@@ -1009,23 +978,43 @@ def _orbits_zpm(frame: Frame, d: int, t: int, rank: int, budget: int):
         image = position.take(image)
         if (image < 0).any():
             raise AssertionError("orbit left the invertible set")
-        maps.append(image)
+        return image
 
-    # orbits = components: pull labels along every map, then jump
-    label = np.arange(n, dtype=idx)
+    sectors, orbits = [], {}
+    for d in range(rank + 1):
+        steps = tuple(_orbit_steps(frame, d, rank))
+        if steps not in orbits:
+            label = _components(n, [index_map(G, Winv) for G, Winv in steps])
+            reps = np.flatnonzero(label == np.arange(n))
+            sizes = np.bincount(label)[reps]
+            orbits[steps] = [
+                (mat(entries[:, r].reshape(rank, rank).tolist()), int(k)) for r, k in zip(reps, sizes)
+            ]
+        sectors.append(orbits[steps])
+    return sectors
+
+
+def _components(n: int, maps):
+    """Connected components of the graph on range(n) that the permutations `maps` span.
+
+    Orbits of a finite group are the components of the undirected graph
+    with an edge from each point to its image under each generator, so no
+    inverse maps are needed: each map is walked both ways.  Min-label
+    propagation with pointer jumping (Shiloach-Vishkin): along each map f a
+    point pulls m = min(label, label[f]) and pushes label[f] = min(label[f],
+    m), then every label jumps to its label's label, until nothing changes.
+    Returns the labels: each component is labelled by its least point.
+    """
+    label = np.arange(n, dtype=int_dtype(n))
     while True:
         before = label.copy()
         for f in maps:
             np.minimum(label, label.take(f), out=label)
+            label[f] = np.minimum(label.take(f), label)
         while True:
             jumped = label.take(label)
             if np.array_equal(jumped, label):
                 break
             label = jumped
         if np.array_equal(label, before):
-            break
-    reps, sizes = np.unique(label, return_counts=True)
-    return [
-        (mat(entries[:, r].reshape(rank, rank).tolist()), int(k))
-        for r, k in zip(reps, sizes)
-    ]
+            return label

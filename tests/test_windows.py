@@ -15,7 +15,7 @@ from crystaframe.frames import (
 )
 from crystaframe.homsweep import _build_systems, _phi_scaled
 from crystaframe.linalg import SpanNF, batch_kernel, diagonalize, kernel_basis
-from crystaframe.matrices import identity, is_invertible, mat, mat_add, mat_map, mat_mul, mult_matrix
+from crystaframe.matrices import identity, is_invertible, mat, mat_add, mat_inverse, mat_map, mat_mul, mult_matrix
 from crystaframe.monomial import MonomialAlgebra
 from crystaframe.nabla import NablaContext, square_zero_frame
 from crystaframe.pdenv import PDPresentation, build_pd_envelope, pd_frame
@@ -609,11 +609,11 @@ def _order_gl(r, p, m):
 def test_orbit_enumeration_matches_bfs_reference(p, m):
     fr = zframe(p, m)
     for rank in (1, 2):
-        total = 0
-        for d in range(rank + 1):
-            got = windows._orbits_zpm(fr, d, rank - d, rank, 1 << 22)
+        sectors = windows._orbits_zpm(fr, rank, 1 << 22)
+        assert len(sectors) == rank + 1
+        for d, got in enumerate(sectors):
             assert got == _orbits_bfs_reference(fr, d, rank)
-            total += sum(size for _, size in got)
+        total = sum(size for got in sectors for _, size in got)
         assert total == (rank + 1) * _order_gl(rank, p, m)
 
 
@@ -624,7 +624,84 @@ def test_orbit_enumeration_checks_every_image(monkeypatch):
     steps = windows._orbit_steps(fr, 1, 2)
     monkeypatch.setattr(windows, "_orbit_steps", lambda *args: steps + [singular])
     with pytest.raises(AssertionError, match="left the invertible set"):
-        windows._orbits_zpm(fr, 1, 1, 2, 1 << 22)
+        windows._orbits_zpm(fr, 2, 1 << 22)
+
+
+def _w_of(frame, d, G):
+    """W(G) of the twisted action: sigma on the entries of G, divided by p in
+    its bottom-left block and multiplied by p in its top-right block."""
+    p, mod = frame.A.p, frame.A.modulus
+
+    def entry(x, i, j):
+        if (i < d) == (j < d):
+            return frame.sigma(x)
+        return frame.sigma(x // p) if j < d else p * frame.sigma(x) % mod
+
+    return mat([[entry(x, i, j) for j, x in enumerate(row)] for i, row in enumerate(G)])
+
+
+@pytest.mark.parametrize("p, m", [(2, 3), (3, 2)])
+def test_orbits_do_not_depend_on_the_generating_set(monkeypatch, p, m):
+    # the step list with each generator's inverse step (G^-1, W(G^-1)^-1)
+    # and the negative witness twists appended spans the same orbits
+    fr = zframe(p, m)
+    A = fr.A
+    generators = windows._orbit_steps
+
+    def with_inverses(frame, d, rank):
+        steps = generators(frame, d, rank)
+        eye = identity(A, rank)
+        inverses = []
+        for G, Winv in steps:
+            if G == eye:  # a witness twist 1 + p^(m-1) E: its inverse twist
+                inverses.append((eye, mat_inverse(A, Winv)))
+            else:
+                Ginv = mat_inverse(A, G)
+                inverses.append((Ginv, mat_inverse(A, _w_of(frame, d, Ginv))))
+        return steps + inverses
+
+    want = windows._orbits_zpm(fr, 2, 1 << 22)
+    monkeypatch.setattr(windows, "_orbit_steps", with_inverses)
+    assert len(with_inverses(fr, 1, 2)) == 2 * len(generators(fr, 1, 2))
+    assert windows._orbits_zpm(fr, 2, 1 << 22) == want
+
+
+def _twisted_group_order(A, d, rank):
+    """|G_d| = |P_d(A)| * |K|^(d*t) over A = Z/p^m, in closed form.
+
+    P_d(A) holds the invertible G with bottom-left block in pA, and
+    K = p^(m-1)A the witnesses of zero (p*h = 0).  At rank 1 or d in {0, r}
+    this is |GL_r(A)|; at rank 2 and d = 1 it is |A^x|^2 |A| |pA| p.
+    """
+    p, m = A.p, A.m
+    if rank == 1 or d in (0, rank):
+        return _order_gl(rank, p, m)
+    return (p ** m - p ** (m - 1)) ** 2 * p ** m * p ** (m - 1) * p
+
+
+def assert_orbit_stabilizer(fr, rank):
+    """orbit_size * |Aut(v)| = |G_d| for every class of the table.
+
+    The stabilizer of Psi under the twisted action is Aut(v), counted here
+    as the invertible elements of the solved End(v), and |G_d| is taken in
+    closed form: the check shares nothing with the orbit steps.
+    """
+    table = classify_windows(fr, rank, budget=1 << 22)
+    for c in table.classes:
+        v = Window(fr, c.d, c.t, c.psi)
+        aut = sum(1 for g in hom_space(v, v).elements() if is_invertible(fr.A, g))
+        assert c.orbit_size * aut == _twisted_group_order(fr.A, c.d, rank), (c.d, c.psi)
+
+
+@pytest.mark.parametrize("p, m, rank", [(2, 2, 1), (2, 2, 2), (2, 3, 1), (3, 2, 1), (3, 3, 1)])
+def test_class_tables_satisfy_orbit_stabilizer(p, m, rank):
+    assert_orbit_stabilizer(zframe(p, m), rank)
+
+
+@pytest.mark.slow
+def test_z8_rank2_table_satisfies_orbit_stabilizer():
+    # 152 classes, one End(v) of up to 8^4 elements each (about 12 s)
+    assert_orbit_stabilizer(zframe(2, 3), 2)
 
 
 def test_classification_budget_and_rank_errors():
