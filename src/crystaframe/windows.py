@@ -43,12 +43,10 @@ enters through the witness rows; the lift is unique exactly when every
 homogeneous solution decodes to the zero matrix.
 
 Isomorphism testing is by solving for an invertible hom (unit scan on the
-hom space mod p), never by invariants.  Over Z/p^m carriers classification
-finds the orbits of candidate Psi under the twisted right-action
-Psi -> G Psi W(G)^{-1} of the filtration-preserving invertibles, as
-connected components of vectorised index maps.  Witt and quotient carriers
-are classified by pairwise isomorphism tests instead: each invertible Psi
-is tested against the representatives found so far.
+hom space mod p), never by invariants.  Classification finds, on every
+finite carrier, the orbits of the invertible Psi under the twisted action
+Psi -> G Psi W(G)^{-1} of the filtration-preserving invertibles: connected
+components of index maps vectorised over the carrier's tables.
 
 Raw-form normalisation (`window_from_raw` through `normal_decomposition`)
 is for lift frames, over Z/p^m or W_n(k): only they carry the residue map
@@ -60,6 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product as iproduct
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -80,7 +79,6 @@ from .matrices import (
     mat_vec,
     mult_matrix,
 )
-from .residues import Residues
 
 
 class WindowError(ValueError):
@@ -482,11 +480,17 @@ def _membership(fr: Frame, dt):
 
 
 def _frame_array(fr: Frame, key, dt, build):
+    return _per_frame(fr, (key, dt), lambda: np.array(build(), dtype=dt))
+
+
+def _per_frame(fr: Frame, key, build):
+    """build(), computed once per frame and key; an array comes read-only."""
     cache = fr.__dict__.setdefault("_coord_arrays", {})
-    if (key, dt) not in cache:
-        cache[key, dt] = np.array(build(), dtype=dt)
-        cache[key, dt].flags.writeable = False
-    return cache[key, dt]
+    if key not in cache:
+        cache[key] = build()
+        if isinstance(cache[key], np.ndarray):
+            cache[key].flags.writeable = False
+    return cache[key]
 
 
 # -- F and V -------------------------------------------------------------------
@@ -632,12 +636,10 @@ class ClassTable:
     rank: int
     classes: list = field(default_factory=list)
 
-    def counts(self):
-        return {(c.d, c.t): sum(1 for x in self.classes if (x.d, x.t) == (c.d, c.t)) for c in self.classes}
-
 
 def classify_windows(frame: Frame, rank: int, budget: int = 1 << 21) -> ClassTable:
-    """Isomorphism classes of rank-r windows, by exhaustive orbit enumeration."""
+    """Isomorphism classes of rank-r windows over a finite carrier: the orbits
+    of `_orbits`, each represented by its least Psi in element order."""
     if rank < 0:
         raise WindowError(f"rank must be non-negative, got {rank}")
     if rank > 2:
@@ -646,36 +648,8 @@ def classify_windows(frame: Frame, rank: int, budget: int = 1 << 21) -> ClassTab
     if rank == 0:
         table.classes.append(WindowClass(0, 0, mat([]), 1))
         return table
-    if isinstance(frame.A, Residues):
-        for d, orbits in enumerate(_orbits_zpm(frame, rank, budget)):
-            table.classes += [WindowClass(d, rank - d, psi, orbit) for psi, orbit in orbits]
-        table.classes.sort(key=lambda c: (-c.d, c.psi))
-        return table
-    # finite carriers: enumerate invertible Psi, test isomorphism by hom scan
-    A = frame.A
-    if A.size() ** (rank * rank) > budget:
-        raise WindowBudgetError("budget exceeded: carrier too large for classification")
-    pool = list(A.elements())
-    for d in range(rank, -1, -1):
-        t = rank - d
-        reps = []
-        orbit_counts = []
-        for combo in iproduct(pool, repeat=rank * rank):
-            psi = mat([combo[i * rank : (i + 1) * rank] for i in range(rank)])
-            if not is_invertible(A, psi):
-                continue
-            cand = Window(frame, d, t, psi)
-            placed = False
-            for k, rep in enumerate(reps):
-                if are_isomorphic(rep, cand):
-                    orbit_counts[k] += 1
-                    placed = True
-                    break
-            if not placed:
-                reps.append(cand)
-                orbit_counts.append(1)
-        for rep, cnt in zip(reps, orbit_counts):
-            table.classes.append(WindowClass(d, t, rep.psi, cnt))
+    for d, orbits in enumerate(_orbits(frame, rank, budget)):
+        table.classes += [WindowClass(d, rank - d, psi, orbit) for psi, orbit in orbits]
     table.classes.sort(key=lambda c: (-c.d, c.psi))
     return table
 
@@ -853,128 +827,152 @@ def _divide_by_p(frame: Frame, x):
     return A.from_coords([c // frame.p for c in coords])
 
 
-def _unit_group_generators(p: int, m: int):
-    mod = p ** m
-    if mod == 2:
-        return [1]
-    if p == 2:
-        gens = [mod - 1]
-        if m >= 3:
-            gens.append(5)
-        return gens
-    g = _primitive_root(p)
-    return [g]
+def _carrier_tables(fr: Frame):
+    """Once per frame: `elements` in order, their `coords`, `unit` mask and
+    `code` (coordinates in mixed radix `weight`, which `order` inverts), and
+    each coordinate's order `radix`, read off relations that must be the
+    p^e e_a alone."""
+
+    def build():
+        A = fr.A
+        nc, rel = A.coord_count(), A.relations
+        if any(sum(map(bool, row)) > 1 for row in rel.reduced_basis()):
+            raise WindowError(f"classification needs coordinates in cyclic factors, which {A!r} lacks")
+        radix = np.array([fr.p ** rel.pivots().get(a, A.coord_precision()) for a in range(nc)])
+        elements = list(A.elements())
+        coords = np.array([A.coords(x) for x in elements], dtype=int_dtype(radix.max())).reshape(-1, nc)
+        weight = np.cumprod(np.concatenate([[1], radix[:0:-1]]))[::-1]
+        code = coords @ weight
+        order = np.argsort(code)
+        if not np.array_equal(code[order], np.arange(len(elements))):
+            raise AssertionError("carrier coordinates are not a bijection")
+        unit = np.array([A.is_unit(x) for x in elements])
+        return SimpleNamespace(elements=elements, coords=coords, unit=unit, radix=radix, weight=weight,
+                               code=code, order=order)
+
+    return _per_frame(fr, "tables", build)
 
 
-def _primitive_root(p: int):
-    for g in range(2, p):
-        seen = set()
-        x = 1
-        for _ in range(p - 1):
-            x = x * g % p
-            seen.add(x)
-        if len(seen) == p - 1:
-            return g
-    raise AssertionError("no primitive root found")
+def _times(fr: Frame, c):
+    """The element indices of c*x, for every element x in order."""
+    tab = _carrier_tables(fr)
+    return tab.order[(tab.coords @ _mult_matrix(fr, c, np.int64).T) % tab.radix @ tab.weight]
+
+
+def _unit_generators(fr: Frame):
+    """Units in element order outside the subgroup their predecessors generate."""
+    tab = _carrier_tables(fr)
+    gens, reached = [], np.arange(len(tab.elements)) == tab.elements.index(fr.A.one)
+    for u in np.flatnonzero(tab.unit):
+        if not reached[u]:  # A^x is abelian: close the subgroup under u alone
+            gens.append(tab.elements[u])
+            f = _times(fr, gens[-1])
+            while not reached[f[reached]].all():
+                reached[f[reached]] = True
+    return gens
 
 
 def _orbit_steps(frame: Frame, d: int, rank: int):
-    """A generating set of steps (G, W^{-1}) of the twisted action Psi -> G Psi W^{-1} over Z/p^m.
+    """Generators (G, W(G)^{-1}) of the twisted action Psi -> G Psi W(G)^{-1}, once per frame, d and rank.
 
-    G runs over generators of the filtration-preserving invertibles (unit
-    diagonals, and elementary matrices with p in the bottom-left block),
-    with W = W(G) applying sigma/sigma1 to the columns per the normal
-    decomposition; then come witness twists (G = 1) that absorb the sigma1
-    ambiguity of the minimal-witness choice.  (Over Z/p^m a twist is also
-    redundant: the p^(m-1)-th power of the step of G = 1 + p E_il is the
-    inverse twist.)  Generators only, no inverses: each step permutes the
-    invertible Psi, and `_components` walks every step both ways.
+    W(G) is sigma of G, times p top-right and sigma1 bottom-left.  G runs
+    over unit diagonals (`_unit_generators`), elementary 1 + bE over the
+    coordinate basis b off the bottom-left block, and in it the pairs
+    (1 + wit(h)E, 1 + s1(h)E) over the mu-basis h, (1 + tE, 1 + sigma1(t)E)
+    over the T-basis t and (1 + sE, 1) for s in `Frame.wit_slack` (witnessed
+    by 0).  As E^2 = 0 and wit, s1 are additive, these generate every
+    (1 + wit(h)E, 1 + s1(h)E), the witness twists (wit(h) = 0) among them.
     """
-    A = frame.A
-    p, m = A.p, A.m
-    mod = A.modulus
 
-    def w_of(G):
-        cols = []
-        for j in range(rank):
-            col = []
-            for i in range(rank):
-                x = G[i][j]
-                if j < d:
-                    col.append(frame.sigma(x) if i < d else frame.sigma(x // p))
-                else:
-                    col.append((p * frame.sigma(x)) % mod if i < d else frame.sigma(x))
-            cols.append(col)
-        return from_cols(cols)
+    def build():
+        A, nc = frame.A, frame.A.coord_count()
+        basis = [A.from_coords([int(a == b) for a in range(nc)]) for b in range(nc)]
+        eye = identity(A, rank)
 
-    eye = identity(A, rank)
+        def step(i, j, g, w):
+            G, Winv = [list(row) for row in eye], [list(row) for row in eye]
+            G[i][j], Winv[i][j] = g, A.inv(w) if i == j else A.neg(w)
+            return mat(G), mat(Winv)
 
-    def elementary(i, j, val):
-        E = [list(row) for row in eye]
-        E[i][j] = val
-        return mat(E)
+        steps = [step(i, i, u, frame.sigma(u)) for u in _unit_generators(frame) for i in range(rank)]
+        for i, j in ((i, j) for i in range(rank) for j in range(rank) if i != j):
+            if i >= d > j:
+                pairs = [(frame.wit(basis[b]), frame.s1(basis[b])) for b in A.mu_indices()]
+                pairs += [(basis[b], A.from_coords(A.sigma1_cert(b))) for b in A.t_indices()]
+                pairs += [(s, A.zero) for s in frame.wit_slack]
+            else:
+                pairs = [(b, A.int_mul(frame.p if i < d <= j else 1, frame.sigma(b))) for b in basis]
+            steps += [step(i, j, g, w) for g, w in pairs]
+        return tuple(steps)
 
-    gens = [elementary(pos, pos, u % mod) for u in _unit_group_generators(p, m) for pos in range(rank)]
-    gens += [elementary(i, j, p if i >= d > j else 1) for i in range(rank) for j in range(rank) if i != j]
-    # W(G) of a unit diagonal or an elementary matrix is diagonal or unipotent
-    steps = [(G, mat_inverse(A, w_of(G))) for G in gens]
-    # witness twists: right-multiply by 1 + p^{m-1} E_{il} for T-rows i, L-cols l
-    steps += [(eye, elementary(i, l, p ** (m - 1))) for i in range(d, rank) for l in range(d)]
-    return steps
+    return list(_per_frame(frame, ("steps", d, rank), build))
 
 
-def _orbits_zpm(frame: Frame, rank: int, budget: int):
-    """Orbits of the twisted action on invertible Psi over Z/p^m, per sector d.
+def _step_terms(fr: Frame, G, Winv):
+    """Psi -> G Psi Winv on coordinates, once per frame and step: per cell
+    (i, j) and coordinate a, the nonzero (b, c) of row a of the blocks
+    `mult_matrix`(G[i][k] Winv[l][j]), b = e*nc + coordinate of e = (k, l)."""
 
-    One candidate set per call: the invertible Psi are built once and
-    shared by the rank + 1 sectors.  Each Psi is the integer whose base-p^m
-    digits are its entries in row-major order, first entry most
-    significant, so index order is the lexicographic order of matrices.  A
-    step of `_orbit_steps` is linear in the entries of Psi, so it becomes
-    one vectorised map from the indices of all invertible Psi to the
-    indices of their images; an image that is not invertible raises.  G and
-    W^{-1} are invertible, so every map permutes the candidates, and the
-    orbits are the connected components `_components` finds from the
-    generators alone.  Sectors with the same steps share their orbits.
-    Returns, for d = 0..rank, the (representative, orbit size) pairs, the
-    representative being the orbit's least matrix, in increasing order.
+    def build():
+        A, cells = fr.A, [(i, j) for i in range(len(G)) for j in range(len(G))]
+        blocks = ([_mult_matrix(fr, A.mul(G[i][k], Winv[l][j]), np.int64) for k, l in cells] for i, j in cells)
+        return [[[(int(b), int(row[b])) for b in np.flatnonzero(row)] for row in np.hstack(K)] for K in blocks]
+
+    return _per_frame(fr, ("step", G, Winv), build)
+
+
+def _orbits(frame: Frame, rank: int, budget: int):
+    """Orbits of the twisted action on invertible Psi: per sector d = 0..rank,
+    the (least member in element order, orbit size) pairs, in that order.
+
+    The candidates, built once per call from the carrier's tables, are the
+    invertible Psi (unit entry, or unit determinant from product and
+    difference tables) numbered in element order.  A step is linear on
+    coordinates (`_step_terms`): one vectorised map to the positions of the
+    images, found by their entry codes (an element of Z/p^m is its own
+    code); an image outside the candidates raises.  `_components` finds
+    the orbits; sectors with the same steps share them.
     """
-    p, mod = frame.A.p, frame.A.modulus
-    n2 = rank * rank
-    size = mod ** n2
-    if size > budget:
+    N, n2 = frame.A.size(), rank * rank
+    if N ** n2 > budget:
         raise WindowBudgetError("budget exceeded for orbit enumeration")
-
-    # candidates: the invertible Psi, as the entry columns of their indices
-    dt = int_dtype(n2 * (mod - 1) ** 2)
-    digits = np.indices((mod,) * n2, dtype=dt).reshape(n2, size)
-    dets = digits[0] if rank == 1 else digits[0] * digits[3] - digits[1] * digits[2]
-    index = np.flatnonzero(dets % p)
-    entries = digits[:, index]
-    del digits, dets
-    n = index.size
-    idx = int_dtype(size)
-    position = np.full(size, -1, dtype=idx)
-    position[index] = np.arange(n)
-
-    # one index map per step: the entries of G Psi Winv are linear in Psi's
-    acc = np.empty(n, dtype=dt)
-    term = np.empty(n, dtype=dt)
-    reduce = mod_reducer(mod, term)  # clobbers term
-    cells = [(i, j) for i in range(rank) for j in range(rank)]
+    tab = _carrier_tables(frame)
+    if rank == 1:
+        ok = tab.unit
+    else:  # det [[a, b], [c, d]] on the axes (a, d, b, c)
+        prod, unit_diff = _per_frame(frame, "ring", lambda: (
+            np.array([_times(frame, x) for x in tab.elements]).ravel(),
+            tab.unit[tab.order[(tab.coords[:, None] - tab.coords[None]) % tab.radix @ tab.weight]],
+        ))
+        ok = unit_diff[prod[:, None], prod[None]].reshape((N,) * 4).transpose(0, 2, 3, 1)
+    number = np.flatnonzero(ok)
+    n = number.size
+    entries = np.empty((n2, n), dtype=int_dtype(N))  # the entries' element indices
+    for e in reversed(range(n2)):
+        number, entries[e] = np.divmod(number, N)
+    idx, code = int_dtype(N ** n2), 0
+    for row in entries:  # each candidate's entry codes, in mixed radix N
+        code = code * N + tab.code[row]
+    position = np.full(N ** n2, -1, dtype=idx)
+    position[code] = np.arange(n)
+    nc = len(tab.radix)
+    dt = int_dtype(n2 * nc * int(tab.radix.max() - 1) ** 2)
+    X = tab.coords[entries].transpose(0, 2, 1).reshape(n2 * nc, n).astype(dt, copy=False)
+    del ok, number, entries, code  # X alone (row e*nc + b: coordinate b of entry e) stays
+    acc, term = np.empty((2, n), dtype=dt)
+    reducers = {q: mod_reducer(int(q), term) for q in set(tab.radix)}  # they clobber term
 
     def index_map(G, Winv):
         image = np.zeros(n, dtype=idx)
-        for i, j in cells:
-            acc.fill(0)
-            for e, (k, l) in enumerate(cells):
-                c = G[i][k] * Winv[l][j] % mod
-                if c:
-                    np.multiply(entries[e], c, out=term)
+        for cell in _step_terms(frame, G, Winv):
+            image *= N
+            for a, terms in enumerate(cell):
+                acc.fill(0)
+                for r, c in terms:
+                    np.multiply(X[r], c, out=term)
                     np.add(acc, term, out=acc)
-            reduce(acc)
-            image *= mod
-            image += acc
+                reducers[tab.radix[a]](acc)
+                image += acc if tab.weight[a] == 1 else acc * tab.weight[a]
         image = position.take(image)
         if (image < 0).any():
             raise AssertionError("orbit left the invertible set")
@@ -986,9 +984,10 @@ def _orbits_zpm(frame: Frame, rank: int, budget: int):
         if steps not in orbits:
             label = _components(n, [index_map(G, Winv) for G, Winv in steps])
             reps = np.flatnonzero(label == np.arange(n))
-            sizes = np.bincount(label)[reps]
+            psis = tab.order[(X[:, reps].reshape(n2, nc, -1) * tab.weight[:, None]).sum(1)].T.tolist()
             orbits[steps] = [
-                (mat(entries[:, r].reshape(rank, rank).tolist()), int(k)) for r, k in zip(reps, sizes)
+                (mat([[tab.elements[x] for x in psi[i * rank : (i + 1) * rank]] for i in range(rank)]), k)
+                for psi, k in zip(psis, np.bincount(label)[reps].tolist())
             ]
         sectors.append(orbits[steps])
     return sectors

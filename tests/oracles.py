@@ -6,8 +6,17 @@ from functools import lru_cache
 from itertools import product as iproduct
 
 from crystaframe.linalg import SpanNF, kernel_basis
-from crystaframe.matrices import mat, mat_add, mat_col, mat_map, mat_vec
-from crystaframe.windows import WindowBudgetError, is_phi_hom, is_window_hom
+from crystaframe.matrices import is_invertible, mat, mat_add, mat_col, mat_map, mat_vec
+from crystaframe.windows import (
+    ClassTable,
+    Window,
+    WindowBudgetError,
+    WindowClass,
+    WindowError,
+    are_isomorphic,
+    is_phi_hom,
+    is_window_hom,
+)
 
 
 def hom_space_bruteforce(v, w, mode, budget=1 << 16):
@@ -38,6 +47,46 @@ def hom_space_bruteforce(v, w, mode, budget=1 << 16):
             cur = mat_add(A, cur, s)
         span = new
     return gens
+
+
+def classify_pairwise(frame, rank, budget=1 << 21):
+    """Isomorphism classes by pairwise scan: each invertible Psi, in element
+    order, is tested with `are_isomorphic` against the representatives found
+    so far, so each class is represented by its first member and counted."""
+    if rank < 0:
+        raise WindowError(f"rank must be non-negative, got {rank}")
+    if rank > 2:
+        raise WindowError("classification is desk-scale: rank <= 2")
+    table = ClassTable(frame.name, rank)
+    if rank == 0:
+        table.classes.append(WindowClass(0, 0, mat([]), 1))
+        return table
+    A = frame.A
+    if A.size() ** (rank * rank) > budget:
+        raise WindowBudgetError("budget exceeded: carrier too large for classification")
+    pool = list(A.elements())
+    for d in range(rank, -1, -1):
+        t = rank - d
+        reps = []
+        orbit_counts = []
+        for combo in iproduct(pool, repeat=rank * rank):
+            psi = mat([combo[i * rank : (i + 1) * rank] for i in range(rank)])
+            if not is_invertible(A, psi):
+                continue
+            cand = Window(frame, d, t, psi)
+            placed = False
+            for k, rep in enumerate(reps):
+                if are_isomorphic(rep, cand):
+                    orbit_counts[k] += 1
+                    placed = True
+                    break
+            if not placed:
+                reps.append(cand)
+                orbit_counts.append(1)
+        for rep, cnt in zip(reps, orbit_counts):
+            table.classes.append(WindowClass(d, t, rep.psi, cnt))
+    table.classes.sort(key=lambda c: (-c.d, c.psi))
+    return table
 
 
 def p_torsion_kernel(rel_rows, ncols, p, m):

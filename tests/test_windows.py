@@ -43,7 +43,7 @@ from crystaframe.windows import (
     window_from_raw,
 )
 from crystaframe.witt import WittRing
-from oracles import hom_space_bruteforce, lift_hom_exhaustive, window_hom_exhaustive
+from oracles import classify_pairwise, hom_space_bruteforce, lift_hom_exhaustive, window_hom_exhaustive
 
 
 def zframe(p=2, m=3):
@@ -537,7 +537,7 @@ def test_rank1_class_counts_match_across_eps():
 
 
 def _orbits_bfs_reference(frame, d, rank):
-    """Pure-Python orbit BFS over integer tuples: the oracle for `_orbits_zpm`.
+    """Pure-Python orbit BFS over integer tuples: the oracle for `_orbits` on Z/p^m.
 
     Same steps, same output: (least matrix of the orbit, orbit size) in
     increasing order of the representative.
@@ -609,7 +609,7 @@ def _order_gl(r, p, m):
 def test_orbit_enumeration_matches_bfs_reference(p, m):
     fr = zframe(p, m)
     for rank in (1, 2):
-        sectors = windows._orbits_zpm(fr, rank, 1 << 22)
+        sectors = windows._orbits(fr, rank, 1 << 22)
         assert len(sectors) == rank + 1
         for d, got in enumerate(sectors):
             assert got == _orbits_bfs_reference(fr, d, rank)
@@ -624,7 +624,7 @@ def test_orbit_enumeration_checks_every_image(monkeypatch):
     steps = windows._orbit_steps(fr, 1, 2)
     monkeypatch.setattr(windows, "_orbit_steps", lambda *args: steps + [singular])
     with pytest.raises(AssertionError, match="left the invertible set"):
-        windows._orbits_zpm(fr, 2, 1 << 22)
+        windows._orbits(fr, 2, 1 << 22)
 
 
 def _w_of(frame, d, G):
@@ -643,7 +643,7 @@ def _w_of(frame, d, G):
 @pytest.mark.parametrize("p, m", [(2, 3), (3, 2)])
 def test_orbits_do_not_depend_on_the_generating_set(monkeypatch, p, m):
     # the step list with each generator's inverse step (G^-1, W(G^-1)^-1)
-    # and the negative witness twists appended spans the same orbits
+    # appended spans the same orbits
     fr = zframe(p, m)
     A = fr.A
     generators = windows._orbit_steps
@@ -653,30 +653,39 @@ def test_orbits_do_not_depend_on_the_generating_set(monkeypatch, p, m):
         eye = identity(A, rank)
         inverses = []
         for G, Winv in steps:
-            if G == eye:  # a witness twist 1 + p^(m-1) E: its inverse twist
-                inverses.append((eye, mat_inverse(A, Winv)))
-            else:
-                Ginv = mat_inverse(A, G)
-                inverses.append((Ginv, mat_inverse(A, _w_of(frame, d, Ginv))))
+            assert G != eye  # no witness twist: the bottom-left steps generate them
+            Ginv = mat_inverse(A, G)
+            inverses.append((Ginv, mat_inverse(A, _w_of(frame, d, Ginv))))
         return steps + inverses
 
-    want = windows._orbits_zpm(fr, 2, 1 << 22)
+    want = windows._orbits(fr, 2, 1 << 22)
     monkeypatch.setattr(windows, "_orbit_steps", with_inverses)
     assert len(with_inverses(fr, 1, 2)) == 2 * len(generators(fr, 1, 2))
-    assert windows._orbits_zpm(fr, 2, 1 << 22) == want
+    assert windows._orbits(fr, 2, 1 << 22) == want
 
 
-def _twisted_group_order(A, d, rank):
-    """|G_d| = |P_d(A)| * |K|^(d*t) over A = Z/p^m, in closed form.
+def _twisted_group_order(fr, d, rank):
+    """|G_d| = |P_d(A)| * |K|^(d*t) over a finite local carrier A, in closed form.
 
-    P_d(A) holds the invertible G with bottom-left block in pA, and
-    K = p^(m-1)A the witnesses of zero (p*h = 0).  At rank 1 or d in {0, r}
-    this is |GL_r(A)|; at rank 2 and d = 1 it is |A^x|^2 |A| |pA| p.
+    P_d(A) holds the invertible G with bottom-left block in I, and K the
+    witnesses of zero (wit(h) = 0, h on the mu-coordinates), with |A^x|,
+    |I| and |K| counted on the elements.  At rank 1 or d in {0, r} this is
+    |GL_r(A)| = |m|^(r^2) |GL_r(k)|, m the maximal ideal and k = A/m; at
+    rank 2 and d = 1 it is |A^x|^2 |A| |I| |K|.
     """
-    p, m = A.p, A.m
+    A = fr.A
+    elements = list(A.elements())
+    units = sum(1 for x in elements if A.is_unit(x))
     if rank == 1 or d in (0, rank):
-        return _order_gl(rank, p, m)
-    return (p ** m - p ** (m - 1)) ** 2 * p ** m * p ** (m - 1) * p
+        maximal = len(elements) - units
+        k = len(elements) // maximal
+        order = maximal ** (rank * rank)
+        for i in range(rank):
+            order *= k ** rank - k ** i
+        return order
+    ideal = sum(1 for x in elements if fr.ideal_contains(x))
+    kernel = sum(1 for h in elements if fr.wit(h) == A.zero and not any(A.coords(h)[i] for i in A.t_indices()))
+    return units ** 2 * len(elements) * ideal * kernel
 
 
 def assert_orbit_stabilizer(fr, rank):
@@ -690,7 +699,7 @@ def assert_orbit_stabilizer(fr, rank):
     for c in table.classes:
         v = Window(fr, c.d, c.t, c.psi)
         aut = sum(1 for g in hom_space(v, v).elements() if is_invertible(fr.A, g))
-        assert c.orbit_size * aut == _twisted_group_order(fr.A, c.d, rank), (c.d, c.psi)
+        assert c.orbit_size * aut == _twisted_group_order(fr, c.d, rank), (c.d, c.psi)
 
 
 @pytest.mark.parametrize("p, m, rank", [(2, 2, 1), (2, 2, 2), (2, 3, 1), (3, 2, 1), (3, 3, 1)])
@@ -704,11 +713,102 @@ def test_z8_rank2_table_satisfies_orbit_stabilizer():
     assert_orbit_stabilizer(zframe(2, 3), 2)
 
 
+def test_finite_class_tables_satisfy_orbit_stabilizer():
+    # the closed form counts |A^x|, |I| and |K| on the carrier: W_2(F_2) and
+    # the 8-element quotient frame at rank <= 2, three more Witt frames at
+    # rank 1
+    fr, quotient = witt_frames()["W_2(F_2)"], quotient_frame(("Y", 0, 2))
+    assert [_twisted_group_order(fr, d, 2) for d in (0, 1, 2)] == [96, 64, 96]
+    assert [_twisted_group_order(quotient, d, 2) for d in (0, 1, 2)] == [1536, 2048, 1536]
+    for rank in (1, 2):
+        assert_orbit_stabilizer(fr, rank)
+        assert_orbit_stabilizer(quotient, rank)
+    for name in ("W_2(F_2[e])", "W_2(F_4)", "W_3(F_2)"):
+        assert_orbit_stabilizer(witt_frames()[name], 1)
+
+
+def test_pd_rank2_table_satisfies_orbit_stabilizer():
+    # Z/4<x> at cap 2 has a T-coordinate: the steps (1 + tE, 1 + sigma1(t)E)
+    # are needed at d = 1
+    fr = pd_frame(build_pd_envelope(PDPresentation(2, 2, ("x",), ((1,),), 2)))
+    assert [_twisted_group_order(fr, d, 2) for d in (0, 1, 2)] == [24576, 16384, 24576]
+    assert_orbit_stabilizer(fr, 2)
+
+
+def quotient_frame(decl):
+    """The quotient frame of AdmissibleSequence.minimal(F_2[Y], [Y], 2), Y
+    declared as `decl`: ("Y", 0, 2) gives 8 elements, ("Y", 1, 2) 64."""
+    S = MonomialAlgebra(Residues(2, 1), [decl])
+    return admissible_quotient_frame(AdmissibleSequence.minimal(S, [S.gen("Y")], 2), 2)
+
+
+def oracle_class_frames():
+    """The frames whose rank-1 tables the pairwise scan checks, by name."""
+    F4e = MonomialAlgebra(GaloisField(2, 2), [("e", 0, 2)])
+    return {
+        **witt_frames(),
+        "W_2(F_4[e])": witt_frame(F4e, 2),
+        "W_3(F_2[e])": witt_frame(MonomialAlgebra(Residues(2, 1), [("e", 0, 2)]), 3),
+        "Q_8": quotient_frame(("Y", 0, 2)),
+        "Q_64": quotient_frame(("Y", 1, 2)),
+        "PD Z/4<x>": pd_frame(build_pd_envelope(PDPresentation(2, 2, ("x",), ((1,),), 3))),
+    }
+
+
+def table_rows(table):
+    return [(c.d, c.t, c.psi, c.orbit_size) for c in table.classes]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["W_2(F_2)", "W_2(F_3)", "W_3(F_2)", "W_2(F_4)", "W_2(F_2[e])", "lift W_2(F_4)", "W_2(F_4[e])", "W_3(F_2[e])",
+     "Q_8", "Q_64", "PD Z/4<x>"],
+)
+def test_orbit_tables_match_the_pairwise_scan(name):
+    # representatives, order and orbit sizes, against `are_isomorphic` on
+    # every candidate (W_2(F_4[e]), 256 elements, takes about 1 s)
+    fr = oracle_class_frames()[name]
+    assert table_rows(classify_windows(fr, 1)) == table_rows(classify_pairwise(fr, 1))
+
+
+def test_w2f2_rank2_table_matches_the_pairwise_scan():
+    fr = witt_frames()["W_2(F_2)"]
+    assert table_rows(classify_windows(fr, 2)) == table_rows(classify_pairwise(fr, 2))
+
+
+def test_quotient_frame_rank2_table():
+    # 8 elements: the slack steps (1 + sE, 1) are what merges the d = 1
+    # classes in pairs (without them, 40 classes)
+    table = classify_windows(quotient_frame(("Y", 0, 2)), 2)
+    assert len(table.classes) == 36
+    assert class_shape(table, 1) == [(1, 128)] * 4 + [(1, 256)] * 4
+
+
+@pytest.mark.slow
+def test_quotient_frame_rank2_table_matches_the_pairwise_scan():
+    # 4,096 candidates per sector against the representatives (about 55 s)
+    fr = quotient_frame(("Y", 0, 2))
+    assert table_rows(classify_windows(fr, 2)) == table_rows(classify_pairwise(fr, 2))
+
+
+def test_classification_has_one_path(monkeypatch):
+    # Witt carriers run the orbit search too: no isomorphism test is made
+    def refuse(*args):
+        raise AssertionError("classification called are_isomorphic")
+
+    monkeypatch.setattr(windows, "are_isomorphic", refuse)
+    table = classify_windows(witt_frames()["W_2(F_3)"], 1)
+    assert sum(c.orbit_size for c in table.classes) == 2 * 6
+    for name in ("_unit_group_generators", "_primitive_root", "_orbits_zpm"):
+        assert not hasattr(windows, name)
+
+
 def test_classification_budget_and_rank_errors():
     fr = zframe(2, 2)
-    with pytest.raises(WindowBudgetError) as exc:
-        classify_windows(fr, 2, budget=16)
-    assert isinstance(exc.value, BudgetError) and isinstance(exc.value, WindowError)
+    for frame in (fr, witt_frames()["W_2(F_2)"]):
+        with pytest.raises(WindowBudgetError) as exc:
+            classify_windows(frame, 2, budget=16)
+        assert isinstance(exc.value, BudgetError) and isinstance(exc.value, WindowError)
     with pytest.raises(WindowError):
         classify_windows(fr, -1)
     with pytest.raises(WindowError):
