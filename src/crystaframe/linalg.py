@@ -5,9 +5,11 @@ of minimal p-valuation as pivot.  Everything a module computation needs --
 kernels, solving, span membership, quotient structure, unique normal forms
 -- reduces to the elimination core `_eliminate` or to the Howell-style row
 span `SpanNF`.  A span that is a direct sum over a grading of the columns is
-a `GradedSpan`, one `SpanNF` per grade: many small blocks, diagonalized in
-one stacked `_eliminate` (`_smith_forms`) and reduced in one stacked pass
-(`reduce_stacked`).
+a `GradedSpan`, one `SpanNF` per grade: many small blocks, brought to their
+reduced Howell forms in one stacked pass (`extend_stacked`; Howell, "Spans
+in the module (Z_m)^s", 1986), diagonalized in one stacked `_eliminate`
+(`_smith_forms`) and reduced in one stacked pass (`reduce_stacked`).
+`SpanNF.insert` adds one row at a time, for callers that grow a span so.
 
 `_eliminate` is the one elimination loop.  It diagonalizes a stack of N
 matrices stored along the last axis of a numpy array.  `batch_kernel` runs
@@ -176,8 +178,11 @@ class SpanNF:
 
     `reduce`, `reduced_basis()`, `smith()`, `membership_rows()` and
     `p_torsion()` are canonical: they depend only on the span.  `basis()` is
-    not: a stored row is never reduced at pivot columns placed after it, so
-    the same span inserted in another order can give other rows.
+    not: `insert` never reduces a stored row at pivot columns placed after
+    it, so the same span inserted in another order can give other rows.
+    `extend_stacked` stores the reduced Howell form, so right after it
+    `basis()` is `reduced_basis()`; a later `insert` works on it as on any
+    other span.
     """
 
     def __init__(self, ncols: int, p: int, m: int):
@@ -362,9 +367,11 @@ class GradedSpan:
     meeting two grades is refused.  A `SpanNF` keeps a homogeneous row in
     its grade, so with the same rows in the same order per grade, `reduce`,
     `basis()`, `reduced_basis()` and `pivots()` are the flat span's, byte
-    for byte.  The Smith form of the sum is the blocks' Smith forms, from
-    one `_smith_forms` pass in place of one ncols x ncols `diagonalize`;
-    `membership_rows()` and `p_torsion()` are the blocks' own, embedded.
+    for byte.  `extend_stacked(blocks, ...)` adds rows in block coordinates
+    to many blocks at once.  The Smith form of the sum is the blocks' Smith
+    forms, from one `_smith_forms` pass in place of one ncols x ncols
+    `diagonalize`; `membership_rows()` and `p_torsion()` are the blocks'
+    own, embedded.
     """
 
     def __init__(self, grades, p: int, m: int):
@@ -466,20 +473,85 @@ def reduce_stacked(spans, which, X) -> np.ndarray:
     row there, with divisor p^m.
     """
     p, mod = spans[0].p, spans[0].mod
-    shape = (len(spans), max(len(s.rows) for s in spans))
-    lead, div = np.zeros(shape, dtype=np.intp), np.full(shape, mod, dtype=object)
-    R = np.zeros(shape + (X.shape[1],), dtype=object)
-    for g, s in enumerate(spans):
-        for t, at in enumerate(sorted(s.rows)):
-            e, row = s.rows[at]
-            lead[g, t], div[g, t], R[g, t, : len(row)] = at, p**e, row
-    dt = exact_dtype(mod**2)
-    X, div, R = X.astype(dt), div.astype(dt), R.astype(dt)
+    dt, w = exact_dtype(mod**2), X.shape[1]
+    steps = [
+        (g, t, at, p**e, row) for g, s in enumerate(spans) for t, (at, (e, row)) in enumerate(sorted(s.rows.items()))
+    ]
+    shape = (len(spans), max((t + 1 for _, t, *_ in steps), default=0))
+    lead, div, R = np.zeros(shape, dtype=np.intp), np.full(shape, mod, dtype=dt), np.zeros(shape + (w,), dtype=dt)
+    if steps:
+        g, t, at, pe, rows = zip(*steps)
+        lead[g, t], div[g, t] = at, pe
+        R[g, t] = np.array([row + [0] * (w - len(row)) for row in rows], dtype=dt)
+    X = X.astype(dt)
     at = np.arange(len(X))
     for t in range(shape[1]):
         X -= (X[at, lead[which, t]] // div[which, t])[:, None] * R[which, t]
         X %= mod
     return X
+
+
+def extend_stacked(spans, which, X) -> None:
+    """Add each row X[k] to the SpanNF spans[which[k]], all spans at once.
+
+    X has entries in [0, p^m) and at least the widest receiving span's width
+    (a narrower span's rows end in zeros).  Each receiving span gets the
+    reduced Howell form (Howell, 1986) of its old and new rows, from one pass
+    over their padded stack H, (spans, rows + c, c) in the work dtype of p^m:
+    for each column k, in all stacks at once, the first row of minimal
+    valuation e leaves H as the pivot row, normalised to p^e at k; k is
+    cleared from the other rows; and p^(m-e) times the pivot row, zero at k,
+    joins them in a spare row.  Then each pivot row is reduced above the
+    later pivots, in ascending order.  So a loaded span's `basis()` is its
+    `reduced_basis()`, which depends only on the span.
+    """
+    if not len(which):
+        return
+    p, m = spans[0].p, spans[0].m
+    mod = p ** m
+    touched, at = np.unique(which, return_inverse=True)
+    subs = [spans[g] for g in touched]
+    old = [s.basis() for s in subs]
+    n_old = np.array([len(rows) for rows in old], dtype=np.intp)
+    count = np.bincount(at, minlength=len(subs))
+    N, r, c = len(subs), int((n_old + count).max()), max(s.ncols for s in subs)
+    H = np.zeros((N, r + c, c), dtype=work_dtype(mod))  # row r + k takes p^(m-e) times pivot row k
+    for i, rows in enumerate(old):
+        if rows:
+            H[i, : len(rows), : len(rows[0])] = rows
+    order = np.argsort(at, kind="stable")
+    H[at[order], n_old[at[order]] + np.arange(len(at)) - np.repeat(np.cumsum(count) - count, count)] = X[order, :c]
+    if mod <= _TABLE_MAX:
+        val_tab, inv_tab, ppow = tables(p, m)
+        val, inv = val_tab.take, inv_tab.take
+    else:
+        val, inv, ppow = _computed_ops(p, m)
+    reduce = mod_reducer(mod, np.empty_like(H))
+    every = np.arange(N)
+    P, E = np.zeros((N, c, c), dtype=H.dtype), np.full((N, c), m, dtype=np.int64)
+    for k in range(c):
+        v = val(H[:, :, k])
+        i = v.argmin(axis=1)
+        e = v[every, i]
+        pe = ppow.take(e)
+        row = H[every, i, k:]  # a copy
+        H[every[e < m], i[e < m]] = 0
+        row *= inv(row[:, 0] // pe)[:, None]  # zero where column k has no pivot
+        reduce(row)
+        blk = H[:, :, k:]
+        blk -= (blk[:, :, 0] // pe[:, None])[:, :, None] * row[:, None]
+        reduce(blk)
+        spare = H[:, r + k, k:]
+        np.multiply(row, ppow.take(m - e)[:, None], out=spare)
+        reduce(spare)
+        P[:, k, k:], E[:, k] = row, e
+    for k in range(1, c):
+        above = P[:, :k, k:]
+        above -= (above[:, :, 0] // ppow.take(E[:, k])[:, None])[:, :, None] * P[:, k, None, k:]
+        reduce(above)
+    for s, rows, exps in zip(subs, P.tolist(), E.tolist()):
+        s.rows = {k: (e, rows[k][: s.ncols]) for k, e in enumerate(exps[: s.ncols]) if e < m}
+        s._smith = None
 
 
 def _smith_forms(spans) -> None:

@@ -14,8 +14,12 @@ The shadow grades the span by N^k: rewrite and phantom rows stay in one
 stratum, both terms of a scalar-family row have shadow n * lcm(g_i, g_j), and
 b_i * b_j has shadow s_i + s_j, because absorption keeps the plain monomial.
 So the span is the direct sum of its strata's spans, and it is kept as a
-`GradedSpan`: one small block per stratum, built, closed, reduced and
-diagonalized block by block.
+`GradedSpan`: one small block per stratum.  The blocks are built in stacked
+passes over all of them: the strata's members are enumerated once per
+envelope, the seed rows of every block form one array, one Howell pass
+(`linalg.extend_stacked`) loads them, and the closure under basis products
+runs in rounds, each one Howell pass over the blocks it grew.  Each block
+then holds its reduced Howell form, which depends only on the span.
 
 Divided powers of p itself are scalars gamma_n(p) = p^n/n!, never basis
 symbols.  The divided Frobenius follows sigma1(a) = (p-1)! a^[p] + tau(a)
@@ -33,7 +37,7 @@ from itertools import product as iproduct
 import numpy as np
 
 from .intpoly import IntPolyRing
-from .linalg import GradedSpan, exact_dtype, int_dtype, reduce_stacked, work_dtype
+from .linalg import GradedSpan, exact_dtype, extend_stacked, int_dtype, reduce_stacked, work_dtype
 from .residues import Residues, gamma_of_p
 from .frames import Frame
 
@@ -95,7 +99,12 @@ class PDAlgebra:
         self.index = {b: i for i, b in enumerate(self.basis)}
         self.n = len(self.basis)
         self._coef, self._target = self._multiplication_table()
-        self.relations = self._build_relations()
+        B = np.array([mu + nv for mu, nv in self.basis]).reshape(self.n, self.nvars + self.s)
+        G = np.array(self.gens, dtype=B.dtype).reshape(self.s, self.nvars)
+        self._shadows = [tuple(x) for x in (B[:, : self.nvars] + B[:, self.nvars :] @ G).tolist()]
+        layout = GradedSpan(self._shadows, self.p, self.m)
+        self._strata = self._stratum_buckets(layout)
+        self.relations = self._build_relations(layout)
         self._sigma_cols = None
         self._sigma1_cert = None
         self.sigma1_precision = self.m  # lowered by the well-definedness check
@@ -122,157 +131,156 @@ class PDAlgebra:
         out.sort()
         return out
 
-    def _shadow(self, b):
-        mu, nv = b
-        return tuple(
-            mu[i] + sum(n * g[i] for n, g in zip(nv, self.gens)) for i in range(self.nvars)
-        )
+    def _stratum_buckets(self, layout: GradedSpan):
+        """Every member of every stratum, phantoms included, bucketed by block in one pass.
 
-    def _stratum_members(self, shadow):
-        """All decompositions shadow = mu * prod g_j^{n_j} with mu residual.
-
-        Members beyond the divided-degree cap are phantoms: they are zero in
-        the truncation but still source relations for the surviving ones.
+        A member of the stratum of shadow s is a decomposition s = mu * prod
+        g_j^{n_j} with mu residual.  Members beyond the divided-degree cap are
+        phantoms: they are zero in the truncation but still source relations
+        for the surviving ones.  A member has sum n_j g_j <= s <= the largest
+        shadow, coordinatewise, so the residual monomials times those
+        n-vectors hold every member; the sums that are a stratum's shadow are
+        kept.  Returns (block, nv, col), sorted by block (the blocks of
+        `layout`, a `GradedSpan` over the shadows) and by ascending n within
+        a block: the member's n-vector and its column in the block, -1 for
+        a phantom.
         """
-        out = []
+        k, s = self.nvars, self.s
+        top = np.array(self._shadows, dtype=np.int64).max(axis=0)
+        bounds = [min(top[i] // g[i] for i in range(k) if g[i]) for g in self.gens]
+        nvs = list(iproduct(*(range(b + 1) for b in bounds)))
+        nvs = np.array(nvs, dtype=np.int64).reshape(len(nvs), s)
+        G = np.array(self.gens, dtype=np.int64).reshape(s, k)
+        sums = np.array(self.residuals, dtype=np.int64)[:, None] + (nvs @ G)[None]
+        r, c = np.nonzero((sums <= top).all(axis=2))
+        place = np.cumprod((top + 1)[::-1])[::-1] // (top + 1)  # mixed-radix place values in the box <= top
+        grade = np.full(int(np.prod(top + 1)), -1)  # the block of each shadow in the box
+        grade[np.array(layout.grades, dtype=np.int64) @ place] = range(len(layout.grades))
+        block = grade[sums[r, c] @ place]
+        hit = block >= 0
+        block, r, c = block[hit], r[hit], c[hit]
+        first = np.lexsort((c, block))  # c ascends with n
+        block, r, nv = block[first], r[first], nvs[c[first]]
+        col = np.full(len(block), -1, dtype=np.intp)
+        live = np.flatnonzero(nv.sum(axis=1) < self.cap)
+        for i in live.tolist():
+            col[i] = layout.local[self.index[(self.residuals[r[i]], tuple(nv[i].tolist()))]]
+        return block, nv, col
 
-        def rec(j, rest, nv):
-            if j == self.s:
-                if rest in self._residual_set:
-                    out.append((rest, tuple(nv)))
-                return
-            g = self.gens[j]
-            max_n = min(
-                (rest[i] // g[i]) for i in range(self.nvars) if g[i]
-            )
-            for n in range(max_n + 1):
-                rec(
-                    j + 1,
-                    tuple(rest[i] - n * g[i] for i in range(self.nvars)),
-                    nv + [n],
-                )
+    def _seed_rows(self, nf: GradedSpan):
+        """The seed relations of every block, as (block of each row, rows in block coordinates).
 
-        rec(0, shadow, [])
-        return out
+        (a) Rewrite rows: two members a, b of a stratum are related through
+        their latest common ancestor n0 = min(n_a, n_b), componentwise
+        (earlier ancestors only scale the same row), with the absorption-path
+        coefficients prod_j n_j!/n0_j! from a table of falling factorials;
+        one row per pair with a live and b a phantom or after a.  A phantom
+        b contributes no term.  (b) Scalar-family rows (c a)^[n] = c^n a^[n]
+        instantiated at the pairwise lcm of generator monomials.
+        """
+        mod, dt = self.mod, exact_dtype(self.mod**2)
+        block, nv, col = self._strata
+        groups, X = [block[:0]], [np.zeros((0, nf.width), dtype=dt)]
+        if len(block) > len(nf.blocks):  # else every stratum has one member and no rewrite row
+            start = np.searchsorted(block, block)
+            size = np.searchsorted(block, block, side="right") - start
+            a = np.repeat(np.arange(len(block)), size)  # each member against its stratum
+            b = np.repeat(start, size) + np.arange(len(a)) - np.repeat(np.cumsum(size) - size, size)
+            live = col >= 0
+            keep = live[a] & (a != b) & (~live[b] | (b > a))
+            a, b = a[keep], b[keep]
+            n0 = np.minimum(nv[a], nv[b])
+            top = int(nv.max())
+            fall = np.zeros((top + 1, top + 1), dtype=dt)  # fall[x, y] = x!/y!
+            for x, y in zip(*np.tril_indices(top + 1)):
+                fall[x, y] = math.perm(x, x - y) % mod
+            ca, cb = np.ones(len(a), dtype=dt), np.ones(len(a), dtype=dt)
+            for j in range(self.s):
+                ca = ca * fall[nv[a, j], n0[:, j]] % mod
+                cb = cb * fall[nv[b, j], n0[:, j]] % mod
+            rows = np.zeros((len(a), nf.width), dtype=dt)
+            rows[np.arange(len(a)), col[a]] = ca
+            both = np.flatnonzero(live[b])
+            rows[both, col[b[both]]] = -cb[both] % mod
+            groups.append(block[a])
+            X.append(rows)
+        # (b) scalar-family rows at generator-pair lcms: both terms have shadow n * lcm
+        for i in range(self.s):
+            for j in range(i + 1, self.s):
+                gi, gj = self.gens[i], self.gens[j]
+                lcm = tuple(map(max, gi, gj))
+                for n in range(1, self.cap):
+                    vec = [0] * self.n
+                    for g, jj, sign in ((gi, i, 1), (gj, j, -1)):
+                        nv0 = [0] * self.s
+                        nv0[jj] = n
+                        coeff, mu, nvj = self._absorb(1, tuple(n * (x - y) for x, y in zip(lcm, g)), nv0)
+                        if coeff is not None:
+                            idx = self.index[(mu, tuple(nvj))]
+                            vec[idx] = (vec[idx] + sign * coeff) % mod
+                    if any(vec):
+                        g, row = nf.split(vec)
+                        groups.append([g])
+                        X.append(np.array([row + (0,) * (nf.width - len(row))], dtype=dt))
+        groups, X = np.concatenate(groups), np.concatenate(X)
+        nonzero = X.any(axis=1)
+        return groups[nonzero], X[nonzero]
 
-    def _ancestor_coeff(self, nv, n0) -> int:
-        """prod (nv_j)!/(n0_j)!: the absorption-path coefficient, an integer."""
-        c = 1
-        for a, b in zip(nv, n0):
-            c *= math.factorial(a) // math.factorial(b)
-        return c
-
-    def _build_relations(self) -> GradedSpan:
+    def _build_relations(self, nf: GradedSpan | None = None) -> GradedSpan:
         """The derivable identifications of the divided-monomial spanning set.
 
-        Seeds: (a) rewrite rows -- two stratum members related through their
-        latest common ancestor (the componentwise min of divided exponents;
-        earlier ancestors only scale the same row); (b) scalar-family rows
-        (c a)^[n] = c^n a^[n] instantiated at the pairwise lcm of generator
-        monomials.  A phantom partner (divided degree at or above the cap)
-        contributes a single-term row.  The seed span is then closed under
-        multiplication by basis elements, which makes the quotient a ring.
-        Every row is homogeneous in the shadow grading (module docstring), so
-        the span is a `GradedSpan` with one block per stratum, and the rows
-        are built in block coordinates.
+        Built into nf, an empty span over the shadows (a new one by default).
+        The seed rows (`_seed_rows`, from the stratum buckets) enter their
+        blocks in one stacked Howell pass (`linalg.extend_stacked`), and the
+        span is then closed under multiplication by basis elements, which
+        makes the quotient a ring.  Every row is homogeneous in the shadow
+        grading (module docstring), so the span is a `GradedSpan` with one
+        block per stratum, and the rows are built in block coordinates.
+        Each block holds its reduced Howell form, so `basis()` is
+        `reduced_basis()` and depends only on the span.
 
         Shadow coincidence alone is NOT an identification: a difference of
         equal-shadow monomials that no derivation connects at full weight is
         genuine p-torsion of the envelope (Berthelot-type).
         """
-        nf = GradedSpan([self._shadow(b) for b in self.basis], self.p, self.m)
-        rows = [set() for _ in nf.grades]
-        # (a) rewrite/ancestor rows per stratum
-        for g, shadow in enumerate(nf.grades):
-            members = self._stratum_members(shadow)
-            if len(members) < 2:
-                continue
-            for a in range(len(members)):
-                mu_a, nv_a = members[a]
-                if sum(nv_a) >= self.cap:
-                    continue
-                ia = nf.local[self.index[(mu_a, nv_a)]]
-                for b in range(len(members)):
-                    if b == a:
-                        continue
-                    mu_b, nv_b = members[b]
-                    b_live = sum(nv_b) < self.cap
-                    if b_live and b < a:
-                        continue
-                    n0 = tuple(min(x, y) for x, y in zip(nv_a, nv_b))
-                    vec = [0] * len(nf.columns[g])
-                    vec[ia] = self._ancestor_coeff(nv_a, n0) % self.mod
-                    if b_live:
-                        ib = nf.local[self.index[(mu_b, nv_b)]]
-                        vec[ib] = (vec[ib] - self._ancestor_coeff(nv_b, n0)) % self.mod
-                    if any(vec):
-                        rows[g].add(tuple(vec))
-        # (b) scalar-family rows at generator-pair lcms: both terms have shadow n * lcm
-        for i in range(self.s):
-            for j in range(i + 1, self.s):
-                gi, gj = self.gens[i], self.gens[j]
-                lcm = tuple(max(a, b) for a, b in zip(gi, gj))
-                ci = tuple(l - a for l, a in zip(lcm, gi))
-                cj = tuple(l - a for l, a in zip(lcm, gj))
-                for n in range(1, self.cap):
-                    vec = [0] * self.n
-                    nonzero = False
-                    for (cc, jj, sign) in ((ci, i, 1), (cj, j, -1)):
-                        exps = tuple(n * e for e in cc)
-                        nv0 = [0] * self.s
-                        nv0[jj] = n
-                        coeff, mu, nv = self._absorb(1, exps, nv0)
-                        if coeff is None:
-                            continue
-                        idx = self.index[(mu, tuple(nv))]
-                        vec[idx] = (vec[idx] + sign * coeff) % self.mod
-                        nonzero = True
-                    if nonzero and any(vec):
-                        g, row = nf.split(vec)
-                        rows[g].add(row)
-        for g, block_rows in enumerate(rows):
-            for vec in sorted(block_rows):
-                nf.blocks[g].insert(vec)
+        nf = nf or GradedSpan(self._shadows, self.p, self.m)
+        extend_stacked(nf.blocks, *self._seed_rows(nf))
         self._close_under_multiplication(nf)
         return nf
 
     def _close_under_multiplication(self, nf: GradedSpan) -> None:
         """Grow the row span until it is an ideal (stable under basis products).
 
-        A pass visits the products row * b_j for every row of the span as it
-        stood at the start of the pass, in the order (row, j), and inserts
-        each one the span does not contain yet.  All products of a pass come
-        from that snapshot, so numpy forms them all at once and reduces them
-        together against the snapshot span.  The span only grows
-        during a pass, so a product the snapshot span contains would fail the
-        sequential `contains` check at its turn too: dropping it changes
-        nothing.  The sequential `contains`/`insert` runs on the rest in the
-        same (row, j) order, so the inserted rows, and with them
-        `relations.basis()`, are those of the one-product-at-a-time pass.
+        In rounds: the products row * b_j of the rows of the blocks that the
+        last round changed (all blocks in the first) are reduced against the
+        span, and the nonzero residues enter their blocks in one stacked
+        Howell pass.  The span only grows, so a product that it contained
+        once it keeps containing; the closure is done when a round leaves no
+        residue.  The closure of a span depends only on the span.
         """
+        blocks = range(len(nf.blocks))
         for _ in range(64):
-            changed = False
-            for g, prod in self._products_outside(nf):
-                if not nf.blocks[g].contains(prod):
-                    nf.blocks[g].insert(prod)
-                    changed = True
-            if not changed:
+            g, X = self._products_outside(nf, blocks)
+            if not len(g):
                 return
+            extend_stacked(nf.blocks, g, X)
+            blocks = sorted(set(g.tolist()))
         raise PDError("relation closure failed to stabilize")
 
-    def _products_outside(self, nf: GradedSpan) -> list:
-        """The nonzero products row * b_j outside nf, as (block, row in block coordinates).
+    def _products_outside(self, nf: GradedSpan, blocks):
+        """The nonzero residues of the products row * b_j, for the rows of the given blocks.
 
-        In the order (row of nf.basis(), j).  b_i * b_j has shadow s_i + s_j,
-        so row * b_j lies in the block of s_row + s_j.  Rows have few terms
-        and most b_i * b_j cross the cap, so each term c * b_i runs over the
-        nonzero entries of row i of the multiplication table only; the
-        pieces are summed per product in block coordinates, and all products
-        are reduced at once against their blocks (`reduce_stacked`).
+        Returns (block of each residue, residues in block coordinates).
+        b_i * b_j has shadow s_i + s_j, so row * b_j lies in the block of
+        s_row + s_j.  Rows have few terms and most b_i * b_j cross the cap,
+        so each term c * b_i runs over the nonzero entries of row i of the
+        multiplication table only; the pieces are summed per product in
+        block coordinates, and all products are reduced at once against
+        their blocks (`reduce_stacked`).
         """
-        rows = nf.local_basis()
+        rows = [(g, row) for g in blocks for row in nf.blocks[g].basis()]
         if not rows:
-            return []
+            return np.zeros(0, dtype=np.intp), np.zeros((0, nf.width), dtype=np.int64)
         r, c, v = zip(*[
             (k, col, x) for k, (g, row) in enumerate(rows) for col, x in zip(nf.columns[g], row) if x
         ])
@@ -290,8 +298,9 @@ class PDAlgebra:
         X %= self.mod
         g = np.zeros(len(keys), dtype=np.intp)
         g[which] = np.array(nf.gid)[target]
-        keep = (reduce_stacked(nf.blocks, g, X) != 0).any(axis=1)
-        return [(b, x[: len(nf.columns[b])]) for b, x in zip(g[keep].tolist(), X[keep].tolist())]
+        X = reduce_stacked(nf.blocks, g, X)
+        keep = X.any(axis=1)
+        return g[keep], X[keep]
 
     # -- canonical elements ----------------------------------------------------
 
@@ -693,17 +702,19 @@ def _exact_factorial_ratio(a: int, b: int, ring: Residues) -> int:
 def build_pd_envelope(pres: PDPresentation) -> PDAlgebra:
     """Construct the envelope and check that its normal form is idempotent.
 
-    The check reduces the normal form of each of the first min(n, 64) basis
-    vectors once more and requires it unchanged.  Uniqueness of normal
-    forms is not re-checked here: it rests on `SpanNF.reduce` being
-    canonical for the relation span.
+    The check reduces the first min(n, 64) basis vectors to normal form and
+    their normal forms once more, each time all of them in one stacked
+    reduction in block coordinates, and requires the second pass to change
+    nothing.  Uniqueness of normal forms is not re-checked here: it rests
+    on `SpanNF.reduce` being canonical for the relation span.
     """
     env = PDAlgebra(pres)
-    # idempotence sanity on the basis itself
-    for i in range(min(env.n, 64)):
-        v = env._unit_vec(i)
-        if env.reduce(list(v)) != v:
-            raise PDError("normal form is not idempotent")
+    rel, k = env.relations, min(env.n, 64)
+    units = np.zeros((k, rel.width), dtype=np.int64)
+    units[np.arange(k), rel.local[:k]] = 1
+    once = reduce_stacked(rel.blocks, np.array(rel.gid[:k]), units)
+    if not np.array_equal(reduce_stacked(rel.blocks, np.array(rel.gid[:k]), once), once):
+        raise PDError("normal form is not idempotent")
     return env
 
 
@@ -795,9 +806,11 @@ def pd_torsion_probe(env: PDAlgebra) -> TorsionReport:
     (`GradedSpan.p_torsion`), one per factor Z/p^e with 0 < e < m, so there
     are exactly as many as `factor_orders`.
 
-    The certificate rebuilds S from scratch and does not read the Smith form
-    it checks: every t is nonzero with p*t in the fresh S, and, inserted one
-    at a time into the fresh S + p^{m-1}*D, every t enlarges it.  So no t
+    The certificate rebuilds S from scratch, on the same stacked path from
+    the envelope's stratum buckets and multiplication table, and does not
+    read the Smith form it checks: every t is nonzero with p*t in the fresh
+    S, and, inserted one at a time into the fresh S + p^{m-1}*D (its rows
+    p^{m-1} e_k enter in one stacked pass), every t enlarges it.  So no t
     lies in S + p^{m-1}*D and the t are independent modulo it.
     """
     nf = env.relations
@@ -809,10 +822,11 @@ def pd_torsion_probe(env: PDAlgebra) -> TorsionReport:
     for t in tors:
         if not any(t) or not fresh.contains([env.p * c for c in t]):
             raise AssertionError("torsion candidate failed independent re-reduction")
-    pm1 = env.p ** (env.m - 1)
-    for g, cols in enumerate(fresh.columns):
-        for k in range(len(cols)):
-            fresh.blocks[g].insert([pm1 * (i == k) for i in range(len(cols))])
+    if tors:
+        pm1 = env.p ** (env.m - 1)
+        X = np.zeros((env.n, fresh.width), dtype=exact_dtype(pm1))
+        X[np.arange(env.n), fresh.local] = pm1
+        extend_stacked(fresh.blocks, np.array(fresh.gid), X)
     for t in tors:
         if fresh.contains(t):
             raise AssertionError("torsion candidate lies in S + p^(m-1) D plus the candidates before it")

@@ -3,9 +3,10 @@
 import copy
 from collections import defaultdict
 from functools import lru_cache
+import math
 from itertools import product as iproduct
 
-from crystaframe.linalg import SpanNF, kernel_basis
+from crystaframe.linalg import GradedSpan, SpanNF, kernel_basis
 from crystaframe.matrices import is_invertible, mat, mat_add, mat_col, mat_map, mat_vec
 from crystaframe.windows import (
     ClassTable,
@@ -133,6 +134,102 @@ def same_span_modulo(base, a, b):
         if not all(span.contains(t) for t in others):
             return False
     return True
+
+
+def stratum_members(env, shadow):
+    """All decompositions shadow = mu * prod g_j^{n_j} with mu residual, by
+    recursion over the generators, n_j ascending; members at or beyond the
+    divided-degree cap are phantoms."""
+    out = []
+
+    def rec(j, rest, nv):
+        if j == env.s:
+            if rest in env._residual_set:
+                out.append((rest, tuple(nv)))
+            return
+        g = env.gens[j]
+        for n in range(min(rest[i] // g[i] for i in range(env.nvars) if g[i]) + 1):
+            rec(j + 1, tuple(rest[i] - n * g[i] for i in range(env.nvars)), nv + [n])
+
+    rec(0, shadow, [])
+    return out
+
+
+def incremental_relations(env):
+    """The envelope's relation span built one row at a time: the seed rows of
+    each stratum (from `stratum_members`) inserted through `SpanNF.insert` in
+    sorted order, then `scalar_closure`.  The oracle for the stacked build."""
+    mod = env.mod
+    shadows = [
+        tuple(mu[i] + sum(n * g[i] for n, g in zip(nv, env.gens)) for i in range(env.nvars))
+        for mu, nv in env.basis
+    ]
+    nf = GradedSpan(shadows, env.p, env.m)
+    rows = [set() for _ in nf.grades]
+
+    def ancestor(nv, n0):
+        return math.prod(math.factorial(a) // math.factorial(b) for a, b in zip(nv, n0))
+
+    for g, shadow in enumerate(nf.grades):
+        members = stratum_members(env, shadow)
+        for a, (mu_a, nv_a) in enumerate(members):
+            if sum(nv_a) >= env.cap:
+                continue
+            for b, (mu_b, nv_b) in enumerate(members):
+                b_live = sum(nv_b) < env.cap
+                if b == a or (b_live and b < a):
+                    continue
+                n0 = tuple(min(x, y) for x, y in zip(nv_a, nv_b))
+                vec = [0] * len(nf.columns[g])
+                vec[nf.local[env.index[(mu_a, nv_a)]]] = ancestor(nv_a, n0) % mod
+                if b_live:
+                    ib = nf.local[env.index[(mu_b, nv_b)]]
+                    vec[ib] = (vec[ib] - ancestor(nv_b, n0)) % mod
+                if any(vec):
+                    rows[g].add(tuple(vec))
+    for i in range(env.s):
+        for j in range(i + 1, env.s):
+            gi, gj = env.gens[i], env.gens[j]
+            lcm = tuple(max(a, b) for a, b in zip(gi, gj))
+            for n in range(1, env.cap):
+                vec = [0] * env.n
+                for g, jj, sign in ((gi, i, 1), (gj, j, -1)):
+                    nv0 = [0] * env.s
+                    nv0[jj] = n
+                    coeff, mu, nv = env._absorb(1, tuple(n * (l - a) for l, a in zip(lcm, g)), nv0)
+                    if coeff is not None:
+                        idx = env.index[(mu, tuple(nv))]
+                        vec[idx] = (vec[idx] + sign * coeff) % mod
+                if any(vec):
+                    g, row = nf.split(vec)
+                    rows[g].add(row)
+    for g, block_rows in enumerate(rows):
+        for vec in sorted(block_rows):
+            nf.blocks[g].insert(vec)
+    scalar_closure(env, nf)
+    return nf
+
+
+def scalar_closure(env, nf):
+    """Close the span nf under basis products one product at a time: each
+    pass inserts every product row * b_j that the span does not contain."""
+    for _ in range(64):
+        changed = False
+        for row in list(nf.basis()):
+            support = [(i, c) for i, c in enumerate(row) if c]
+            for j in range(env.n):
+                prod = [0] * env.n
+                for i, c in support:
+                    hit = env._basis_product_raw(i, j)
+                    if hit is not None:
+                        coeff, idx = hit
+                        prod[idx] = (prod[idx] + c * coeff) % env.mod
+                if any(prod) and not nf.contains(prod):
+                    nf.insert(prod)
+                    changed = True
+        if not changed:
+            return
+    raise AssertionError("relation closure failed to stabilize")
 
 
 def lift_hom_exhaustive(alpha, v_src, w_src, G_target, budget=1 << 14):

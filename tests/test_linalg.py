@@ -11,6 +11,7 @@ from crystaframe.linalg import (
     _val,
     batch_kernel,
     diagonalize,
+    extend_stacked,
     kernel_basis,
     reduce_stacked,
     solve,
@@ -460,6 +461,57 @@ def test_stacked_smith_forms_match_diagonalize(p, m):
             R = s.reduced_basis() or [(0,) * s.ncols]
             U, _, V, evals = diagonalize(R, p, m)
             assert s.smith() == (U, R, V, evals + [m] * (s.ncols - len(evals)))
+
+
+def assert_same_span(loaded, built, vecs):
+    """A span loaded by `extend_stacked` against one built by `insert`."""
+    assert loaded.basis() == loaded.reduced_basis() == built.reduced_basis()
+    assert loaded.pivots() == built.pivots()
+    assert [loaded.reduce(v) for v in vecs] == [built.reduce(v) for v in vecs]
+    assert loaded.membership_rows() == built.membership_rows()
+    assert loaded.p_torsion() == built.p_torsion()
+
+
+@pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (3, 3), (2, 64), (3, 40)])
+def test_extend_stacked_matches_incremental_insert(p, m):
+    # random spans of widths 1..6 loaded in one padded stack, then extended
+    # in a second one; span 0 has width 1 and the last span stays empty
+    rng = random.Random(47)
+    mod = p ** m
+
+    def rows(n, count):  # entries of every valuation, so pivots are often not units
+        return [[rng.randrange(mod) * p ** rng.randrange(m) % mod for _ in range(n)] for _ in range(count)]
+
+    for _ in range(15):
+        loaded = [SpanNF(1, p, m)] + [SpanNF(rng.randrange(1, 7), p, m) for _ in range(rng.randrange(1, 5))]
+        built = [SpanNF(s.ncols, p, m) for s in loaded]
+        width = max(s.ncols for s in loaded)
+        for _ in range(2):
+            which = [rng.randrange(len(loaded) - 1) for _ in range(rng.randrange(0, 12))]
+            X = [row + [0] * (width - len(row)) for g in which for row in rows(loaded[g].ncols, 1)]
+            for g, row in zip(which, X):
+                built[g].insert(row[: built[g].ncols])
+            extend_stacked(loaded, np.array(which, dtype=np.intp), np.array(X, dtype=object).reshape(-1, width))
+            for s, t in zip(loaded, built):
+                assert_same_span(s, t, rows(s.ncols, 6))
+        assert loaded[-1].rows == {}
+        for s, t in zip(loaded, built):  # a later insert into a loaded span
+            for v in rows(s.ncols, 2):
+                s.insert(v)
+                t.insert(v)
+            assert s.reduced_basis() == t.reduced_basis() and s.pivots() == t.pivots()
+            vecs = rows(s.ncols, 6)
+            assert [s.reduce(v) for v in vecs] == [t.reduce(v) for v in vecs]
+
+
+def test_extend_stacked_keeps_the_p_multiples():
+    # negative control for the append of p^(m-e) * pivot row: over Z/8 the
+    # row (2, 1) spans 4 * (2, 1) = (0, 4), so the Howell form has a row
+    # with lead at column 1 although no input row starts there
+    span = SpanNF(2, 2, 3)
+    extend_stacked([span], np.array([0]), np.array([[2, 1]]))
+    assert span.basis() == [(2, 1), (0, 4)]
+    assert span.contains([0, 4]) and not span.contains([0, 2])
 
 
 # every system shape of the window-hom sweep, plus two non-square shapes

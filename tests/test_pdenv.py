@@ -1,10 +1,11 @@
 import math
 import random
+from itertools import product
 
 import numpy as np
 import pytest
 
-from crystaframe.linalg import SpanNF
+from crystaframe.linalg import GradedSpan, SpanNF, extend_stacked, reduce_stacked
 from crystaframe.pdenv import (
     PDDifferential,
     PDError,
@@ -14,7 +15,14 @@ from crystaframe.pdenv import (
     pd_torsion_probe,
 )
 from crystaframe.residues import Residues, divided_power_constant, gamma_of_p
-from oracles import artifact_span, p_torsion_kernel, same_span_modulo
+from oracles import (
+    artifact_span,
+    incremental_relations,
+    p_torsion_kernel,
+    same_span_modulo,
+    scalar_closure,
+    stratum_members,
+)
 
 
 def free_env(p=2, m=3, cap=6):
@@ -244,7 +252,7 @@ def test_relation_span_refuses_a_row_across_shadows():
     env = xy2_env(2, 2, 4)
     span = env._build_relations()
     i, j = span.columns[0][0], span.columns[1][0]
-    assert env._shadow(env.basis[i]) != env._shadow(env.basis[j])
+    assert env._shadows[i] != env._shadows[j]
     with pytest.raises(ValueError, match="grades"):
         span.insert([int(k in (i, j)) for k in range(env.n)])
     assert span.basis() == env.relations.basis()
@@ -378,27 +386,6 @@ def test_d_sigma_compatibility():
         assert lhs == rhs
 
 
-def scalar_closure(env, nf):
-    """The one-product-at-a-time closure pass: the oracle for the batched one."""
-    for _ in range(64):
-        changed = False
-        for row in list(nf.basis()):
-            support = [(i, c) for i, c in enumerate(row) if c]
-            for j in range(env.n):
-                prod = [0] * env.n
-                for i, c in support:
-                    hit = env._basis_product_raw(i, j)
-                    if hit is not None:
-                        coeff, idx = hit
-                        prod[idx] = (prod[idx] + c * coeff) % env.mod
-                if any(prod) and not nf.contains(prod):
-                    nf.insert(prod)
-                    changed = True
-        if not changed:
-            return
-    raise PDError("relation closure failed to stabilize")
-
-
 CLOSURE_PRESENTATIONS = [
     (("x",), ((1,),)),
     (("x", "y"), ((1, 0), (0, 1))),
@@ -406,30 +393,135 @@ CLOSURE_PRESENTATIONS = [
 ]
 
 
-def check_closure_against_scalar(monkeypatch, pres):
+def check_closure_against_scalar(pres):
+    # the stacked build against the incremental oracle (seed rows inserted
+    # one at a time, then the one-product-at-a-time closure): a stacked span
+    # holds its reduced Howell form, so its basis() is the oracle's reduced_basis()
     env = build_pd_envelope(pres)
     report = pd_torsion_probe(env)
-    with monkeypatch.context() as patch:
-        patch.setattr(type(env), "_close_under_multiplication", scalar_closure)
-        ref = build_pd_envelope(pres)
-        assert env.relations.basis() == ref.relations.basis()
-        assert report == pd_torsion_probe(ref)
+    ref = build_pd_envelope(pres)
+    ref.relations = incremental_relations(ref)
+    assert env.relations.basis() == ref.relations.reduced_basis()
+    assert report == pd_torsion_probe(ref)
 
 
 @pytest.mark.parametrize("variables,gens", CLOSURE_PRESENTATIONS, ids=["x", "x,y", "(x,y)^2"])
 @pytest.mark.parametrize("p", [2, 3])
-def test_batched_closure_matches_scalar(monkeypatch, variables, gens, p):
+def test_batched_closure_matches_scalar(variables, gens, p):
     for m in (2, 3):
         for cap in (4, 5, 6):
-            check_closure_against_scalar(monkeypatch, PDPresentation(p, m, variables, gens, cap))
+            check_closure_against_scalar(PDPresentation(p, m, variables, gens, cap))
 
 
 @pytest.mark.parametrize("p,m", [(2, 40), (3, 40), (2, 64)])
-def test_batched_closure_matches_scalar_past_int64(monkeypatch, p, m):
+def test_batched_closure_matches_scalar_past_int64(p, m):
     # products of two coefficients pass int64, so the arrays hold Python ints;
     # at 3^40 and 2^64 the modulus itself does too
     variables, gens = CLOSURE_PRESENTATIONS[2]
-    check_closure_against_scalar(monkeypatch, PDPresentation(p, m, variables, gens, 4))
+    check_closure_against_scalar(PDPresentation(p, m, variables, gens, 4))
+
+
+def check_stacked_against_incremental(env):
+    """Every canonical output of the stacked relation span equals the incremental oracle's."""
+    p, m, n = env.p, env.m, env.n
+    rel, ref = env.relations, incremental_relations(env)
+    for got, want in zip(rel.blocks, ref.blocks):
+        assert got.basis() == got.reduced_basis() == want.reduced_basis()
+        assert got.pivots() == want.pivots()
+        assert got.smith()[3] == want.smith()[3]
+    units = [[int(i == j) for j in range(n)] for i in range(n)]
+    assert [rel.reduce(e) for e in units] == [ref.reduce(e) for e in units]
+    X = np.zeros((n, rel.width), dtype=object)
+    X[np.arange(n), rel.local] = 1
+    stacked = reduce_stacked(rel.blocks, np.array(rel.gid), X).tolist()
+    got = [rel._embed(g, r[: len(rel.columns[g])]) for g, r in zip(rel.gid, stacked)]
+    assert got == [ref.reduce(e) for e in units]
+    evals = ref.smith_exponents()
+    assert rel.smith_exponents() == evals
+    rep = pd_torsion_probe(env)
+    assert rep.free_rank == n - sum(e < m for e in evals)
+    assert rep.factor_orders == [p ** e for e in evals if 0 < e < m]
+    assert rep.torsion_generators == rel.p_torsion() == ref.p_torsion()
+
+
+def slow_at_cap_7(grid):
+    return [pytest.param(*case, marks=[pytest.mark.slow] if case[-1] == 7 else []) for case in grid]
+
+
+@pytest.mark.parametrize(
+    "p,m,cap",
+    slow_at_cap_7([(p, m, cap) for p in (2, 3) for m in (2, 3) for cap in (4, 5, 6, 7)] + [(2, 40, 5)]),
+)
+def test_stacked_relations_match_incremental_build(p, m, cap):
+    check_stacked_against_incremental(xy2_env(p, m, cap))
+
+
+# (x^3, xy, y^3) has phantom members: x^3 * y^3 and (xy)^[3] share a shadow
+# with divided degrees 2 and 3, so at cap 3 the second is a phantom
+OTHER_PRESENTATIONS = {
+    "x^3,xy,y^3": (("x", "y"), ((3, 0), (1, 1), (0, 3))),
+    "x^2,y^3": (("x", "y"), ((2, 0), (0, 3))),
+    "x,yz,y^2,z^2": (("x", "y", "z"), ((1, 0, 0), (0, 1, 1), (0, 2, 0), (0, 0, 2))),
+}
+
+
+@pytest.mark.parametrize("name", OTHER_PRESENTATIONS)
+@pytest.mark.parametrize("p,m,cap", slow_at_cap_7([(2, 2, 3), (3, 2, 4), (2, 3, 5), (3, 3, 6), (2, 2, 7)]))
+def test_stacked_relations_match_incremental_build_elsewhere(name, p, m, cap):
+    variables, gens = OTHER_PRESENTATIONS[name]
+    check_stacked_against_incremental(build_pd_envelope(PDPresentation(p, m, variables, gens, cap)))
+
+
+def test_stacked_relations_match_incremental_build_on_regular_presentations():
+    for (variables, gens), p, m, cap in product(CLOSURE_PRESENTATIONS[:2], (2, 3), (2, 3), (3, 5, 8)):
+        env = build_pd_envelope(PDPresentation(p, m, variables, gens, cap))
+        assert env.relations.basis() == []
+        check_stacked_against_incremental(env)
+
+
+@pytest.mark.parametrize("name", OTHER_PRESENTATIONS)
+@pytest.mark.parametrize("p,cap", [(2, 3), (3, 5)])
+def test_stratum_buckets_match_the_recursion(name, p, cap):
+    # every stratum's members, phantoms included and in the recursion's
+    # order, with the block column of each live one
+    variables, gens = OTHER_PRESENTATIONS[name]
+    env = build_pd_envelope(PDPresentation(p, 2, variables, gens, cap))
+    rel = env.relations
+    block, nv, col = (x.tolist() for x in env._strata)
+    got = [[] for _ in rel.grades]
+    for g, n, c in zip(block, nv, col):
+        got[g].append((tuple(n), c))
+    want = [
+        [(n, rel.local[env.index[(mu, n)]] if sum(n) < cap else -1) for mu, n in stratum_members(env, shadow)]
+        for shadow in rel.grades
+    ]
+    assert got == want
+    phantoms = sum(c < 0 for c in col)
+    assert phantoms > 0 if name == "x^3,xy,y^3" else phantoms == 0
+    if (name, cap) == ("x^3,xy,y^3", 3):
+        # x^3 * y^3 = T_(x^3) T_(y^3), live, and (xy)^[3], a phantom at cap 3
+        assert got[rel.gid[env.index[((0, 0), (1, 0, 1))]]] == [((0, 3, 0), -1), ((1, 0, 1), 0)]
+
+
+@pytest.mark.parametrize(
+    "gens", [((2, 0), (1, 1), (0, 2)), ((3, 0), (1, 1), (0, 3))], ids=["(x,y)^2", "x^3,xy,y^3"]
+)
+@pytest.mark.parametrize("p,m,cap", [(2, 2, 4), (2, 3, 5), (3, 2, 5)])
+def test_closure_of_any_span_matches_scalar_closure(gens, p, m, cap):
+    # the closure in rounds against the one-product-at-a-time oracle, from
+    # spans of two random rows: unlike the seed span these need several rounds
+    env = build_pd_envelope(PDPresentation(p, m, ("x", "y"), gens, cap))
+    rng = random.Random(cap)
+    for _ in range(5):
+        span, ref = GradedSpan(env._shadows, p, m), GradedSpan(env._shadows, p, m)
+        for _ in range(2):
+            g = rng.randrange(len(span.blocks))
+            row = [rng.randrange(env.mod) for _ in span.columns[g]]
+            ref.blocks[g].insert(row)
+            extend_stacked(span.blocks, np.array([g]), np.array([row + [0] * (span.width - len(row))]))
+        env._close_under_multiplication(span)
+        scalar_closure(env, ref)
+        assert span.basis() == span.reduced_basis() == ref.reduced_basis()
 
 
 def per_pair_multiplication_table(env):
